@@ -124,19 +124,15 @@ def _cmd_char(args) -> int:
     return 0
 
 
-def _cmd_count(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_count(args, parser: argparse.ArgumentParser, max_cells: int) -> int:
     admissible = ffcount.is_admissible(args.rank, args.n, args.q)
     if args.check and not admissible:
         parser.error(
             f"--assert requires {ffcount.admissibility_modulus(args.rank, args.n)} | q-1 "
             f"(got q={args.q})")
     started = time.perf_counter()
-    try:
-        count = ffcount.count_rep_variety_points(
-            args.rank, args.n, args.q, threads=args.threads, max_cells=_max_cells())
-    except ffcount.ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    count = ffcount.count_rep_variety_points(
+        args.rank, args.n, args.q, threads=args.threads, max_cells=max_cells)
     report = VerificationReport(rank=args.rank, n=args.n, counts=[(args.q, count)],
                                 elapsed_ms=(time.perf_counter() - started) * 1000.0)
 
@@ -273,15 +269,19 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in ("rep", "char", "count") and args.n < 1:
             parser.error("--n must be >= 1")
         if args.command == "count":
-            if args.q % 2 == 0 or not ffcount.is_prime(args.q):
+            if args.q % 2 == 0:
                 parser.error(f"--q must be an odd prime, got {args.q}")
-            return _cmd_count(args, parser)
+            max_cells = _max_cells()
+            ffcount.check_cells(args.rank, args.q, max_cells)
+            if not ffcount.is_prime(args.q):
+                parser.error(f"--q must be an odd prime, got {args.q}")
+            return _cmd_count(args, parser, max_cells)
         if args.command == "rep":
             return _cmd_rep(args)
         if args.command == "char":
             return _cmd_char(args)
         return _cmd_table(args, parser)
-    except ValueError as exc:
+    except (ValueError, ffcount.ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

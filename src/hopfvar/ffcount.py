@@ -1,43 +1,52 @@
 """Finite-field counting oracle for the representation variety.
 
 Counts pairs (A, B) of SL_r matrices over a prime field F_q with A^n
-commuting with B, by enumerating A and adding up the commutant sizes of A^n:
+commuting with B.  The commutant size of A^n depends only on the conjugacy
+class of A, so the count is a sum over the GL_r(F_q)-classes C inside
+SL_r(F_q) (the class equation):
 
-    count = sum over A in SL_r(F_q) of #{B in SL_r(F_q) : B A^n = A^n B}.
+    count = sum over C of |GL_r(F_q)| / |C_GL(A_C)| * #{B in SL_r(F_q) : B A_C^n = A_C^n B}.
 
-This reduces q^(2 r^2) pair-work to q^(r^2) matrix enumeration.  The commutant
-size depends only on the conjugacy class of A^n, which for r <= 3 is pinned
-down by the pair (characteristic polynomial, minimal polynomial); counts are
-therefore memoized on that key.  The enumeration itself is vectorized with
-numpy in fixed-size batches, classifying each matrix into one of at most
-3*q^2 classes and counting the commutant of one representative per class.
+For r <= 3 a class is fixed by its rational canonical form, so the
+representatives A_C are
 
-Batches can be processed by several threads over disjoint index ranges; the
-per-class histogram is a sum of integers, so the final count is bit-identical
-for any thread count.
+* the companion matrix of each det-1 characteristic polynomial
+  (x^2 - t x + 1, resp. x^3 - t x^2 + s x - 1): q resp. q^2 classes;
+* at rank 3, diag(a) + companion((x - a)(x - a^-2)) for each a in F_q^*,
+  the classes whose minimal polynomial has degree 2;
+* the scalars a*I with a^r = 1, each a class of size 1.
+
+The centralizer of a non-scalar A_C is the unit group of its commutant, an
+algebra of dimension 2..5 whose q^d members are enumerated with numpy, as
+are those of the commutant of A_C^n.  numpy is imported only there.  About
+q^2 classes replace the q^(r^2) matrices of a direct enumeration.
+
+The count equals the closed-formula E-polynomial at q when rank*n | q-1
+(is_admissible).  The sweep is serial: the threads argument is accepted and
+has no effect on the result.  max_cells still bounds q^(r^2), the number of
+r x r matrices over F_q, and is checked before the primality of q.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
 
-import numpy as np
+from .poly import general_linear_epoly, special_linear_epoly
+from .strata import admissibility_modulus, check_twists, is_admissible, is_prime
 
-from .poly import special_linear_epoly
-from .strata import check_twists, is_prime
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FqMatrix", "ConjugacyKey", "ResourceLimitError",
-    "sl_order", "is_admissible", "admissibility_modulus",
+    "sl_order", "is_admissible", "admissibility_modulus", "check_cells",
     "commutant_dimension", "commutant_basis", "conjugacy_key",
-    "count_commuting_det1", "count_rep_variety_points", "count_sl_matrices",
+    "count_commuting_det1", "class_representatives", "class_size",
+    "count_rep_variety_points",
 ]
 
 DEFAULT_MAX_CELLS = 10 ** 10
-_BATCH = 1 << 20
 
 
 class ResourceLimitError(RuntimeError):
@@ -282,6 +291,35 @@ def sl_order(rank: int, q: int) -> int:
 _COMMUTANT_ENUM_CEILING = 50_000_000
 
 
+def _det_batch(m: np.ndarray, q: int) -> np.ndarray:
+    """Determinants mod q of matrices stored entries first: m[i, j] holds
+    entry (i, j) of every matrix."""
+    if len(m) == 2:
+        return (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) % q
+    return (m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
+            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])) % q
+
+
+def _commutant_dets(M: FqMatrix) -> np.ndarray:
+    """Determinants of all q^d members c_1 b_1 + ... + c_d b_d of the
+    commutant of M, built by broadcasting over the basis b_1..b_d."""
+    import numpy as np
+
+    q, r = M.q, M.rank
+    basis = commutant_basis(M)
+    if q ** len(basis) > _COMMUTANT_ENUM_CEILING:
+        raise ResourceLimitError(
+            f"commutant enumeration q^{len(basis)} too large for q={q}")
+    steps = np.arange(q, dtype=np.int64)
+    members = np.zeros((r * r, 1), dtype=np.int64)  # entries x members
+    for b in basis:
+        entries = np.array(b.rows, dtype=np.int64).reshape(-1, 1, 1)
+        members = (members[:, :, None] + entries * steps).reshape(r * r, -1)
+    members %= q
+    return _det_batch(members.reshape(r, r, -1), q)
+
+
 def count_commuting_det1(M: FqMatrix, memo: Optional[dict] = None) -> int:
     """#{B in SL_r(F_q) : BM = MB}.
 
@@ -295,157 +333,58 @@ def count_commuting_det1(M: FqMatrix, memo: Optional[dict] = None) -> int:
     key = conjugacy_key(M) if memo is not None else None
     if memo is not None and key in memo:
         return memo[key]
-
-    q, r = M.q, M.rank
-    basis = commutant_basis(M)
-    d = len(basis)
-    if q ** d > _COMMUTANT_ENUM_CEILING:
-        raise ResourceLimitError(f"commutant enumeration q^{d} too large for q={q}")
-    basis_arr = np.array([b.rows for b in basis], dtype=np.int64)  # (d, r, r)
-    coeffs = _index_block(0, q ** d, q, d)                          # (q^d, d)
-    mats = np.tensordot(coeffs, basis_arr, axes=([1], [0])) % q     # (q^d, r, r)
-    dets = _det_batch(mats, q)
-    count = int((dets == 1).sum())
+    count = int((_commutant_dets(M) == 1).sum())
     if memo is not None:
         memo[key] = count
     return count
 
 
-# -- vectorized enumeration ------------------------------------------------------
+# -- class-equation sweep ---------------------------------------------------------
 
-def _index_block(start: int, stop: int, q: int, width: int) -> np.ndarray:
-    """Rows start..stop-1 of the base-q odometer with `width` digits."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((stop - start, width), dtype=np.int64)
-    for pos in range(width - 1, -1, -1):
-        out[:, pos] = idx % q
-        idx = idx // q
-    return out
+def _companion(q: int, low: tuple[int, ...]) -> FqMatrix:
+    """Companion matrix of x^r + low[r-1] x^(r-1) + ... + low[0]."""
+    r = len(low)
+    return FqMatrix(q, [[-low[i] if j == r - 1 else int(i == j + 1) for j in range(r)]
+                        for i in range(r)])
 
 
-def _det_batch(mats: np.ndarray, q: int) -> np.ndarray:
-    if mats.shape[1] == 2:
-        return (mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]) % q
-    m = mats
-    return (m[:, 0, 0] * (m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1])
-            - m[:, 0, 1] * (m[:, 1, 0] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 0])
-            + m[:, 0, 2] * (m[:, 1, 0] * m[:, 2, 1] - m[:, 1, 1] * m[:, 2, 0])) % q
-
-
-def _matmul_batch(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    return np.einsum("nij,njk->nik", a, b) % q
-
-
-def _pow_batch(mats: np.ndarray, n: int, q: int) -> np.ndarray:
-    if n == 1:
-        return mats
-    r = mats.shape[1]
-    result = np.broadcast_to(np.eye(r, dtype=np.int64), mats.shape).copy()
-    base = mats
-    while n:
-        if n & 1:
-            result = _matmul_batch(result, base, q)
-        n >>= 1
-        if n:
-            base = _matmul_batch(base, base, q)
-    return result
-
-
-def _repeated_root_tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per (trace, second-coefficient) key of a det-1 cubic x^3 - t x^2 + s x - 1:
-    whether it has a repeated root, and the coefficients (u, v) of the
-    quadratic (x - a)(x - b) = x^2 - u x + v splitting off the repeated root a."""
-    bad = np.zeros(q * q, dtype=bool)
-    us = np.zeros(q * q, dtype=np.int64)
-    vs = np.zeros(q * q, dtype=np.int64)
-    for t in range(q):
-        for s in range(q):
-            rep = None
-            for a in range(q):
-                if (a * a * a - t * a * a + s * a - 1) % q == 0 \
-                        and (3 * a * a - 2 * t * a + s) % q == 0:
-                    rep = a
-                    break
-            if rep is not None:
-                b = (t - 2 * rep) % q
-                bad[t * q + s] = True
-                us[t * q + s] = (rep + b) % q
-                vs[t * q + s] = (rep * b) % q
-    return bad, us, vs
-
-
-def _classify_batch(M: np.ndarray, q: int,
-                    tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None) -> np.ndarray:
-    """Class code per matrix: 3 * (char-poly key) + commutant-size code.
-
-    code 0: cyclic (minimal = characteristic), 1: middle class (repeated
-    eigenvalue, minimal of degree rank-1), 2: scalar.
-    """
-    if M.shape[1] == 2:
-        t = (M[:, 0, 0] + M[:, 1, 1]) % q
-        scalar = (M[:, 0, 1] == 0) & (M[:, 1, 0] == 0) & (M[:, 0, 0] == M[:, 1, 1])
-        return t * 3 + np.where(scalar, 2, 0)
-
-    t = (M[:, 0, 0] + M[:, 1, 1] + M[:, 2, 2]) % q
-    s = (M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
-         + M[:, 0, 0] * M[:, 2, 2] - M[:, 0, 2] * M[:, 2, 0]
-         + M[:, 1, 1] * M[:, 2, 2] - M[:, 1, 2] * M[:, 2, 1]) % q
-    key = t * q + s
-    off_zero = ((M[:, 0, 1] == 0) & (M[:, 0, 2] == 0) & (M[:, 1, 0] == 0)
-                & (M[:, 1, 2] == 0) & (M[:, 2, 0] == 0) & (M[:, 2, 1] == 0))
-    scalar = off_zero & (M[:, 0, 0] == M[:, 1, 1]) & (M[:, 1, 1] == M[:, 2, 2])
-    code = np.zeros(len(M), dtype=np.int64)
-
-    bad_table, u_table, v_table = tables
-    candidates = bad_table[key] & ~scalar
-    if candidates.any():
-        # middle class iff the repeated-root quadratic annihilates the matrix
-        sub = np.flatnonzero(candidates)
-        Mb = M[sub]
-        u = u_table[key[sub]][:, None, None]
-        v = v_table[key[sub]][:, None, None]
-        eye = np.eye(3, dtype=np.int64)
-        resid = (_matmul_batch(Mb, Mb, q) - u * Mb + v * eye) % q
-        annihilated = (resid == 0).all(axis=(1, 2))
-        code[sub[annihilated]] = 1
-    code[scalar] = 2
-    return key * 3 + code
-
-
-def _histogram_range(lo: int, hi: int, rank: int, n: int, q: int,
-                     tables, nclasses: int) -> tuple[np.ndarray, dict]:
-    hist = np.zeros(nclasses, dtype=np.int64)
-    reps: dict[int, tuple[tuple[int, ...], ...]] = {}
-    cells = rank * rank
-    for start in range(lo, hi, _BATCH):
-        stop = min(start + _BATCH, hi)
-        ent = _index_block(start, stop, q, cells)
-        mats = ent.reshape(-1, rank, rank)
-        keep = _det_batch(mats, q) == 1
-        if not keep.any():
-            continue
-        powered = _pow_batch(mats[keep], n, q)
-        cls = _classify_batch(powered, q, tables)
-        hist += np.bincount(cls, minlength=nclasses)
-        uniq, first = np.unique(cls, return_index=True)
-        for c, i in zip(uniq.tolist(), first.tolist()):
-            if c not in reps:
-                reps[c] = tuple(map(tuple, powered[i].tolist()))
-    return hist, reps
-
-
-def admissibility_modulus(rank: int, n: int) -> int:
-    """q-1 must be divisible by this for the count/E-polynomial identity."""
-    check_twists(n)
+def class_representatives(rank: int, q: int) -> Iterator[FqMatrix]:
+    """One matrix of each GL_rank(F_q)-conjugacy class inside SL_rank(F_q),
+    by rational canonical form (see the module docstring)."""
     if rank == 2:
-        return 2 * n
-    if rank == 3:
-        return 6 * n
-    raise ValueError(f"rank must be 2 or 3, got {rank}")
+        for t in range(q):
+            yield _companion(q, (1, -t))
+    else:
+        for t in range(q):
+            for s in range(q):
+                yield _companion(q, (-1, s, -t))
+        for a in range(1, q):
+            b = pow(a, -2, q)
+            yield FqMatrix(q, [[a, 0, 0], [0, 0, -a * b], [0, 1, a + b]])
+    for a in range(1, q):
+        if pow(a, rank, q) == 1:
+            yield FqMatrix(q, [[a if i == j else 0 for j in range(rank)]
+                               for i in range(rank)])
 
 
-def is_admissible(rank: int, n: int, q: int) -> bool:
-    return (q - 1) % admissibility_modulus(rank, n) == 0
+def class_size(A: FqMatrix) -> int:
+    """|GL_r(F_q)| / |C_GL(A)|: the number of conjugates of A.  The
+    centralizer of a non-scalar A is the set of invertible members of its
+    commutant."""
+    if A.is_scalar():
+        return 1
+    units = int((_commutant_dets(A) != 0).sum())
+    return general_linear_epoly(A.rank).evaluate(A.q) // units
+
+
+def check_cells(rank: int, q: int, max_cells: int = DEFAULT_MAX_CELLS) -> None:
+    """Refuse a field whose q^(rank^2) matrices exceed max_cells.  Cheap, so
+    it runs before the trial-division primality test, which would not end
+    for a huge q."""
+    cells = q ** (rank * rank)
+    if cells > max_cells:
+        raise ResourceLimitError(
+            f"q^{rank * rank} = {cells} exceeds the cell ceiling {max_cells}")
 
 
 def count_rep_variety_points(rank: int, n: int, q: int,
@@ -455,54 +394,16 @@ def count_rep_variety_points(rank: int, n: int, q: int,
 
     Computes the raw count for any odd prime q; equality with the closed-formula
     E-polynomial at q is only expected when is_admissible(rank, n, q).
-    Raises ResourceLimitError when q^(rank^2) exceeds max_cells.
+    Raises ResourceLimitError when q^(rank^2) exceeds max_cells.  threads is
+    accepted for compatibility; the sweep is serial and its result does not
+    depend on it.
     """
     if rank not in (2, 3):
         raise ValueError(f"rank must be 2 or 3, got {rank}")
     check_twists(n)
+    if q % 2 == 0:
+        raise ValueError(f"q must be an odd prime, got {q}")
+    check_cells(rank, q, max_cells)
     _check_field(q)
-    cells = q ** (rank * rank)
-    if cells > max_cells:
-        raise ResourceLimitError(
-            f"enumeration of {cells} matrices exceeds the ceiling {max_cells}")
-
-    tables = _repeated_root_tables(q) if rank == 3 else None
-    nclasses = 3 * q * q if rank == 3 else 3 * q
-    if threads is None:
-        threads = os.cpu_count() or 1
-    threads = max(1, min(threads, cells))
-
-    if threads == 1 or cells <= _BATCH:
-        hist, reps = _histogram_range(0, cells, rank, n, q, tables, nclasses)
-    else:
-        bounds = [cells * i // threads for i in range(threads + 1)]
-        hist = np.zeros(nclasses, dtype=np.int64)
-        reps = {}
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_histogram_range, bounds[i], bounds[i + 1],
-                                   rank, n, q, tables, nclasses)
-                       for i in range(threads)]
-            for fut in futures:
-                h, r = fut.result()
-                hist += h
-                for c, m in r.items():
-                    reps.setdefault(c, m)
-
-    memo: dict = {}
-    total = 0
-    for c in np.flatnonzero(hist).tolist():
-        total += int(hist[c]) * count_commuting_det1(FqMatrix(q, reps[c]), memo)
-    return total
-
-
-def count_sl_matrices(rank: int, q: int) -> int:
-    """Number of determinant-one matrices found by the raw enumerator
-    (consistency check for the enumeration machinery itself)."""
-    _check_field(q)
-    cells = q ** (rank * rank)
-    total = 0
-    for start in range(0, cells, _BATCH):
-        stop = min(start + _BATCH, cells)
-        mats = _index_block(start, stop, q, rank * rank).reshape(-1, rank, rank)
-        total += int((_det_batch(mats, q) == 1).sum())
-    return total
+    return sum(class_size(A) * count_commuting_det1(A.pow(n))
+               for A in class_representatives(rank, q))

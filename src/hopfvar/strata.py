@@ -28,6 +28,7 @@ __all__ = [
     "config_epoly", "config_epoly_plain",
     "config_equivariant_s2", "config_equivariant_s3",
     "count_config_points", "refinement_pairs",
+    "admissibility_modulus", "is_admissible",
 ]
 
 
@@ -201,6 +202,19 @@ def is_prime(q: int) -> bool:
     return True
 
 
+def admissibility_modulus(rank: int, n: int) -> int:
+    """rank*n.  When it divides q-1, F_q holds every root of unity the strata
+    refer to, so an F_q point count equals its E-polynomial evaluated at q."""
+    check_twists(n)
+    if rank not in (2, 3):
+        raise ValueError(f"rank must be 2 or 3, got {rank}")
+    return rank * n
+
+
+def is_admissible(rank: int, n: int, q: int) -> bool:
+    return (q - 1) % admissibility_modulus(rank, n) == 0
+
+
 def _coincidence_pattern(values: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     groups: dict[int, list[int]] = {}
     for pos, v in enumerate(values):
@@ -222,8 +236,9 @@ def count_config_points(src: Partition, tgt: Partition, n: int, q: int) -> int:
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
     r = src.rank
-    if (q - 1) % (r * n) != 0:
-        raise ValueError(f"need {r * n} | q-1 for F_{q} to contain the relevant roots of unity")
+    if not is_admissible(r, n, q):
+        raise ValueError(f"need {admissibility_modulus(r, n)} | q-1 for F_{q} "
+                         "to contain the relevant roots of unity")
 
     src_pattern = tuple(sorted(src.blocks))
     tgt_pattern = tuple(sorted(tgt.blocks))
@@ -254,8 +269,8 @@ def count_config_points(src: Partition, tgt: Partition, n: int, q: int) -> int:
 
 
 def smallest_admissible_prime(rank: int, n: int, limit: int = 1000) -> int:
-    """Smallest prime q with rank*n | q-1."""
-    step = rank * check_twists(n)
+    """Smallest admissible prime: q with rank*n | q-1."""
+    step = admissibility_modulus(rank, n)
     q = step + 1
     while q <= limit:
         if q > 2 and is_prime(q):

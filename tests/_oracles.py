@@ -7,7 +7,10 @@ sharing no code with the package's optimized paths.
 
 from __future__ import annotations
 
+import functools
 import itertools
+
+import numpy as np
 
 
 def sl2_elements(q: int) -> list[tuple[int, int, int, int]]:
@@ -66,3 +69,109 @@ def conjugacy_class_count_sl2(q: int) -> int:
         for g, ginv in zip(group, inverses):
             seen.add(mul2(mul2(g, a, q), ginv, q))
     return classes
+
+
+# -- brute-force F_q counter ----------------------------------------------------
+#
+# A base-q odometer runs over every r x r matrix over F_q; those of
+# determinant 1 are raised to the n-th power and sorted into conjugacy
+# classes, and each class contributes its size times the number of B in
+# SL_r(F_q) commuting with one member.  It checks the package's class-equation
+# sweep, which never enumerates SL_r(F_q).
+
+_BLOCK = 1 << 18
+
+
+def _odometer(start, stop, q, width):
+    """Rows start..stop-1 of the base-q odometer with `width` digits."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    out = np.empty((stop - start, width), dtype=np.int64)
+    for pos in range(width - 1, -1, -1):
+        out[:, pos] = idx % q
+        idx //= q
+    return out
+
+
+def _det(m, q):
+    if m.shape[1] == 2:
+        return (m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]) % q
+    return (m[:, 0, 0] * (m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1])
+            - m[:, 0, 1] * (m[:, 1, 0] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 0])
+            + m[:, 0, 2] * (m[:, 1, 0] * m[:, 2, 1] - m[:, 1, 1] * m[:, 2, 0])) % q
+
+
+def _matpow(m, n, q):
+    """The n-th power of every matrix in a stack, n >= 1."""
+    result = None
+    while n:
+        if n & 1:
+            result = m if result is None else result @ m % q
+        n >>= 1
+        if n:
+            m = m @ m % q
+    return result
+
+
+@functools.lru_cache(maxsize=4)
+def sl_matrices(rank, q):
+    """Every determinant-one rank x rank matrix over F_q, shape (N, rank, rank)."""
+    cells = q ** (rank * rank)
+    kept = []
+    for start in range(0, cells, _BLOCK):
+        mats = _odometer(start, min(start + _BLOCK, cells), q,
+                         rank * rank).reshape(-1, rank, rank)
+        kept.append(mats[_det(mats, q) == 1])
+    out = np.concatenate(kept)
+    out.setflags(write=False)
+    return out
+
+
+def _class_keys(m, q):
+    """A conjugacy invariant of each matrix that separates the classes of
+    rank <= 3: the characteristic polynomial, and the rank of m - aI when
+    that polynomial has a repeated root a.  Distinct eigenvalues, or one
+    repeated eigenvalue with a given eigenspace dimension, leave one class."""
+    rank = m.shape[1]
+    t = np.trace(m, axis1=1, axis2=2) % q
+    root = np.full(q ** (rank - 1), -1, dtype=np.int64)  # repeated root per key
+    if rank == 2:
+        charkey = t
+        for a in (1, q - 1):  # (x - a)^2 with a^2 = 1
+            root[2 * a % q] = a
+    else:
+        s = (m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+             + m[:, 0, 0] * m[:, 2, 2] - m[:, 0, 2] * m[:, 2, 0]
+             + m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1]) % q
+        charkey = t * q + s
+        for a in range(1, q):  # (x - a)^2 (x - b) with a^2 b = 1
+            b = pow(a, -2, q)
+            root[((2 * a + b) % q) * q + (a * a + 2 * a * b) % q] = a
+    a = root[charkey]
+    shifted = (m - a[:, None, None] * np.eye(rank, dtype=np.int64)) % q
+    nonzero = shifted.reshape(len(m), -1).any(axis=1)
+    minors = [(shifted[:, i, k] * shifted[:, j, l] - shifted[:, i, l] * shifted[:, j, k]) % q
+              for i, j in itertools.combinations(range(rank), 2)
+              for k, l in itertools.combinations(range(rank), 2)]
+    rank_ge_2 = np.any(minors, axis=0)
+    code = np.where(a < 0, 3, nonzero.astype(np.int64) + rank_ge_2)
+    return charkey * 4 + code
+
+
+def _commuting_count(p, group, q):
+    """#{B in group : B p = p B}, one linear equation of B p - p B = 0 at a
+    time (row-major vec(B p - p B) = (I x p^T - p x I) vec(B))."""
+    eye = np.eye(len(p), dtype=np.int64)
+    flat = group.reshape(len(group), -1)
+    for row in np.kron(eye, p.T) - np.kron(p, eye):
+        flat = flat[(flat @ row) % q == 0]
+    return len(flat)
+
+
+def count_rep_variety_points_bruteforce(rank, n, q):
+    """#{(A, B) in SL_rank(F_q)^2 : A^n B = B A^n} by enumerating all A."""
+    group = sl_matrices(rank, q)
+    powered = _matpow(group, n, q)
+    _, first, sizes = np.unique(_class_keys(powered, q), return_index=True,
+                                return_counts=True)
+    return sum(int(size) * _commuting_count(powered[i], group, q)
+               for i, size in zip(first.tolist(), sizes.tolist()))

@@ -1,8 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 
 from hopfvar.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(argv, capsys):
@@ -91,6 +97,27 @@ def test_count_assert_requires_admissible_prime(capsys):
     code, _, err = run_cli(
         ["count", "--rank", "2", "--n", "2", "--q", "7", "--assert"], capsys)
     assert code == 2
+
+
+def test_count_assert_rank3_when_3n_divides(capsys):
+    # 3n | q-1 is admissible at rank 3 although 6n does not divide q-1
+    code, out, _ = run_cli(
+        ["count", "--rank", "3", "--n", "2", "--q", "7", "--assert"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "MATCH"
+
+
+def test_count_refuses_huge_q_quickly():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfvar.cli", "count", "--rank", "2", "--n", "1",
+         "--q", "1000000000000000003"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=2)
+    assert time.perf_counter() - started < 2.0
+    assert proc.returncode == 2
+    assert "ceiling" in proc.stderr
 
 
 def test_count_rejects_bad_q(capsys):

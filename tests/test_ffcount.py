@@ -1,15 +1,31 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from hopfvar.ffcount import (
-    ConjugacyKey, FqMatrix, ResourceLimitError, commutant_basis,
-    commutant_dimension, conjugacy_key, count_commuting_det1,
-    count_rep_variety_points, count_sl_matrices, is_admissible, sl_order,
+    ConjugacyKey, FqMatrix, ResourceLimitError, class_representatives,
+    class_size, commutant_basis, commutant_dimension, conjugacy_key,
+    count_commuting_det1, count_rep_variety_points, is_admissible, sl_order,
+)
+from hopfvar.geom import rep_variety_epoly_formula
+
+from _oracles import (
+    count_commuting_pairs_sl2, count_rep_variety_points_bruteforce, sl_matrices,
 )
 
-from _oracles import count_commuting_pairs_sl2
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+HUGE_PRIME = 1000000000000000003
+
+
+def run_python(code, timeout):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=timeout,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
 def M(q, *rows):
@@ -160,10 +176,30 @@ def test_thread_count_does_not_change_result():
     assert two == count_rep_variety_points(2, 3, 7, threads=1)
 
 
-def test_enumerator_self_consistency():
+def test_class_sizes_sum_to_sl_order():
+    # the class representatives of the sweep cover SL_r(F_q) exactly once
     for rank in (2, 3):
-        for q in (3, 5, 7):
-            assert count_sl_matrices(rank, q) == sl_order(rank, q)
+        for q in (3, 5, 7, 11, 13):
+            reps = list(class_representatives(rank, q))
+            assert all(a.det() == 1 for a in reps)
+            assert sum(class_size(a) for a in reps) == sl_order(rank, q), (rank, q)
+        for q in (3, 5):
+            assert len(sl_matrices(rank, q)) == sl_order(rank, q)
+
+
+def test_sweep_matches_bruteforce_oracle():
+    points = [(2, n, q) for q in (3, 5, 7) for n in (1, 2, 3)]
+    points += [(3, n, q) for q in (3, 5) for n in (1, 2, 3)]
+    for rank, n, q in points:
+        assert count_rep_variety_points(rank, n, q) == \
+            count_rep_variety_points_bruteforce(rank, n, q), (rank, n, q)
+
+
+def test_rank3_counts_beyond_q7():
+    # 13^9 is above the default cell ceiling, so the ceiling is raised here
+    for n in (1, 2):
+        assert count_rep_variety_points(3, n, 13, max_cells=13 ** 9) == \
+            rep_variety_epoly_formula(3, n).evaluate(13), n
 
 
 def test_admissibility():
@@ -173,6 +209,9 @@ def test_admissibility():
     assert is_admissible(3, 1, 7)
     assert not is_admissible(3, 1, 5)
     assert is_admissible(3, 2, 13)
+    # rank*n | q-1 suffices: 3n | q-1 here while 6n does not
+    assert is_admissible(3, 2, 7)
+    assert count_rep_variety_points(3, 2, 7) == rep_variety_epoly_formula(3, 2).evaluate(7)
 
 
 def test_input_validation():
@@ -195,3 +234,28 @@ def test_resource_guard():
         count_rep_variety_points(3, 1, 13)  # 13^9 exceeds the default ceiling
     # raising the ceiling lifts the refusal (don't actually run 13^9 here)
     assert count_rep_variety_points(2, 1, 5, max_cells=10 ** 6, threads=1) == 1080
+
+
+def test_huge_q_refused_before_primality():
+    # trial division of an 18-digit prime would not end; the cell ceiling
+    # refuses it first
+    proc = run_python(
+        "from hopfvar.ffcount import ResourceLimitError, count_rep_variety_points\n"
+        "try:\n"
+        f"    count_rep_variety_points(2, 1, {HUGE_PRIME})\n"
+        "except ResourceLimitError:\n"
+        "    print('refused')\n", timeout=2)
+    assert proc.stdout.strip() == "refused", proc.stderr
+
+
+def test_import_leaves_numpy_unloaded():
+    proc = run_python(
+        "import contextlib, io, sys\n"
+        "import hopfvar\n"
+        "from hopfvar.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['rep', '--rank', '3', '--n', '2', '--method', 'both'])\n"
+        "    main(['char', '--rank', '3', '--n', '2', '--pieces'])\n"
+        "    main(['table', '--rank', '2', '--n', '1..3', '--target', 'rep'])\n"
+        "print('numpy' in sys.modules)\n", timeout=60)
+    assert proc.stdout.strip() == "False", proc.stderr
