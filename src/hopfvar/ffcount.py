@@ -30,7 +30,7 @@ r x r matrices over F_q, and is checked before the primality of q.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .poly import general_linear_epoly, special_linear_epoly
 from .strata import admissibility_modulus, check_twists, is_admissible, is_prime
@@ -39,9 +39,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "FqMatrix", "ConjugacyKey", "ResourceLimitError",
+    "FqMatrix", "ResourceLimitError",
     "sl_order", "is_admissible", "admissibility_modulus", "check_cells",
-    "commutant_dimension", "commutant_basis", "conjugacy_key",
+    "commutant_dimension", "commutant_basis",
     "count_commuting_det1", "class_representatives", "class_size",
     "count_rep_variety_points",
 ]
@@ -74,6 +74,15 @@ class FqMatrix:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "rows", rs)
 
+    @classmethod
+    def _over(cls, q: int, rows: Iterable[Iterable[int]]) -> FqMatrix:
+        """Square matrix over a field that _check_field has already accepted:
+        entries are reduced, the primality test is skipped."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "q", q)
+        object.__setattr__(m, "rows", tuple(tuple(x % q for x in row) for row in rows))
+        return m
+
     @staticmethod
     def identity(rank: int, q: int) -> FqMatrix:
         return FqMatrix(q, [[1 if i == j else 0 for j in range(rank)] for i in range(rank)])
@@ -87,18 +96,17 @@ class FqMatrix:
             raise ValueError("incompatible matrices")
         q, r = self.q, self.rank
         a, b = self.rows, other.rows
-        return FqMatrix(q, [[sum(a[i][k] * b[k][j] for k in range(r)) % q
-                             for j in range(r)] for i in range(r)])
+        return FqMatrix._over(q, [[sum(a[i][k] * b[k][j] for k in range(r))
+                                   for j in range(r)] for i in range(r)])
 
     def pow(self, n: int) -> FqMatrix:
         """n-th power by binary exponentiation, n >= 1."""
         if n < 1:
             raise ValueError("exponent must be >= 1")
-        result = FqMatrix.identity(self.rank, self.q)
-        base = self
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base
             n >>= 1
         return result
@@ -129,92 +137,6 @@ class FqMatrix:
               + m[0][0] * m[2][2] - m[0][2] * m[2][0]
               + m[1][1] * m[2][2] - m[1][2] * m[2][1]) % q
         return ((-self.det()) % q, c2, (-t) % q, 1)
-
-
-# -- F_q[x] helpers ------------------------------------------------------------
-
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], q: int) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % q
-    return tuple(out)
-
-
-def _poly_eval_scalar(coeffs: tuple[int, ...], x: int, q: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % q
-    return acc
-
-
-def _poly_divide_linear(coeffs: tuple[int, ...], root: int, q: int) -> tuple[int, ...]:
-    # synthetic division by (x - root); assumes root is a root
-    out = [0] * (len(coeffs) - 1)
-    carry = 0
-    for i in range(len(coeffs) - 1, 0, -1):
-        carry = (coeffs[i] + carry * root) % q if i < len(coeffs) - 1 else coeffs[i]
-        out[i - 1] = carry
-    assert (coeffs[0] + carry * root) % q == 0
-    return tuple(out)
-
-
-def _factor_monic(coeffs: tuple[int, ...], q: int) -> list[tuple[int, ...]]:
-    """Irreducible monic factors with multiplicity (degree <= 3 inputs only:
-    any factor-free remainder of degree 2 or 3 is itself irreducible)."""
-    factors: list[tuple[int, ...]] = []
-    cur = coeffs
-    while len(cur) > 1:
-        root = next((a for a in range(q) if _poly_eval_scalar(cur, a, q) == 0), None)
-        if root is None:
-            factors.append(cur)
-            break
-        factors.append(((-root) % q, 1))
-        cur = _poly_divide_linear(cur, root, q)
-    return factors
-
-
-def _poly_at_matrix(coeffs: tuple[int, ...], M: FqMatrix) -> FqMatrix:
-    acc = FqMatrix(M.q, [[0] * M.rank for _ in range(M.rank)])
-    for c in reversed(coeffs):
-        acc = acc * M
-        acc = FqMatrix(M.q, [[(acc.rows[i][j] + (c if i == j else 0))
-                              for j in range(M.rank)] for i in range(M.rank)])
-    return acc
-
-
-def _min_poly(M: FqMatrix) -> tuple[int, ...]:
-    """Minimal polynomial: smallest monic divisor of the characteristic
-    polynomial annihilating M, found by trial evaluation in degree order."""
-    q = M.q
-    char = M.char_poly()
-    factors = _factor_monic(char, q)
-    divisors: list[tuple[int, ...]] = []
-    combos = [(1,)]
-    for f in factors:
-        combos = combos + [_poly_mul(c, f, q) for c in combos]
-    for c in combos:
-        if len(c) > 1:
-            divisors.append(c)
-    zero = FqMatrix(q, [[0] * M.rank for _ in range(M.rank)])
-    for d in sorted(set(divisors), key=lambda p: (len(p), p)):
-        if _poly_at_matrix(d, M) == zero:
-            return d
-    raise AssertionError("characteristic polynomial must annihilate the matrix")
-
-
-class ConjugacyKey(NamedTuple):
-    """Determines the conjugacy class of a rank <= 3 matrix: for these sizes
-    the invariant factors are fixed by characteristic plus minimal
-    polynomial."""
-
-    q: int
-    char: tuple[int, ...]
-    minimal: tuple[int, ...]
-
-
-def conjugacy_key(M: FqMatrix) -> ConjugacyKey:
-    return ConjugacyKey(M.q, M.char_poly(), _min_poly(M))
 
 
 # -- commutant linear algebra ---------------------------------------------------
@@ -274,7 +196,7 @@ def commutant_basis(M: FqMatrix) -> list[FqMatrix]:
     """Basis of the algebra of matrices commuting with M."""
     r = M.rank
     vecs = _kernel_basis_mod(_commutator_operator(M), M.q)
-    return [FqMatrix(M.q, [v[i * r:(i + 1) * r] for i in range(r)]) for v in vecs]
+    return [FqMatrix._over(M.q, [v[i * r:(i + 1) * r] for i in range(r)]) for v in vecs]
 
 
 def commutant_dimension(M: FqMatrix) -> int:
@@ -320,23 +242,16 @@ def _commutant_dets(M: FqMatrix) -> np.ndarray:
     return _det_batch(members.reshape(r, r, -1), q)
 
 
-def count_commuting_det1(M: FqMatrix, memo: Optional[dict] = None) -> int:
+def count_commuting_det1(M: FqMatrix) -> int:
     """#{B in SL_r(F_q) : BM = MB}.
 
     A scalar M short-circuits to |SL_r(F_q)|; otherwise the commutant has
     dimension d <= 5 and all q^d members are enumerated, counting those of
-    determinant one.  Results are memoized on the conjugacy key when a memo
-    dict is supplied.
+    determinant one.
     """
     if M.is_scalar():
         return sl_order(M.rank, M.q)
-    key = conjugacy_key(M) if memo is not None else None
-    if memo is not None and key in memo:
-        return memo[key]
-    count = int((_commutant_dets(M) == 1).sum())
-    if memo is not None:
-        memo[key] = count
-    return count
+    return int((_commutant_dets(M) == 1).sum())
 
 
 # -- class-equation sweep ---------------------------------------------------------
@@ -344,13 +259,15 @@ def count_commuting_det1(M: FqMatrix, memo: Optional[dict] = None) -> int:
 def _companion(q: int, low: tuple[int, ...]) -> FqMatrix:
     """Companion matrix of x^r + low[r-1] x^(r-1) + ... + low[0]."""
     r = len(low)
-    return FqMatrix(q, [[-low[i] if j == r - 1 else int(i == j + 1) for j in range(r)]
-                        for i in range(r)])
+    return FqMatrix._over(q, [[-low[i] if j == r - 1 else int(i == j + 1) for j in range(r)]
+                              for i in range(r)])
 
 
 def class_representatives(rank: int, q: int) -> Iterator[FqMatrix]:
     """One matrix of each GL_rank(F_q)-conjugacy class inside SL_rank(F_q),
-    by rational canonical form (see the module docstring)."""
+    by rational canonical form (see the module docstring).  Checks that q is
+    an odd prime once, on the first item."""
+    _check_field(q)
     if rank == 2:
         for t in range(q):
             yield _companion(q, (1, -t))
@@ -360,11 +277,11 @@ def class_representatives(rank: int, q: int) -> Iterator[FqMatrix]:
                 yield _companion(q, (-1, s, -t))
         for a in range(1, q):
             b = pow(a, -2, q)
-            yield FqMatrix(q, [[a, 0, 0], [0, 0, -a * b], [0, 1, a + b]])
+            yield FqMatrix._over(q, [[a, 0, 0], [0, 0, -a * b], [0, 1, a + b]])
     for a in range(1, q):
         if pow(a, rank, q) == 1:
-            yield FqMatrix(q, [[a if i == j else 0 for j in range(rank)]
-                               for i in range(rank)])
+            yield FqMatrix._over(q, [[a if i == j else 0 for j in range(rank)]
+                                     for i in range(rank)])
 
 
 def class_size(A: FqMatrix) -> int:
@@ -404,6 +321,6 @@ def count_rep_variety_points(rank: int, n: int, q: int,
     if q % 2 == 0:
         raise ValueError(f"q must be an odd prime, got {q}")
     check_cells(rank, q, max_cells)
-    _check_field(q)
+    # class_representatives checks the primality of q, once
     return sum(class_size(A) * count_commuting_det1(A.pow(n))
                for A in class_representatives(rank, q))

@@ -10,16 +10,19 @@ E-polynomials yields the E-polynomial of the whole representation variety,
 which must agree with the closed formula transcribed in
 ``rep_variety_epoly_formula``.
 
-Stabilizer and orbit E-polynomials are fixed constants per Jordan type; they
-are pinned by the test suite (dimension checks, fibration identity, match
-with the closed formulas, finite-field counts) rather than re-derived.
+Per rank, ``_TYPES`` holds one row per Jordan type (eigenvalue pattern,
+orbit, stabilizer) and ``_STRATA`` one row per admissible stratum; the
+n-independent factor of each stratum is built once, at import.  These
+constants are pinned by the test suite (dimension checks, fibration identity,
+match with the closed formulas, finite-field counts) rather than re-derived.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .poly import Poly, Q, general_linear_epoly, special_linear_epoly
+from .poly import ONE, ZERO, Poly, Q, general_linear_epoly, special_linear_epoly
 from .repring import S2Elem, S3Elem
 from .strata import (
     P2_BOTH_EQUAL, P2_DISTINCT, P3_ALL_EQUAL, P3_DISTINCT, P3_TWO_EQUAL,
@@ -39,6 +42,32 @@ __all__ = [
 ]
 
 
+class _TypeRow(NamedTuple):
+    partition: Partition  # eigenvalue coincidence pattern
+    orbit: Poly           # conjugation orbit PGL_r / Stab
+    stabilizer: Poly      # SL_r matrices commuting with a matrix of the type
+
+
+# Jordan types by rank, index i in row i-1; comments name the stabilizer.
+_TYPES = {
+    2: (_TypeRow(P2_BOTH_EQUAL, ONE, special_linear_epoly(2)),               # SL_2
+        _TypeRow(P2_BOTH_EQUAL, Q ** 2 - 1, 2 * Q),                          # C x mu_2
+        _TypeRow(P2_DISTINCT, Q ** 2 + Q, Q - 1)),                           # C^*
+    3: (_TypeRow(P3_ALL_EQUAL, ONE, special_linear_epoly(3)),                # SL_3
+        _TypeRow(P3_ALL_EQUAL, (Q ** 3 - 1) * (Q + 1), (Q - 1) * Q ** 3),    # C^* x C^3
+        _TypeRow(P3_ALL_EQUAL, (Q ** 3 - 1) * (Q ** 2 - 1) * Q, 3 * Q ** 2), # mu_3 x C^2
+        _TypeRow(P3_TWO_EQUAL, (Q ** 2 + Q + 1) * Q ** 2, general_linear_epoly(2)),
+        _TypeRow(P3_TWO_EQUAL, (Q ** 3 - 1) * (Q ** 3 + Q ** 2), Q * (Q - 1)),  # C^* x C
+        _TypeRow(P3_DISTINCT, (Q ** 2 + Q + 1) * (Q + 1) * Q ** 3, (Q - 1) ** 2)),  # torus
+}
+
+
+def _type_rows(rank: int) -> tuple[_TypeRow, ...]:
+    if rank not in _TYPES:
+        raise ValueError(f"rank must be 2 or 3, got {rank}")
+    return _TYPES[rank]
+
+
 @dataclass(frozen=True)
 class JordanType:
     """One of the finitely many Jordan structures of an SL_r matrix.
@@ -53,22 +82,14 @@ class JordanType:
     index: int
 
     def __post_init__(self):
-        if self.rank not in (2, 3):
-            raise ValueError(f"rank must be 2 or 3, got {self.rank}")
-        top = 3 if self.rank == 2 else 6
+        top = len(_type_rows(self.rank))
         if not 1 <= self.index <= top:
             raise ValueError(f"invalid Jordan type index {self.index} for rank {self.rank}")
 
     @property
     def partition(self) -> Partition:
         """Eigenvalue coincidence pattern of this Jordan structure."""
-        if self.rank == 2:
-            return P2_BOTH_EQUAL if self.index in (1, 2) else P2_DISTINCT
-        if self.index in (1, 2, 3):
-            return P3_ALL_EQUAL
-        if self.index in (4, 5):
-            return P3_TWO_EQUAL
-        return P3_DISTINCT
+        return _TYPES[self.rank][self.index - 1].partition
 
     def __str__(self) -> str:
         return f"xi{self.index}(rank {self.rank})"
@@ -87,15 +108,16 @@ J3_DISTINCT = JordanType(3, 6)
 
 
 def jordan_types(rank: int) -> list[JordanType]:
-    top = 3 if rank == 2 else 6
-    return [JordanType(rank, i) for i in range(1, top + 1)]
+    return [JordanType(rank, i) for i in range(1, len(_type_rows(rank)) + 1)]
 
 
-# Power maps preserve block structure, so a stratum src -> tgt can only be
-# nonempty for these pairs; everything else is rejected at construction.
-_ADMISSIBLE = {
-    2: tuple([(i, i) for i in (1, 2, 3)] + [(3, 1)]),
-    3: tuple([(i, i) for i in (1, 2, 3, 4, 5, 6)] + [(4, 1), (5, 2), (6, 1), (6, 4)]),
+# Admissible strata by rank, in assembly order: (src index, tgt index,
+# residual block-permutation group).  Power maps preserve block structure, so
+# every other pair is empty and rejected at construction.
+_STRATA = {
+    2: ((1, 1, None), (2, 2, None), (3, 3, "s2"), (3, 1, "s2")),
+    3: ((1, 1, None), (2, 2, None), (3, 3, None), (4, 4, None), (5, 5, None),
+        (6, 6, "s3"), (4, 1, None), (5, 2, None), (6, 1, "s3"), (6, 4, "s2")),
 }
 
 
@@ -109,7 +131,7 @@ class Stratum:
     def __post_init__(self):
         if self.src.rank != self.tgt.rank:
             raise ValueError("stratum endpoints must have equal rank")
-        if (self.src.index, self.tgt.index) not in _ADMISSIBLE[self.src.rank]:
+        if (self.src, self.tgt) not in _FACTORS:
             raise ValueError(f"inadmissible stratum {self.src} -> {self.tgt}")
 
     @property
@@ -122,88 +144,57 @@ class Stratum:
 
 def admissible_strata(rank: int) -> list[Stratum]:
     return [Stratum(JordanType(rank, i), JordanType(rank, j))
-            for i, j in _ADMISSIBLE[rank]]
+            for i, j, _ in _STRATA[rank]]
 
 
 def stabilizer_epoly(xi: JordanType) -> Poly:
     """E-polynomial of the group of SL_r matrices commuting with a matrix of
     this Jordan type."""
-    if xi.rank == 2:
-        return {
-            1: special_linear_epoly(2),        # q^3 - q
-            2: 2 * Q,                          # C x mu_2
-            3: Q - 1,                          # diagonal torus C^*
-        }[xi.index]
-    return {
-        1: special_linear_epoly(3),            # q^8 - q^6 - q^5 + q^3
-        2: (Q - 1) * Q ** 3,                   # C^* x C^3
-        3: 3 * Q ** 2,                         # mu_3 x C^2
-        4: (Q ** 2 - 1) * (Q ** 2 - Q),        # GL_2 block
-        5: Q * (Q - 1),                        # C^* x C
-        6: (Q - 1) ** 2,                       # norm-one diagonal torus
-    }[xi.index]
+    return _TYPES[xi.rank][xi.index - 1].stabilizer
 
 
 def pgl_mod_stab_epoly(xi: JordanType) -> Poly:
     """E-polynomial of the conjugation orbit PGL_r / Stab of this type."""
-    if xi.rank == 2:
-        return {
-            1: Poly.one(),
-            2: Q ** 2 - 1,
-            3: Q ** 2 + Q,
-        }[xi.index]
-    return {
-        1: Poly.one(),
-        2: (Q ** 3 - 1) * (Q + 1),
-        3: (Q ** 3 - 1) * (Q ** 2 - 1) * Q,
-        4: (Q ** 2 + Q + 1) * Q ** 2,
-        5: (Q ** 3 - 1) * (Q ** 3 + Q ** 2),
-        6: (Q ** 2 + Q + 1) * (Q + 1) * Q ** 3,
-    }[xi.index]
+    return _TYPES[xi.rank][xi.index - 1].orbit
 
 
 # -- equivariant data ----------------------------------------------------------
 
+# (Jordan type, group) -> (orbit piece, stabilizer piece) under the
+# block-permutation action, None where a type has no orbit data.  Connected
+# stabilizers are acted on by inner automorphisms, so their class is
+# trivial-action; the norm-one diagonal torus carries genuine S2/S3 classes
+# computed from its quotients.
+_EQUIVARIANT = {
+    (J2_DISTINCT, "s2"): (S2Elem(Q ** 2, Q), S2Elem(Q, -1)),
+    (J3_DISTINCT, "s3"): (S3Elem(Q ** 6, Q ** 3, Q ** 5 + Q ** 4), S3Elem(Q ** 2, 1, -Q)),
+    (J3_DISTINCT, "s2"): (S2Elem(Q ** 6 + Q ** 5 + Q ** 4, Q ** 5 + Q ** 4 + Q ** 3),
+                          S2Elem.from_quotients((Q - 1) ** 2, Q ** 2 - Q)),
+    (J3_PAIR_DIAG, "s2"): (None, S2Elem.trivial(general_linear_epoly(2))),
+    # scalar types, under either group: a point orbit and the whole group
+    **{(xi, group): (cls.trivial(ONE), cls.trivial(stabilizer_epoly(xi)))
+       for xi in (J2_SCALAR, J3_SCALAR) for group, cls in (("s2", S2Elem), ("s3", S3Elem))},
+}
+
+
+def _equivariant(xi: JordanType, group: str, piece: str):
+    if group not in ("s2", "s3"):
+        raise ValueError(f"group must be 's2' or 's3', got {group!r}")
+    found = _EQUIVARIANT.get((xi, group), (None, None))[piece == "stabilizer"]
+    if found is None:
+        raise ValueError(f"no equivariant {piece} data for {xi} under {group}")
+    return found
+
+
 def equivariant_pgl_piece(xi: JordanType, group: str) -> S2Elem | S3Elem:
     """Equivariant E-polynomial of PGL_r/Stab(xi) for the block-permutation
     action of the given group ('s2' or 's3')."""
-    if group not in ("s2", "s3"):
-        raise ValueError(f"group must be 's2' or 's3', got {group!r}")
-    if xi == J2_DISTINCT and group == "s2":
-        return S2Elem(Q ** 2, Q)
-    if xi == J3_DISTINCT and group == "s3":
-        return S3Elem(Q ** 6, Q ** 3, Q ** 5 + Q ** 4)
-    if xi == J3_DISTINCT and group == "s2":
-        return S2Elem(Q ** 6 + Q ** 5 + Q ** 4, Q ** 5 + Q ** 4 + Q ** 3)
-    if xi.index == 1:
-        one = Poly.one()
-        return S2Elem.trivial(one) if group == "s2" else S3Elem.trivial(one)
-    raise ValueError(f"no equivariant orbit data for {xi} under {group}")
+    return _equivariant(xi, group, "orbit")
 
 
 def equivariant_stab_piece(xi: JordanType, group: str) -> S2Elem | S3Elem:
-    """Equivariant E-polynomial of Stab~(xi) for the given group action.
-
-    For connected stabilizers the permutation acts by inner automorphisms, so
-    the class is trivial-action; the norm-one diagonal torus carries genuine
-    S2/S3 classes computed from its quotients.
-    """
-    if group not in ("s2", "s3"):
-        raise ValueError(f"group must be 's2' or 's3', got {group!r}")
-    if xi.index == 1:
-        # the whole group, connected, permutations act by conjugation
-        e = special_linear_epoly(xi.rank)
-        return S2Elem.trivial(e) if group == "s2" else S3Elem.trivial(e)
-    if xi == J2_DISTINCT and group == "s2":
-        return S2Elem(Q, Poly.const(-1))
-    if xi == J3_PAIR_DIAG and group == "s2":
-        # GL_2-shaped block stabilizer, swap acts by conjugation
-        return S2Elem.trivial(general_linear_epoly(2))
-    if xi == J3_DISTINCT and group == "s3":
-        return S3Elem(Q ** 2, Poly.one(), -Q)
-    if xi == J3_DISTINCT and group == "s2":
-        return S2Elem.from_quotients((Q - 1) ** 2, Q ** 2 - Q)
-    raise ValueError(f"no equivariant stabilizer data for {xi} under {group}")
+    """Equivariant E-polynomial of Stab~(xi) for the given group action."""
+    return _equivariant(xi, group, "stabilizer")
 
 
 def equivariant_pieces(xi: JordanType, group: str) -> tuple[S2Elem | S3Elem, S2Elem | S3Elem]:
@@ -213,45 +204,45 @@ def equivariant_pieces(xi: JordanType, group: str) -> tuple[S2Elem | S3Elem, S2E
 
 def stratum_group(stratum: Stratum) -> str | None:
     """Residual block-permutation group of the stratum: None, 's2' or 's3'."""
-    if stratum.src == J2_DISTINCT:
-        return "s2"
-    if stratum.src == J3_DISTINCT:
-        return "s2" if stratum.tgt == J3_PAIR_DIAG else "s3"
-    return None
+    return _FACTORS[stratum.src, stratum.tgt][0]
 
 
 # -- stratum assembly ----------------------------------------------------------
 
-def stratum_epoly(stratum: Stratum, n: int) -> Poly:
-    """E-polynomial of one admissible stratum at twist count n.
+def _factor_row(rank: int, i: int, j: int, group: str | None):
+    # n-independent part of stratum i -> j: orbit of the source times
+    # stabilizer of the target, taken equivariantly under a residual group
+    src, tgt = JordanType(rank, i), JordanType(rank, j)
+    if group is None:
+        factor = pgl_mod_stab_epoly(src) * stabilizer_epoly(tgt)
+    else:
+        factor = equivariant_pgl_piece(src, group) * equivariant_stab_piece(tgt, group)
+    return (src, tgt), (group, factor)
 
-    Without residual symmetry this is the plain product of the three factors;
-    with symmetry it is the T-component of the equivariant product.
-    """
+
+# (src, tgt) -> (residual group, n-independent factor), for every admissible stratum
+_FACTORS = dict(_factor_row(rank, *row) for rank, rows in _STRATA.items() for row in rows)
+
+
+def stratum_epoly(stratum: Stratum, n: int) -> Poly:
+    """E-polynomial of one admissible stratum at twist count n: the
+    configuration stratum times the stored factor, or with residual symmetry
+    the T-component of that equivariant product."""
     check_twists(n)
-    group = stratum_group(stratum)
+    group, factor = _FACTORS[stratum.src, stratum.tgt]
     s_src, s_tgt = stratum.src.partition, stratum.tgt.partition
     if group is None:
-        return (config_epoly(s_src, s_tgt, n)
-                * pgl_mod_stab_epoly(stratum.src)
-                * stabilizer_epoly(stratum.tgt))
-    orbit = equivariant_pgl_piece(stratum.src, group)
-    stab = equivariant_stab_piece(stratum.tgt, group)
+        return config_epoly(s_src, s_tgt, n) * factor
     if group == "s3":
-        config = config_equivariant_s3(s_tgt, n)
-    else:
-        config = config_equivariant_s2(s_src, s_tgt, n)
-    return (config * orbit * stab).t_component()
+        return (config_equivariant_s3(s_tgt, n) * factor).t_component()
+    return (config_equivariant_s2(s_src, s_tgt, n) * factor).t_component()
 
 
 def rep_variety_epoly_strata(rank: int, n: int) -> Poly:
     """E-polynomial of the representation variety as the sum over all
     admissible strata (the stratification route)."""
     check_twists(n)
-    total = Poly.zero()
-    for stratum in admissible_strata(rank):
-        total = total + stratum_epoly(stratum, n)
-    return total
+    return sum((stratum_epoly(stratum, n) for stratum in admissible_strata(rank)), ZERO)
 
 
 # Closed-formula route: fixed coefficient data, ascending in q.

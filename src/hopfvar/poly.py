@@ -19,7 +19,7 @@ Poly('q^2 - 1')
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 IntoPoly = Union["Poly", int]
 
@@ -42,14 +42,6 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def zero() -> Poly:
-        return Poly()
-
-    @staticmethod
-    def one() -> Poly:
-        return Poly([1])
 
     @staticmethod
     def const(c: int) -> Poly:
@@ -133,7 +125,7 @@ class Poly:
     def __pow__(self, exponent: int) -> Poly:
         if exponent < 0:
             raise ValueError("negative powers are not polynomials")
-        result = Poly.one()
+        result = ONE
         base = self
         e = exponent
         while e:
@@ -294,9 +286,3 @@ def general_linear_epoly(r: int) -> Poly:
         out = out * (qr - Poly.monomial(i))
     return out
 
-
-def poly_product(factors: Sequence[IntoPoly]) -> Poly:
-    out = ONE
-    for f in factors:
-        out = out * f
-    return out

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .poly import Poly
+from .poly import ONE, ZERO, Poly
 
 IntoPoly = Union[Poly, int]
 
@@ -26,31 +26,19 @@ def _poly(x: IntoPoly) -> Poly:
 
 
 def _render(parts: list[tuple[Poly, str]]) -> str:
-    chunks = []
+    # e.g. '(q^2 + 1)*T - 2*q*N'; a coefficient of several terms is bracketed
+    out = ""
     for coeff, name in parts:
         if coeff.is_zero():
             continue
-        terms = [(i, c) for i, c in enumerate(coeff.coeffs) if c != 0]
-        if len(terms) == 1:
-            deg, c = terms[0]
-            mag = abs(c)
-            if deg == 0:
-                body = f"{mag}*{name}" if mag != 1 else name
-            else:
-                qpart = "q" if deg == 1 else f"q^{deg}"
-                body = f"{qpart}*{name}" if mag == 1 else f"{mag}*{qpart}*{name}"
-            sign = "-" if c < 0 else "+"
+        text = coeff.to_ascii()
+        if " " in text:
+            sign, body = "+", f"({text})*{name}"
         else:
-            body = f"({coeff.to_ascii()})*{name}"
-            sign = "+"
-        chunks.append((sign, body))
-    if not chunks:
-        return "0"
-    first_sign, first_body = chunks[0]
-    out = first_body if first_sign == "+" else "-" + first_body
-    for sign, body in chunks[1:]:
-        out += f" {sign} {body}"
-    return out
+            sign, mag = ("-", text[1:]) if text.startswith("-") else ("+", text)
+            body = name if mag == "1" else f"{mag}*{name}"
+        out += f" {sign} {body}" if out else ("-" if sign == "-" else "") + body
+    return out or "0"
 
 
 @dataclass(frozen=True)
@@ -68,7 +56,7 @@ class S2Elem:
     def trivial(e: IntoPoly) -> S2Elem:
         """Equivariant class of a connected group acted on by inner
         automorphisms: the action on cohomology is trivial, so e_F = e * T."""
-        return S2Elem(_poly(e), Poly.zero())
+        return S2Elem(_poly(e), ZERO)
 
     @staticmethod
     def from_quotients(e_x: IntoPoly, e_x_mod_s2: IntoPoly) -> S2Elem:
@@ -107,7 +95,7 @@ class S2Elem:
         return f"S2Elem('{self.to_ascii()}')"
 
 
-S2_ONE = S2Elem(Poly.one(), Poly.zero())
+S2_ONE = S2Elem(ONE, ZERO)
 
 
 @dataclass(frozen=True)
@@ -130,7 +118,7 @@ class S3Elem:
     @staticmethod
     def trivial(e: IntoPoly) -> S3Elem:
         """Trivial-action class e * T (connected group, inner automorphisms)."""
-        return S3Elem(_poly(e), Poly.zero(), Poly.zero())
+        return S3Elem(_poly(e), ZERO, ZERO)
 
     @staticmethod
     def from_quotients(e_x: IntoPoly, e_x_mod_tau: IntoPoly,
@@ -181,4 +169,4 @@ class S3Elem:
         return f"S3Elem('{self.to_ascii()}')"
 
 
-S3_ONE = S3Elem(Poly.one(), Poly.zero(), Poly.zero())
+S3_ONE = S3Elem(ONE, ZERO, ZERO)

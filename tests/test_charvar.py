@@ -1,18 +1,18 @@
 import pytest
 
 from hopfvar.charvar import PIECES, char_piece_epoly, char_variety_epoly_formula
-from hopfvar.poly import Poly, Q
+from hopfvar.poly import ZERO, Q
 
 
 def test_rank2_pieces():
-    assert char_piece_epoly(2, "irr_total", 1) == Poly.zero()
+    assert char_piece_epoly(2, "irr_total", 1) == ZERO
     assert char_piece_epoly(2, "red_total", 5) == Q ** 2 + 1
     assert char_piece_epoly(2, "irr_total", 2) == Q ** 2 - Q + 1
     assert char_piece_epoly(2, "total", 2) == 2 * Q ** 2 - Q + 2
 
 
 def test_rank3_pieces():
-    assert char_piece_epoly(3, "irr_distinct", 2) == Poly.zero()
+    assert char_piece_epoly(3, "irr_distinct", 2) == ZERO
     assert char_piece_epoly(3, "red_21", 3) == Q ** 3 - 2 * Q ** 2 + 2 * Q - 1
     assert char_piece_epoly(3, "red_111", 9) == Q ** 4 + Q ** 2 + 1
     assert char_piece_epoly(3, "irr_repeated", 2) == \
@@ -46,7 +46,7 @@ def test_piece_sums_match_formula():
         parts = sum(
             (char_piece_epoly(3, p, n) for p in
              ("red_111", "red_21", "irr_distinct", "irr_repeated")),
-            Poly.zero())
+            ZERO)
         assert parts == char_variety_epoly_formula(3, n)
 
 

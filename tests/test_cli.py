@@ -6,7 +6,9 @@ import subprocess
 import sys
 import time
 
-from hopfvar.cli import main
+import pytest
+
+from hopfvar.cli import MAX_TABLE_ROWS, _parse_range, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -186,6 +188,23 @@ def test_table_rejects_empty_range(capsys):
     code, _, _ = run_cli(
         ["table", "--rank", "2", "--n", "0..3", "--target", "rep"], capsys)
     assert code == 2
+
+
+def test_table_refuses_huge_range_quickly():
+    # the range is refused before its list or any row is built
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfvar.cli", "table", "--rank", "3",
+         "--n", "1..1000000000", "--target", "rep"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=5)
+    assert time.perf_counter() - started < 5.0
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(_parse_range(f"7..{MAX_TABLE_ROWS + 6}")) == MAX_TABLE_ROWS
+    with pytest.raises(ValueError):
+        _parse_range(f"7..{MAX_TABLE_ROWS + 7}")
 
 
 def test_usage_errors_exit_2(capsys):

@@ -6,10 +6,11 @@ import sys
 
 import pytest
 
+from hopfvar import ffcount
 from hopfvar.ffcount import (
-    ConjugacyKey, FqMatrix, ResourceLimitError, class_representatives,
-    class_size, commutant_basis, commutant_dimension, conjugacy_key,
-    count_commuting_det1, count_rep_variety_points, is_admissible, sl_order,
+    FqMatrix, ResourceLimitError, class_representatives, class_size,
+    commutant_basis, commutant_dimension, count_commuting_det1,
+    count_rep_variety_points, is_admissible, sl_order,
 )
 from hopfvar.geom import rep_variety_epoly_formula
 
@@ -59,15 +60,6 @@ def test_mat_pow():
 def test_char_and_min_poly():
     scalar = M(7, (2, 0, 0), (0, 2, 0), (0, 0, 2))
     assert scalar.char_poly() == ((-8) % 7, (12) % 7, (-6) % 7, 1)
-    key = conjugacy_key(scalar)
-    assert key.minimal == ((-2) % 7, 1)
-
-    jordan = M(5, (1, 0), (1, 1))
-    assert conjugacy_key(jordan).minimal == jordan.char_poly()
-
-    mid = M(7, (2, 0, 0), (0, 2, 0), (0, 0, 3))
-    # min poly (x-2)(x-3) = x^2 - 5x + 6
-    assert conjugacy_key(mid).minimal == (6, (-5) % 7, 1)
 
 
 def test_commutant_dimension_examples():
@@ -111,27 +103,17 @@ def test_count_commuting_det1_examples():
     assert sl_order(3, 7) == 5630688
 
 
-def test_memoization_soundness():
-    rng = random.Random(31)
-    memo = {}
-    for _ in range(1000):
-        q = rng.choice((3, 5, 7))
-        r = rng.choice((2, 3))
-        m = FqMatrix(q, [[rng.randrange(q) for _ in range(r)] for _ in range(r)])
-        assert count_commuting_det1(m, memo) == count_commuting_det1(m, memo=None)
-    assert memo  # the cache actually got used
-
-
 def test_key_equal_implies_count_equal_exhaustive_q3():
-    # every SL3(F3) matrix: matrices sharing a conjugacy key must share the
-    # commutant count computed from scratch
-    by_key: dict[ConjugacyKey, int] = {}
+    # every SL3(F3) matrix: for r <= 3 the characteristic polynomial and the
+    # commutant dimension fix the conjugacy class, and matrices sharing them
+    # must share the commutant count computed from scratch
+    by_key: dict[tuple, int] = {}
     for entries in itertools.product(range(3), repeat=9):
         m = FqMatrix(3, (entries[:3], entries[3:6], entries[6:]))
         if m.det() != 1:
             continue
-        key = conjugacy_key(m)
-        count = count_commuting_det1(m, memo=None)
+        key = (m.char_poly(), commutant_dimension(m))
+        count = count_commuting_det1(m)
         if key in by_key:
             assert by_key[key] == count, key
         else:
@@ -158,13 +140,12 @@ def test_rank3_count_matches_pure_python_route():
     # independent slow route: iterate SL3(F3) with exact matrix powers and
     # per-matrix commutant counts (no vectorized classification involved)
     for n in (1, 2):
-        memo = {}
         total = 0
         for entries in itertools.product(range(3), repeat=9):
             m = FqMatrix(3, (entries[:3], entries[3:6], entries[6:]))
             if m.det() != 1:
                 continue
-            total += count_commuting_det1(m.pow(n), memo)
+            total += count_commuting_det1(m.pow(n))
         assert count_rep_variety_points(3, n, 3, threads=1) == total, n
 
 
@@ -234,6 +215,21 @@ def test_resource_guard():
         count_rep_variety_points(3, 1, 13)  # 13^9 exceeds the default ceiling
     # raising the ceiling lifts the refusal (don't actually run 13^9 here)
     assert count_rep_variety_points(2, 1, 5, max_cells=10 ** 6, threads=1) == 1080
+
+
+def test_field_checked_once_per_count(monkeypatch):
+    is_prime, calls = ffcount.is_prime, []
+
+    def counting_is_prime(q):
+        calls.append(q)
+        return is_prime(q)
+
+    monkeypatch.setattr(ffcount, "is_prime", counting_is_prime)
+    assert count_rep_variety_points(3, 1, 7) == \
+        rep_variety_epoly_formula(3, 1).evaluate(7)
+    assert calls == [7]
+    with pytest.raises(ValueError):
+        FqMatrix(9, [(1, 0), (0, 1)])
 
 
 def test_huge_q_refused_before_primality():

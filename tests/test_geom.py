@@ -1,6 +1,6 @@
 import pytest
 
-from hopfvar.poly import ONE, Poly, Q, general_linear_epoly, special_linear_epoly
+from hopfvar.poly import ONE, ZERO, Q, general_linear_epoly, special_linear_epoly
 from hopfvar.repring import S2Elem, S3Elem
 from hopfvar.geom import (
     J2_BLOCK, J2_DISTINCT, J2_SCALAR, J3_DISTINCT, J3_EQUAL_B21, J3_EQUAL_B3,
@@ -152,7 +152,7 @@ def test_rank3_stratum_table():
 
 
 def test_stratum_examples():
-    assert stratum_epoly(Stratum(J3_DISTINCT, J3_SCALAR), 2) == Poly.zero()
+    assert stratum_epoly(Stratum(J3_DISTINCT, J3_SCALAR), 2) == ZERO
     assert stratum_epoly(Stratum(J3_DISTINCT, J3_DISTINCT), 1) == \
         (Q ** 2 - Q + 1) * E_SL3
 

@@ -1,6 +1,6 @@
 import random
 
-from hopfvar.poly import ONE, Poly, Q
+from hopfvar.poly import ONE, ZERO, Poly, Q
 from hopfvar.repring import S2_ONE, S2Elem, S3_ONE, S3Elem
 
 
@@ -85,7 +85,7 @@ def test_s3_from_quotients():
 
 
 def test_s3_trivial_action():
-    assert S3Elem.trivial(Q ** 8 - Q ** 6 - Q ** 5 + Q ** 3).s == Poly.zero()
+    assert S3Elem.trivial(Q ** 8 - Q ** 6 - Q ** 5 + Q ** 3).s == ZERO
     assert S2Elem.trivial(Q ** 4 - Q ** 3 - Q ** 2 + Q) == S2Elem(Q ** 4 - Q ** 3 - Q ** 2 + Q, 0)
     assert S3Elem.trivial(0).is_zero()
 
