@@ -103,7 +103,7 @@ def _cmd_rep(args) -> int:
 def _cmd_char(args) -> int:
     started = time.perf_counter()
     total = charvar.char_variety_epoly_formula(args.rank, args.n)
-    lines = []
+    lines, mismatch = [], False
     if args.pieces:
         if args.rank == 2:
             names = [("red", "red_total"), ("irr", "irr_total")]
@@ -116,16 +116,15 @@ def _cmd_char(args) -> int:
             lines.append(f"{label}: {_render(value, args.latex)}")
         piece_total = charvar.char_piece_epoly(args.rank, "total", args.n)
         lines.append(f"total: {_render(piece_total, args.latex)}")
-        if piece_total != total:
+        mismatch = piece_total != total
+        if mismatch:
             lines.append("MISMATCH (piece sum differs from closed formula)")
     else:
         lines.append(_render(total, args.latex))
     elapsed = (time.perf_counter() - started) * 1000.0
     print("\n".join(lines))
     print(f"[timing] {elapsed:.2f} ms", file=sys.stderr)
-    if args.pieces and charvar.char_piece_epoly(args.rank, "total", args.n) != total:
-        return 1
-    return 0
+    return 1 if mismatch else 0
 
 
 def _cmd_count(args, parser: argparse.ArgumentParser, max_cells: int) -> int:
@@ -174,29 +173,22 @@ def _descending_coeffs(p: Poly) -> list[int]:
     return list(reversed(p.coeffs)) if p.coeffs else [0]
 
 
-def _table_rows(rank: int, ns: list[int], target: str) -> list[dict]:
+def _table_rows(rank: int, ns: list[int], target: str,
+                with_strata: bool) -> list[tuple[Poly, dict]]:
+    """(polynomial, row) per twist count; the stratum assembly of a rep row
+    is computed only when with_strata."""
+    formula = (geom.rep_variety_epoly_formula if target == "rep"
+               else charvar.char_variety_epoly_formula)
     rows = []
     for n in ns:
+        p = formula(rank, n)
+        row = {"n": n, "degree": p.degree, "coefficients": _descending_coeffs(p),
+               "eval_q2": p.evaluate(2)}
         if target == "rep":
-            formula = geom.rep_variety_epoly_formula(rank, n)
-            strata = geom.rep_variety_epoly_strata(rank, n)
-            row = {
-                "n": n,
-                "degree": formula.degree,
-                "coefficients": _descending_coeffs(formula),
-                "eval_q2": formula.evaluate(2),
-                "formula": _descending_coeffs(formula),
-                "strata": _descending_coeffs(strata),
-            }
-        else:
-            total = charvar.char_variety_epoly_formula(rank, n)
-            row = {
-                "n": n,
-                "degree": total.degree,
-                "coefficients": _descending_coeffs(total),
-                "eval_q2": total.evaluate(2),
-            }
-        rows.append(row)
+            row["formula"] = row["coefficients"]
+            if with_strata:
+                row["strata"] = _descending_coeffs(geom.rep_variety_epoly_strata(rank, n))
+        rows.append((p, row))
     return rows
 
 
@@ -205,27 +197,25 @@ def _cmd_table(args, parser: argparse.ArgumentParser) -> int:
         ns = _parse_range(args.n)
     except ValueError as exc:
         parser.error(str(exc))
-    rows = _table_rows(args.rank, ns, args.target)
+    rows = _table_rows(args.rank, ns, args.target, args.format == "json")
 
     if args.format == "json":
-        print(json.dumps(rows, indent=2))
+        print(json.dumps([row for _, row in rows], indent=2))
         return 0
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["n", "degree", "coefficients", "eval_q2"])
-        for row in rows:
+        for _, row in rows:
             writer.writerow([row["n"], row["degree"],
                              ",".join(str(c) for c in row["coefficients"]),
                              row["eval_q2"]])
         sys.stdout.write(buf.getvalue())
         return 0
     # latex
-    compute = (geom.rep_variety_epoly_formula if args.target == "rep"
-               else charvar.char_variety_epoly_formula)
     print(r"\begin{align*}")
-    for n in ns:
-        print(f"n={n}:&\\quad {compute(args.rank, n).to_latex()}\\\\")
+    for p, row in rows:
+        print(f"n={row['n']}:&\\quad {p.to_latex()}\\\\")
     print(r"\end{align*}")
     return 0
 

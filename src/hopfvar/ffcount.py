@@ -16,10 +16,11 @@ representatives A_C are
   the classes whose minimal polynomial has degree 2;
 * the scalars a*I with a^r = 1, each a class of size 1.
 
-The centralizer of a non-scalar A_C is the unit group of its commutant, an
-algebra of dimension 2..5 whose q^d members are enumerated with numpy, as
-are those of the commutant of A_C^n.  numpy is imported only there.  About
-q^2 classes replace the q^(r^2) matrices of a direct enumeration.
+The orders of the centralizers C_GL(A_C) and C_SL(A_C^n) are closed forms in
+q, read from the factor pattern of the characteristic polynomial (its roots
+in F_q with multiplicity) and from whether the matrix is cyclic, i.e. has a
+commutant of dimension r (see _centralizer_orders).  Nothing is enumerated:
+about q^2 classes replace the q^(r^2) matrices of a direct enumeration.
 
 The count equals the closed-formula E-polynomial at q when rank*n | q-1
 (is_admissible).  The sweep is serial: the threads argument is accepted and
@@ -30,13 +31,12 @@ r x r matrices over F_q, and is checked before the primality of q.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from itertools import accumulate
+from math import gcd, prod
+from typing import Iterable, Iterator, Optional
 
 from .poly import general_linear_epoly, special_linear_epoly
 from .strata import admissibility_modulus, check_twists, is_admissible, is_prime
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "FqMatrix", "ResourceLimitError",
@@ -50,7 +50,7 @@ DEFAULT_MAX_CELLS = 10 ** 10
 
 
 class ResourceLimitError(RuntimeError):
-    """Enumeration would exceed the configured cell ceiling."""
+    """q^(r^2) would exceed the configured cell ceiling."""
 
 
 def _check_field(q: int) -> None:
@@ -210,48 +210,54 @@ def sl_order(rank: int, q: int) -> int:
     return special_linear_epoly(rank).evaluate(q)
 
 
-_COMMUTANT_ENUM_CEILING = 50_000_000
+def _factor_pattern(chi: tuple[int, ...], q: int) -> list[tuple[int, int]]:
+    """(deg f, e) for each irreducible factor f^e of a monic polynomial over
+    F_q of degree <= 3, ascending coefficients.  Roots in F_q are divided out
+    synthetically; what is left has no root, so it is one irreducible factor."""
+    pattern, desc = [], chi[::-1]
+    for a in range(q):
+        e = 0
+        while len(desc) > 1:
+            *quotient, remainder = accumulate(desc, lambda acc, c: (acc * a + c) % q)
+            if remainder:
+                break
+            desc, e = quotient, e + 1
+        if e:
+            pattern.append((1, e))
+    return pattern + [(len(desc) - 1, 1)] * (len(desc) > 1)
 
 
-def _det_batch(m: np.ndarray, q: int) -> np.ndarray:
-    """Determinants mod q of matrices stored entries first: m[i, j] holds
-    entry (i, j) of every matrix."""
-    if len(m) == 2:
-        return (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) % q
-    return (m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])) % q
+def _centralizer_orders(M: FqMatrix, cyclic: bool) -> tuple[int, int]:
+    """(|C_GL(M)|, |C_SL(M)|) for a non-scalar M.
 
-
-def _commutant_dets(M: FqMatrix) -> np.ndarray:
-    """Determinants of all q^d members c_1 b_1 + ... + c_d b_d of the
-    commutant of M, built by broadcasting over the basis b_1..b_d."""
-    import numpy as np
-
-    q, r = M.q, M.rank
-    basis = commutant_basis(M)
-    if q ** len(basis) > _COMMUTANT_ENUM_CEILING:
-        raise ResourceLimitError(
-            f"commutant enumeration q^{len(basis)} too large for q={q}")
-    steps = np.arange(q, dtype=np.int64)
-    members = np.zeros((r * r, 1), dtype=np.int64)  # entries x members
-    for b in basis:
-        entries = np.array(b.rows, dtype=np.int64).reshape(-1, 1, 1)
-        members = (members[:, :, None] + entries * steps).reshape(r * r, -1)
-    members %= q
-    return _det_batch(members.reshape(r, r, -1), q)
+    A cyclic M has the commutant F_q[x]/(chi), whose units number
+    prod q^(d(e-1)) (q^d - 1) over the factors f^e of chi, d = deg f.  The
+    determinant of a unit u is the product of N(u mod f)^e, so the
+    determinants fill the subgroup of F_q^* of index gcd(q-1, e_1, e_2, ...).
+    A non-cyclic, non-scalar M has rank 3 and is diag(a, a, b) or
+    J_2(a) + (a); its centralizer meets every determinant."""
+    q = M.q
+    pattern = _factor_pattern(M.char_poly(), q)
+    if cyclic:
+        gl = prod(q ** (d * (e - 1)) * (q ** d - 1) for d, e in pattern)
+        return gl, gl * gcd(q - 1, *(e for _, e in pattern)) // (q - 1)
+    if len(pattern) == 2:  # diag(a, a, b): GL_2 x GL_1
+        gl = general_linear_epoly(2).evaluate(q) * (q - 1)
+    else:                  # J_2(a) + (a)
+        gl = q ** 3 * (q - 1) ** 2
+    return gl, gl // (q - 1)
 
 
 def count_commuting_det1(M: FqMatrix) -> int:
-    """#{B in SL_r(F_q) : BM = MB}.
+    """#{B in SL_r(F_q) : BM = MB} = |C_SL(M)|.
 
-    A scalar M short-circuits to |SL_r(F_q)|; otherwise the commutant has
-    dimension d <= 5 and all q^d members are enumerated, counting those of
-    determinant one.
+    A scalar M short-circuits to |SL_r(F_q)|; otherwise the commutant
+    dimension tells whether M is cyclic, and the factor pattern of its
+    characteristic polynomial gives the order in closed form.
     """
     if M.is_scalar():
         return sl_order(M.rank, M.q)
-    return int((_commutant_dets(M) == 1).sum())
+    return _centralizer_orders(M, len(commutant_basis(M)) == M.rank)[1]
 
 
 # -- class-equation sweep ---------------------------------------------------------
@@ -285,13 +291,11 @@ def class_representatives(rank: int, q: int) -> Iterator[FqMatrix]:
 
 
 def class_size(A: FqMatrix) -> int:
-    """|GL_r(F_q)| / |C_GL(A)|: the number of conjugates of A.  The
-    centralizer of a non-scalar A is the set of invertible members of its
-    commutant."""
+    """|GL_r(F_q)| / |C_GL(A)|: the number of conjugates of A."""
     if A.is_scalar():
         return 1
-    units = int((_commutant_dets(A) != 0).sum())
-    return general_linear_epoly(A.rank).evaluate(A.q) // units
+    centralizer, _ = _centralizer_orders(A, commutant_dimension(A) == A.rank)
+    return general_linear_epoly(A.rank).evaluate(A.q) // centralizer
 
 
 def check_cells(rank: int, q: int, max_cells: int = DEFAULT_MAX_CELLS) -> None:

@@ -62,10 +62,11 @@ _TYPES = {
 }
 
 
-def _type_rows(rank: int) -> tuple[_TypeRow, ...]:
-    if rank not in _TYPES:
+def _rows(table: dict[int, tuple], rank: int) -> tuple:
+    """The rows of a per-rank table (_TYPES or _STRATA)."""
+    if rank not in table:
         raise ValueError(f"rank must be 2 or 3, got {rank}")
-    return _TYPES[rank]
+    return table[rank]
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ class JordanType:
     index: int
 
     def __post_init__(self):
-        top = len(_type_rows(self.rank))
+        top = len(_rows(_TYPES, self.rank))
         if not 1 <= self.index <= top:
             raise ValueError(f"invalid Jordan type index {self.index} for rank {self.rank}")
 
@@ -108,7 +109,7 @@ J3_DISTINCT = JordanType(3, 6)
 
 
 def jordan_types(rank: int) -> list[JordanType]:
-    return [JordanType(rank, i) for i in range(1, len(_type_rows(rank)) + 1)]
+    return [JordanType(rank, i) for i in range(1, len(_rows(_TYPES, rank)) + 1)]
 
 
 # Admissible strata by rank, in assembly order: (src index, tgt index,
@@ -144,7 +145,7 @@ class Stratum:
 
 def admissible_strata(rank: int) -> list[Stratum]:
     return [Stratum(JordanType(rank, i), JordanType(rank, j))
-            for i, j, _ in _STRATA[rank]]
+            for i, j, _ in _rows(_STRATA, rank)]
 
 
 def stabilizer_epoly(xi: JordanType) -> Poly:

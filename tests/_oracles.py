@@ -175,3 +175,64 @@ def count_rep_variety_points_bruteforce(rank, n, q):
                                 return_counts=True)
     return sum(int(size) * _commuting_count(powered[i], group, q)
                for i, size in zip(first.tolist(), sizes.tolist()))
+
+
+# -- commutant enumeration ------------------------------------------------------
+#
+# The centralizer of M in GL_r(F_q) (resp. SL_r(F_q)) is the set of members of
+# its commutant {X : XM = MX} with det != 0 (resp. det = 1).  The commutant
+# is spanned by a null-space basis of the commutator equations, and all q^d
+# members c_1 b_1 + ... + c_d b_d are enumerated with their determinants.  It
+# checks the package's closed-form centralizer orders.
+
+def _null_space(a, q):
+    """Basis of {x : a x = 0 over F_q}, one vector per row, by reduced row
+    echelon form."""
+    a = a % q
+    pivots = []
+    for col in range(a.shape[1]):
+        top = len(pivots)
+        hits = np.flatnonzero(a[top:, col])
+        if not hits.size:
+            continue
+        a[[top, top + hits[0]]] = a[[top + hits[0], top]]
+        a[top] = a[top] * pow(int(a[top, col]), -1, q) % q
+        others = np.arange(len(a)) != top
+        a[others] = (a[others] - np.outer(a[others, col], a[top])) % q
+        pivots.append(col)
+    free = [c for c in range(a.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), a.shape[1]), dtype=np.int64)
+    for i, f in enumerate(free):
+        basis[i, f] = 1
+        basis[i, pivots] = -a[:len(pivots), f] % q
+    return basis
+
+
+@functools.lru_cache(maxsize=None)
+def _span_det_counts(basis, q, rank):
+    """(#det != 0, #det = 1) over every F_q-combination of the basis: the
+    combinations of the last (at most six) vectors are built at once, entries
+    first, and shifted by each combination of the others."""
+    basis = np.array(basis, dtype=np.int64).reshape(-1, rank * rank)
+    head, tail = basis[:-6], basis[-6:]
+    span = np.zeros((rank * rank, 1), dtype=np.int64)
+    for b in tail:
+        span = (span[:, :, None] + b[:, None, None] * np.arange(q)).reshape(rank * rank, -1) % q
+    units = det1 = 0
+    zero = np.zeros(rank * rank, dtype=np.int64)
+    for coeffs in itertools.product(range(q), repeat=len(head)):
+        shift = sum((c * b for c, b in zip(coeffs, head)), zero) % q
+        # entries below 2q: the determinant is reduced once, at the end
+        dets = _det((span + shift[:, None]).T.reshape(-1, rank, rank), q)
+        units += int(np.count_nonzero(dets))
+        det1 += int(np.count_nonzero(dets == 1))
+    return units, det1
+
+
+def commutant_unit_counts(rows, q):
+    """(|C_GL(M)|, |C_SL(M)|) for the matrix M with these rows, by
+    enumerating its commutant (row-major vec(XM - MX) = (I x M^T - M x I) vec(X))."""
+    m = np.array(rows, dtype=np.int64)
+    eye = np.eye(len(m), dtype=np.int64)
+    basis = _null_space(np.kron(eye, m.T) - np.kron(m, eye), q)
+    return _span_det_counts(tuple(basis.ravel().tolist()), q, len(m))

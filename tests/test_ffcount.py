@@ -15,7 +15,8 @@ from hopfvar.ffcount import (
 from hopfvar.geom import rep_variety_epoly_formula
 
 from _oracles import (
-    count_commuting_pairs_sl2, count_rep_variety_points_bruteforce, sl_matrices,
+    commutant_unit_counts, count_commuting_pairs_sl2,
+    count_rep_variety_points_bruteforce, sl_matrices,
 )
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -168,6 +169,20 @@ def test_class_sizes_sum_to_sl_order():
             assert len(sl_matrices(rank, q)) == sl_order(rank, q)
 
 
+def test_centralizer_orders_match_commutant_enumeration():
+    # every class at rank 2 (q = 5, 7, 13) and rank 3 (q = 5, 7), and its
+    # powers n = 1, 2, 3; q = 7 is the smallest q with 3 | q-1, where the
+    # SL_3-centralizer of J_3(a) carries the factor gcd(3, q-1) = 3
+    for rank, qs in ((2, (5, 7, 13)), (3, (5, 7))):
+        for q in qs:
+            gl_order, _ = commutant_unit_counts(FqMatrix.identity(rank, q).rows, q)
+            for a in class_representatives(rank, q):
+                assert class_size(a) == gl_order // commutant_unit_counts(a.rows, q)[0], a
+                for n in (1, 2, 3):
+                    m = a.pow(n)
+                    assert count_commuting_det1(m) == commutant_unit_counts(m.rows, q)[1], (a, n)
+
+
 def test_sweep_matches_bruteforce_oracle():
     points = [(2, n, q) for q in (3, 5, 7) for n in (1, 2, 3)]
     points += [(3, n, q) for q in (3, 5) for n in (1, 2, 3)]
@@ -177,10 +192,10 @@ def test_sweep_matches_bruteforce_oracle():
 
 
 def test_rank3_counts_beyond_q7():
-    # 13^9 is above the default cell ceiling, so the ceiling is raised here
-    for n in (1, 2):
-        assert count_rep_variety_points(3, n, 13, max_cells=13 ** 9) == \
-            rep_variety_epoly_formula(3, n).evaluate(13), n
+    # 13^9 and 19^9 are above the default cell ceiling, so it is raised here
+    for n, q in ((1, 13), (2, 13), (3, 19)):
+        assert count_rep_variety_points(3, n, q, max_cells=q ** 9) == \
+            rep_variety_epoly_formula(3, n).evaluate(q), (n, q)
 
 
 def test_admissibility():
@@ -253,5 +268,6 @@ def test_import_leaves_numpy_unloaded():
         "    main(['rep', '--rank', '3', '--n', '2', '--method', 'both'])\n"
         "    main(['char', '--rank', '3', '--n', '2', '--pieces'])\n"
         "    main(['table', '--rank', '2', '--n', '1..3', '--target', 'rep'])\n"
+        "    main(['count', '--rank', '3', '--n', '1', '--q', '7', '--assert'])\n"
         "print('numpy' in sys.modules)\n", timeout=60)
     assert proc.stdout.strip() == "False", proc.stderr

@@ -182,4 +182,8 @@ def test_formula_rejects_bad_input():
     with pytest.raises(ValueError):
         rep_variety_epoly_formula(4, 1)
     with pytest.raises(ValueError):
+        rep_variety_epoly_strata(4, 1)
+    with pytest.raises(ValueError):
+        admissible_strata(4)
+    with pytest.raises(ValueError):
         rep_variety_epoly_formula(2, 0)
