@@ -18,9 +18,13 @@ representatives A_C are
 
 The orders of the centralizers C_GL(A_C) and C_SL(A_C^n) are closed forms in
 q, read from the factor pattern of the characteristic polynomial (its roots
-in F_q with multiplicity) and from whether the matrix is cyclic, i.e. has a
-commutant of dimension r (see _centralizer_orders).  Nothing is enumerated:
-about q^2 classes replace the q^(r^2) matrices of a direct enumeration.
+in F_q with multiplicity) and from whether the matrix is cyclic (see
+_centralizer_orders).  A non-scalar matrix M is cyclic iff its minimal
+polynomial has degree r, which is read off M and M^2 without row reduction
+(_is_cyclic); the commutant of a cyclic M is then F_q[M], with basis
+I, M, ..., M^(r-1).  Only scalar and non-cyclic matrices have their
+commutant computed by Gaussian elimination.  Nothing is enumerated: about
+q^2 classes replace the q^(r^2) matrices of a direct enumeration.
 
 The count equals the closed-formula E-polynomial at q when rank*n | q-1
 (is_admissible).  The sweep is serial: the threads argument is accepted and
@@ -35,7 +39,7 @@ from itertools import accumulate
 from math import gcd, prod
 from typing import Iterable, Iterator, Optional
 
-from .poly import general_linear_epoly, special_linear_epoly
+from .poly import special_linear_epoly
 from .strata import admissibility_modulus, check_twists, is_admissible, is_prime
 
 __all__ = [
@@ -104,12 +108,13 @@ class FqMatrix:
         if n < 1:
             raise ValueError("exponent must be >= 1")
         result, base = None, self
-        while n:
+        while True:
             if n & 1:
                 result = base if result is None else result * base
-            base = base * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.rank)) % self.q
@@ -192,17 +197,45 @@ def _commutator_operator(M: FqMatrix) -> list[list[int]]:
     return rows
 
 
+def _is_cyclic(M: FqMatrix) -> bool:
+    """Whether a non-scalar M is cyclic, i.e. its minimal polynomial has
+    degree r.  At rank 2 every non-scalar M is.  At rank 3 M is not iff
+    M^2 = alpha M + beta I: alpha is read off an entry M[i][j] != 0 with
+    i != j, where I vanishes, and M^2 - alpha M must then be scalar.  A
+    diagonal M is cyclic iff its three entries are distinct."""
+    if M.rank == 2:
+        return True
+    q, m = M.q, M.rows
+    i, j = next(((i, j) for i in range(3) for j in range(3) if i != j and m[i][j]),
+                (None, None))
+    if i is None:
+        return len({m[0][0], m[1][1], m[2][2]}) == 3
+    m2 = (M * M).rows
+    alpha = m2[i][j] * pow(m[i][j], -1, q)
+    return not FqMatrix._over(q, [[a - alpha * b for a, b in zip(row2, row)]
+                                  for row2, row in zip(m2, m)]).is_scalar()
+
+
 def commutant_basis(M: FqMatrix) -> list[FqMatrix]:
-    """Basis of the algebra of matrices commuting with M."""
-    r = M.rank
-    vecs = _kernel_basis_mod(_commutator_operator(M), M.q)
-    return [FqMatrix._over(M.q, [v[i * r:(i + 1) * r] for i in range(r)]) for v in vecs]
+    """Basis of the algebra of matrices commuting with M.
+
+    A cyclic M has the commutant F_q[M], with basis I, M, ..., M^(r-1).  A
+    scalar or non-cyclic M gets a null-space basis of the commutator
+    equations XM - MX = 0 by Gaussian elimination."""
+    q, r = M.q, M.rank
+    if not M.is_scalar() and _is_cyclic(M):
+        basis = [FqMatrix._over(q, [[int(i == j) for j in range(r)] for i in range(r)]), M]
+        if r == 3:
+            basis.append(M * M)
+        return basis
+    vecs = _kernel_basis_mod(_commutator_operator(M), q)
+    return [FqMatrix._over(q, [v[i * r:(i + 1) * r] for i in range(r)]) for v in vecs]
 
 
 def commutant_dimension(M: FqMatrix) -> int:
     """F_q-dimension of the commutant of M: in {2, 4} for rank 2 and
     {3, 5, 9} for rank 3."""
-    return len(_kernel_basis_mod(_commutator_operator(M), M.q))
+    return len(commutant_basis(M))
 
 
 def sl_order(rank: int, q: int) -> int:
@@ -210,21 +243,47 @@ def sl_order(rank: int, q: int) -> int:
     return special_linear_epoly(rank).evaluate(q)
 
 
+def _gl_order(rank: int, q: int) -> int:
+    """|GL_rank(F_q)| = (q^r - 1)(q^r - q) ... (q^r - q^(r-1))."""
+    return prod(q ** rank - q ** i for i in range(rank))
+
+
 def _factor_pattern(chi: tuple[int, ...], q: int) -> list[tuple[int, int]]:
     """(deg f, e) for each irreducible factor f^e of a monic polynomial over
-    F_q of degree <= 3, ascending coefficients.  Roots in F_q are divided out
-    synthetically; what is left has no root, so it is one irreducible factor."""
+    F_q of degree 2 or 3, ascending coefficients.
+
+    A cubic is scanned for its first root in F_q, which is divided out
+    synthetically with its multiplicity; a cubic without a root is
+    irreducible.  The monic quadratic x^2 + bx + c that may be left is read
+    from its discriminant b^2 - 4c (q is odd): zero gives a double root, a
+    nonzero square (Euler's criterion) two roots, a non-square an irreducible
+    factor."""
     pattern, desc = [], chi[::-1]
-    for a in range(q):
-        e = 0
-        while len(desc) > 1:
-            *quotient, remainder = accumulate(desc, lambda acc, c: (acc * a + c) % q)
-            if remainder:
+    if len(desc) == 4:
+        for a in range(q):
+            e = 0
+            while len(desc) > 1:
+                *quotient, remainder = accumulate(desc, lambda acc, c: (acc * a + c) % q)
+                if remainder:
+                    break
+                desc, e = quotient, e + 1
+            if e:
+                pattern.append((1, e))
                 break
-            desc, e = quotient, e + 1
-        if e:
-            pattern.append((1, e))
-    return pattern + [(len(desc) - 1, 1)] * (len(desc) > 1)
+        else:
+            return [(3, 1)]
+    if len(desc) == 3:
+        _, b, c = desc
+        disc = (b * b - 4 * c) % q
+        if disc == 0:
+            pattern.append((1, 2))
+        elif pow(disc, (q - 1) // 2, q) == 1:
+            pattern += [(1, 1), (1, 1)]
+        else:
+            pattern.append((2, 1))
+    elif len(desc) == 2:
+        pattern.append((1, 1))
+    return pattern
 
 
 def _centralizer_orders(M: FqMatrix, cyclic: bool) -> tuple[int, int]:
@@ -242,7 +301,7 @@ def _centralizer_orders(M: FqMatrix, cyclic: bool) -> tuple[int, int]:
         gl = prod(q ** (d * (e - 1)) * (q ** d - 1) for d, e in pattern)
         return gl, gl * gcd(q - 1, *(e for _, e in pattern)) // (q - 1)
     if len(pattern) == 2:  # diag(a, a, b): GL_2 x GL_1
-        gl = general_linear_epoly(2).evaluate(q) * (q - 1)
+        gl = _gl_order(2, q) * (q - 1)
     else:                  # J_2(a) + (a)
         gl = q ** 3 * (q - 1) ** 2
     return gl, gl // (q - 1)
@@ -251,8 +310,8 @@ def _centralizer_orders(M: FqMatrix, cyclic: bool) -> tuple[int, int]:
 def count_commuting_det1(M: FqMatrix) -> int:
     """#{B in SL_r(F_q) : BM = MB} = |C_SL(M)|.
 
-    A scalar M short-circuits to |SL_r(F_q)|; otherwise the commutant
-    dimension tells whether M is cyclic, and the factor pattern of its
+    A scalar M short-circuits to |SL_r(F_q)|; otherwise the length of its
+    commutant basis tells whether M is cyclic, and the factor pattern of its
     characteristic polynomial gives the order in closed form.
     """
     if M.is_scalar():
@@ -294,8 +353,8 @@ def class_size(A: FqMatrix) -> int:
     """|GL_r(F_q)| / |C_GL(A)|: the number of conjugates of A."""
     if A.is_scalar():
         return 1
-    centralizer, _ = _centralizer_orders(A, commutant_dimension(A) == A.rank)
-    return general_linear_epoly(A.rank).evaluate(A.q) // centralizer
+    centralizer, _ = _centralizer_orders(A, _is_cyclic(A))
+    return _gl_order(A.rank, A.q) // centralizer
 
 
 def check_cells(rank: int, q: int, max_cells: int = DEFAULT_MAX_CELLS) -> None:

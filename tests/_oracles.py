@@ -229,10 +229,67 @@ def _span_det_counts(basis, q, rank):
     return units, det1
 
 
-def commutant_unit_counts(rows, q):
-    """(|C_GL(M)|, |C_SL(M)|) for the matrix M with these rows, by
-    enumerating its commutant (row-major vec(XM - MX) = (I x M^T - M x I) vec(X))."""
+def _commutant_null_space(rows, q):
+    """Null-space basis of the commutator equations of M, row-major
+    vec(XM - MX) = (I x M^T - M x I) vec(X)."""
     m = np.array(rows, dtype=np.int64)
     eye = np.eye(len(m), dtype=np.int64)
-    basis = _null_space(np.kron(eye, m.T) - np.kron(m, eye), q)
-    return _span_det_counts(tuple(basis.ravel().tolist()), q, len(m))
+    return _null_space(np.kron(eye, m.T) - np.kron(m, eye), q)
+
+
+def commutant_unit_counts(rows, q):
+    """(|C_GL(M)|, |C_SL(M)|) for the matrix M with these rows, by
+    enumerating its commutant."""
+    basis = _commutant_null_space(rows, q)
+    return _span_det_counts(tuple(basis.ravel().tolist()), q, len(rows))
+
+
+def commutant_dimension_by_null_space(rows, q):
+    """Dimension of the commutant of M over F_q."""
+    return len(_commutant_null_space(rows, q))
+
+
+def linearly_independent(matrices, q):
+    """Whether these square matrices (as row tuples) are linearly
+    independent over F_q: no nonzero combination of their entries vanishes."""
+    columns = np.array([np.ravel(m) for m in matrices], dtype=np.int64).T
+    return len(_null_space(columns, q)) == 0
+
+
+# -- factor pattern by trial division ---------------------------------------------
+#
+# Every monic polynomial of degree 1, then of degree 2, is tried as a divisor
+# as often as it divides.  Once the linear factors are gone, a quadratic
+# divisor is irreducible, and what is left after both rounds has no factor of
+# degree 1 or 2.  It checks the package's root scan and discriminant test.
+
+def _divmod_monic(num, den, q):
+    """Quotient and remainder of num by the monic den over F_q, ascending
+    coefficients."""
+    num = list(num)
+    quotient = [0] * (len(num) - len(den) + 1)
+    for k in range(len(quotient) - 1, -1, -1):
+        c = num[k + len(den) - 1] % q
+        quotient[k] = c
+        for i, d in enumerate(den):
+            num[k + i] = (num[k + i] - c * d) % q
+    return quotient, num[:len(den) - 1]
+
+
+def factor_pattern_by_trial_division(chi, q):
+    """Sorted (deg f, e) over the irreducible factors f^e of the monic chi
+    (ascending coefficients) over F_q, degree <= 3."""
+    poly, pattern = list(chi), []
+    for degree in (1, 2):
+        for low in itertools.product(range(q), repeat=degree):
+            divisor, e = list(low) + [1], 0
+            while len(poly) > degree:
+                quotient, remainder = _divmod_monic(poly, divisor, q)
+                if any(remainder):
+                    break
+                poly, e = quotient, e + 1
+            if e:
+                pattern.append((degree, e))
+    if len(poly) > 1:
+        pattern.append((len(poly) - 1, 1))
+    return sorted(pattern)

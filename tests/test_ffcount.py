@@ -15,8 +15,9 @@ from hopfvar.ffcount import (
 from hopfvar.geom import rep_variety_epoly_formula
 
 from _oracles import (
-    commutant_unit_counts, count_commuting_pairs_sl2,
-    count_rep_variety_points_bruteforce, sl_matrices,
+    commutant_dimension_by_null_space, commutant_unit_counts,
+    count_commuting_pairs_sl2, count_rep_variety_points_bruteforce,
+    factor_pattern_by_trial_division, linearly_independent, sl_matrices,
 )
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -58,6 +59,24 @@ def test_mat_pow():
     assert a.pow(3) == M(5, (1, 0), (3, 1))
 
 
+def test_mat_pow_product_count(monkeypatch):
+    # binary exponentiation: floor(log2 n) squarings and popcount(n) - 1
+    # multiplications into the result, none after the top bit
+    cases = []
+    for a in (M(7, (1, 2, 3), (0, 4, 5), (6, 0, 1)), M(5, (1, 2), (3, 4))):
+        powers = [a]
+        for _ in range(19):
+            powers.append(powers[-1] * a)
+        cases.append((a, powers))
+    mul, calls = FqMatrix.__mul__, []
+    monkeypatch.setattr(FqMatrix, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+    for a, powers in cases:
+        for n in range(1, 21):
+            calls.clear()
+            assert a.pow(n) == powers[n - 1], n
+            assert len(calls) == n.bit_length() - 1 + bin(n).count("1") - 1, n
+
+
 def test_char_and_min_poly():
     scalar = M(7, (2, 0, 0), (0, 2, 0), (0, 0, 2))
     assert scalar.char_poly() == ((-8) % 7, (12) % 7, (-6) % 7, 1)
@@ -88,13 +107,33 @@ def test_commutant_dimension_exhaustive_rank3_q3():
 
 
 def test_commutant_basis_members_commute():
+    # both paths of commutant_basis, powers of M for a cyclic M and Gaussian
+    # elimination otherwise: every class and its powers n = 1, 2, 3, 6, and
+    # random matrices; the basis must commute with m, be linearly
+    # independent and have the dimension of the oracle's null space
+    matrices = [a.pow(n) for rank in (2, 3) for q in (3, 5, 7, 13)
+                for a in class_representatives(rank, q) for n in (1, 2, 3, 6)]
     rng = random.Random(23)
-    for _ in range(50):
+    for _ in range(300):
         q = rng.choice((3, 5, 7))
         r = rng.choice((2, 3))
-        m = FqMatrix(q, [[rng.randrange(q) for _ in range(r)] for _ in range(r)])
-        for b in commutant_basis(m):
-            assert b * m == m * b
+        matrices.append(FqMatrix(q, [[rng.randrange(q) for _ in range(r)] for _ in range(r)]))
+    for m in matrices:
+        basis = commutant_basis(m)
+        assert all(b * m == m * b for b in basis), m
+        assert linearly_independent([b.rows for b in basis], m.q), m
+        assert commutant_dimension(m) == len(basis) == \
+            commutant_dimension_by_null_space(m.rows, m.q), m
+
+
+def test_factor_pattern_matches_trial_division():
+    # every det-1 characteristic polynomial of rank 2 and 3
+    for q in (3, 5, 7, 11, 13):
+        chis = [(1, -t % q, 1) for t in range(q)]
+        chis += [(q - 1, s, -t % q, 1) for t in range(q) for s in range(q)]
+        for chi in chis:
+            assert sorted(ffcount._factor_pattern(chi, q)) == \
+                factor_pattern_by_trial_division(chi, q), (chi, q)
 
 
 def test_count_commuting_det1_examples():
@@ -192,8 +231,8 @@ def test_sweep_matches_bruteforce_oracle():
 
 
 def test_rank3_counts_beyond_q7():
-    # 13^9 and 19^9 are above the default cell ceiling, so it is raised here
-    for n, q in ((1, 13), (2, 13), (3, 19)):
+    # q^9 is above the default cell ceiling for q >= 13, so it is raised here
+    for n, q in ((1, 13), (2, 13), (3, 19), (1, 31), (5, 31)):
         assert count_rep_variety_points(3, n, q, max_cells=q ** 9) == \
             rep_variety_epoly_formula(3, n).evaluate(q), (n, q)
 
@@ -245,6 +284,26 @@ def test_field_checked_once_per_count(monkeypatch):
     assert calls == [7]
     with pytest.raises(ValueError):
         FqMatrix(9, [(1, 0), (0, 1)])
+
+
+def test_cyclic_classes_skip_commutator_elimination(monkeypatch):
+    # only scalar and non-cyclic matrices row-reduce their commutator
+    # equations: at rank 3 and n = 1 the q - 1 classes
+    # diag(a) + companion((x - a)(x - a^-2)), at rank 2 none
+    operator, calls = ffcount._commutator_operator, []
+
+    def counting_operator(m):
+        calls.append(m)
+        return operator(m)
+
+    monkeypatch.setattr(ffcount, "_commutator_operator", counting_operator)
+    assert count_rep_variety_points(3, 1, 7) == \
+        rep_variety_epoly_formula(3, 1).evaluate(7)
+    assert len(calls) <= 6
+    calls.clear()
+    assert count_rep_variety_points(2, 1, 7) == \
+        rep_variety_epoly_formula(2, 1).evaluate(7)
+    assert calls == []
 
 
 def test_huge_q_refused_before_primality():
