@@ -7,24 +7,37 @@ SL_r(F_q) (the class equation):
 
     count = sum over C of |GL_r(F_q)| / |C_GL(A_C)| * #{B in SL_r(F_q) : B A_C^n = A_C^n B}.
 
-For r <= 3 a class is fixed by its rational canonical form, so the
-representatives A_C are
+For r <= 3 a class is fixed by its kind and its characteristic polynomial
+chi, so the representatives A_C are
 
-* the companion matrix of each det-1 characteristic polynomial
+* cyclic: the companion matrix of each det-1 characteristic polynomial
   (x^2 - t x + 1, resp. x^3 - t x^2 + s x - 1): q resp. q^2 classes;
-* at rank 3, diag(a) + companion((x - a)(x - a^-2)) for each a in F_q^*,
-  the classes whose minimal polynomial has degree 2;
-* the scalars a*I with a^r = 1, each a class of size 1.
+* non-cyclic: at rank 3, diag(a) + companion((x - a)(x - a^-2)) for each
+  a in F_q^*, the classes whose minimal polynomial has degree 2 (for
+  a^3 = 1 this is J_2(a) + (a), otherwise diag(a, a, a^-2));
+* scalar: a*I with a^r = 1, each a class of size 1.
+
+The sweep visits one class per orbit of the group generated by A -> zA
+(z^r = 1, so zI is in SL_r) and A -> A^-1, weighted by the orbit size.
+Both maps send GL-classes to GL-classes and keep the centralizer in GL_r,
+hence the class size; and (zA)^n = z^n A^n and (A^-1)^n = (A^n)^-1 have
+the centralizer of A^n, hence the same #{B}.  On chi = sum c_i x^i, zA
+multiplies c_i by z^(r-i), and A^-1 gives the reversed polynomial times
+(-1)^r (det A = 1): at rank 3 (c_1, c_2) -> (-c_2, -c_1), at rank 2 chi is
+unchanged.  An orbit is represented by its least chi; it has up to 6
+classes at rank 3 (when 3 | q - 1) and up to 2 at rank 2.
 
 The orders of the centralizers C_GL(A_C) and C_SL(A_C^n) are closed forms in
 q, read from the factor pattern of the characteristic polynomial (its roots
 in F_q with multiplicity) and from whether the matrix is cyclic (see
-_centralizer_orders).  A non-scalar matrix M is cyclic iff its minimal
+_centralizer_orders).  The sweep types A_C from its kind and the chi it was
+built from.  For A_C^n, a non-scalar matrix M is cyclic iff its minimal
 polynomial has degree r, which is read off M and M^2 without row reduction
 (_is_cyclic); the commutant of a cyclic M is then F_q[M], with basis
 I, M, ..., M^(r-1).  Only scalar and non-cyclic matrices have their
-commutant computed by Gaussian elimination.  Nothing is enumerated: about
-q^2 classes replace the q^(r^2) matrices of a direct enumeration.
+commutant computed by Gaussian elimination.  Nothing is enumerated: at
+rank 3 about q^2 / 6 orbits (q^2 / 2 when 3 does not divide q - 1) replace
+the q^9 matrices of a direct enumeration.
 
 The count equals the closed-formula E-polynomial at q when rank*n | q-1
 (is_admissible).  The sweep is serial: the threads argument is accepted and
@@ -36,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import gcd, prod
+from math import comb, gcd, prod
 from typing import Iterable, Iterator, Optional
 
 from .poly import special_linear_epoly
@@ -197,12 +210,13 @@ def _commutator_operator(M: FqMatrix) -> list[list[int]]:
     return rows
 
 
-def _is_cyclic(M: FqMatrix) -> bool:
+def _is_cyclic(M: FqMatrix, M2: Optional[FqMatrix] = None) -> bool:
     """Whether a non-scalar M is cyclic, i.e. its minimal polynomial has
     degree r.  At rank 2 every non-scalar M is.  At rank 3 M is not iff
     M^2 = alpha M + beta I: alpha is read off an entry M[i][j] != 0 with
     i != j, where I vanishes, and M^2 - alpha M must then be scalar.  A
-    diagonal M is cyclic iff its three entries are distinct."""
+    diagonal M is cyclic iff its three entries are distinct.  M2, when
+    given, is M * M."""
     if M.rank == 2:
         return True
     q, m = M.q, M.rows
@@ -210,7 +224,7 @@ def _is_cyclic(M: FqMatrix) -> bool:
                 (None, None))
     if i is None:
         return len({m[0][0], m[1][1], m[2][2]}) == 3
-    m2 = (M * M).rows
+    m2 = (M * M if M2 is None else M2).rows
     alpha = m2[i][j] * pow(m[i][j], -1, q)
     return not FqMatrix._over(q, [[a - alpha * b for a, b in zip(row2, row)]
                                   for row2, row in zip(m2, m)]).is_scalar()
@@ -221,13 +235,14 @@ def commutant_basis(M: FqMatrix) -> list[FqMatrix]:
 
     A cyclic M has the commutant F_q[M], with basis I, M, ..., M^(r-1).  A
     scalar or non-cyclic M gets a null-space basis of the commutator
-    equations XM - MX = 0 by Gaussian elimination."""
+    equations XM - MX = 0 by Gaussian elimination.  At rank 3, M^2 is formed
+    once, for both the cyclicity test and the basis."""
     q, r = M.q, M.rank
-    if not M.is_scalar() and _is_cyclic(M):
-        basis = [FqMatrix._over(q, [[int(i == j) for j in range(r)] for i in range(r)]), M]
-        if r == 3:
-            basis.append(M * M)
-        return basis
+    if not M.is_scalar():
+        M2 = M * M if r == 3 else None
+        if _is_cyclic(M, M2):
+            basis = [FqMatrix._over(q, [[int(i == j) for j in range(r)] for i in range(r)]), M]
+            return basis + [M2] if r == 3 else basis
     vecs = _kernel_basis_mod(_commutator_operator(M), q)
     return [FqMatrix._over(q, [v[i * r:(i + 1) * r] for i in range(r)]) for v in vecs]
 
@@ -252,26 +267,25 @@ def _factor_pattern(chi: tuple[int, ...], q: int) -> list[tuple[int, int]]:
     """(deg f, e) for each irreducible factor f^e of a monic polynomial over
     F_q of degree 2 or 3, ascending coefficients.
 
-    A cubic is scanned for its first root in F_q, which is divided out
-    synthetically with its multiplicity; a cubic without a root is
-    irreducible.  The monic quadratic x^2 + bx + c that may be left is read
-    from its discriminant b^2 - 4c (q is odd): zero gives a double root, a
-    nonzero square (Euler's criterion) two roots, a non-square an irreducible
-    factor."""
+    A cubic is scanned for its first root a in F_q by Horner's rule, and a
+    is divided out synthetically with its multiplicity; a cubic without a
+    root is irreducible.  The monic quadratic x^2 + bx + c that may be left
+    is read from its discriminant b^2 - 4c (q is odd): zero gives a double
+    root, a nonzero square (Euler's criterion) two roots, a non-square an
+    irreducible factor."""
     pattern, desc = [], chi[::-1]
     if len(desc) == 4:
-        for a in range(q):
-            e = 0
-            while len(desc) > 1:
-                *quotient, remainder = accumulate(desc, lambda acc, c: (acc * a + c) % q)
-                if remainder:
-                    break
-                desc, e = quotient, e + 1
-            if e:
-                pattern.append((1, e))
-                break
-        else:
+        _, c2, c1, c0 = desc
+        a = next((a for a in range(q) if (((a + c2) * a + c1) * a + c0) % q == 0), None)
+        if a is None:
             return [(3, 1)]
+        e = 0
+        while len(desc) > 1:
+            *quotient, remainder = accumulate(desc, lambda acc, c: (acc * a + c) % q)
+            if remainder:
+                break
+            desc, e = quotient, e + 1
+        pattern.append((1, e))
     if len(desc) == 3:
         _, b, c = desc
         disc = (b * b - 4 * c) % q
@@ -286,8 +300,9 @@ def _factor_pattern(chi: tuple[int, ...], q: int) -> list[tuple[int, int]]:
     return pattern
 
 
-def _centralizer_orders(M: FqMatrix, cyclic: bool) -> tuple[int, int]:
-    """(|C_GL(M)|, |C_SL(M)|) for a non-scalar M.
+def _centralizer_orders(chi: tuple[int, ...], q: int, cyclic: bool) -> tuple[int, int]:
+    """(|C_GL(M)|, |C_SL(M)|) for a non-scalar M with characteristic
+    polynomial chi.
 
     A cyclic M has the commutant F_q[x]/(chi), whose units number
     prod q^(d(e-1)) (q^d - 1) over the factors f^e of chi, d = deg f.  The
@@ -295,8 +310,7 @@ def _centralizer_orders(M: FqMatrix, cyclic: bool) -> tuple[int, int]:
     determinants fill the subgroup of F_q^* of index gcd(q-1, e_1, e_2, ...).
     A non-cyclic, non-scalar M has rank 3 and is diag(a, a, b) or
     J_2(a) + (a); its centralizer meets every determinant."""
-    q = M.q
-    pattern = _factor_pattern(M.char_poly(), q)
+    pattern = _factor_pattern(chi, q)
     if cyclic:
         gl = prod(q ** (d * (e - 1)) * (q ** d - 1) for d, e in pattern)
         return gl, gl * gcd(q - 1, *(e for _, e in pattern)) // (q - 1)
@@ -305,6 +319,12 @@ def _centralizer_orders(M: FqMatrix, cyclic: bool) -> tuple[int, int]:
     else:                  # J_2(a) + (a)
         gl = q ** 3 * (q - 1) ** 2
     return gl, gl // (q - 1)
+
+
+def _class_size(chi: tuple[int, ...], q: int, cyclic: bool) -> int:
+    """|GL_r(F_q)| / |C_GL(M)| for a non-scalar M with characteristic
+    polynomial chi."""
+    return _gl_order(len(chi) - 1, q) // _centralizer_orders(chi, q, cyclic)[0]
 
 
 def count_commuting_det1(M: FqMatrix) -> int:
@@ -316,7 +336,7 @@ def count_commuting_det1(M: FqMatrix) -> int:
     """
     if M.is_scalar():
         return sl_order(M.rank, M.q)
-    return _centralizer_orders(M, len(commutant_basis(M)) == M.rank)[1]
+    return _centralizer_orders(M.char_poly(), M.q, len(commutant_basis(M)) == M.rank)[1]
 
 
 # -- class-equation sweep ---------------------------------------------------------
@@ -328,33 +348,43 @@ def _companion(q: int, low: tuple[int, ...]) -> FqMatrix:
                               for i in range(r)])
 
 
+def _classes(rank: int, q: int) -> Iterator[tuple[str, tuple[int, ...], FqMatrix]]:
+    """(kind, chi, A) for one matrix A of each GL_rank(F_q)-conjugacy class
+    inside SL_rank(F_q), by rational canonical form (see the module
+    docstring); chi is the characteristic polynomial of A, ascending
+    coefficients.  Checks that q is an odd prime once, on the first item."""
+    _check_field(q)
+    if rank == 2:
+        for t in range(q):
+            chi = (1, -t % q, 1)
+            yield "cyclic", chi, _companion(q, chi[:-1])
+    else:
+        for t in range(q):
+            for s in range(q):
+                chi = (q - 1, s, -t % q, 1)
+                yield "cyclic", chi, _companion(q, chi[:-1])
+        for a in range(1, q):
+            b = pow(a, -2, q)
+            # (x - a)^2 (x - b) with a^2 b = 1
+            chi = (q - 1, a * (a + 2 * b) % q, -(2 * a + b) % q, 1)
+            yield "non-cyclic", chi, FqMatrix._over(q, [[a, 0, 0], [0, 0, -a * b], [0, 1, a + b]])
+    for a in range(1, q):
+        if pow(a, rank, q) == 1:
+            chi = tuple(comb(rank, i) * (-a) ** (rank - i) % q for i in range(rank + 1))
+            yield "scalar", chi, FqMatrix._over(q, [[a if i == j else 0 for j in range(rank)]
+                                                    for i in range(rank)])
+
+
 def class_representatives(rank: int, q: int) -> Iterator[FqMatrix]:
     """One matrix of each GL_rank(F_q)-conjugacy class inside SL_rank(F_q),
     by rational canonical form (see the module docstring).  Checks that q is
     an odd prime once, on the first item."""
-    _check_field(q)
-    if rank == 2:
-        for t in range(q):
-            yield _companion(q, (1, -t))
-    else:
-        for t in range(q):
-            for s in range(q):
-                yield _companion(q, (-1, s, -t))
-        for a in range(1, q):
-            b = pow(a, -2, q)
-            yield FqMatrix._over(q, [[a, 0, 0], [0, 0, -a * b], [0, 1, a + b]])
-    for a in range(1, q):
-        if pow(a, rank, q) == 1:
-            yield FqMatrix._over(q, [[a if i == j else 0 for j in range(rank)]
-                                     for i in range(rank)])
+    return (A for _, _, A in _classes(rank, q))
 
 
 def class_size(A: FqMatrix) -> int:
     """|GL_r(F_q)| / |C_GL(A)|: the number of conjugates of A."""
-    if A.is_scalar():
-        return 1
-    centralizer, _ = _centralizer_orders(A, _is_cyclic(A))
-    return _gl_order(A.rank, A.q) // centralizer
+    return 1 if A.is_scalar() else _class_size(A.char_poly(), A.q, _is_cyclic(A))
 
 
 def check_cells(rank: int, q: int, max_cells: int = DEFAULT_MAX_CELLS) -> None:
@@ -384,6 +414,17 @@ def count_rep_variety_points(rank: int, n: int, q: int,
     if q % 2 == 0:
         raise ValueError(f"q must be an odd prime, got {q}")
     check_cells(rank, q, max_cells)
-    # class_representatives checks the primality of q, once
-    return sum(class_size(A) * count_commuting_det1(A.pow(n))
-               for A in class_representatives(rank, q))
+    # the images of chi under A -> zA, one scale vector z^(r-i) per z, and
+    # under A -> A^-1, the reversed chi times (-1)^r
+    scales = [tuple(pow(z, rank - i, q) for i in range(rank + 1))
+              for z in range(1, q) if pow(z, rank, q) == 1]
+    sign = (-1) ** rank
+    total = 0
+    # _classes checks the primality of q, once
+    for kind, chi, A in _classes(rank, q):
+        orbit = {tuple(c * w % q for c, w in zip(chi, scale)) for scale in scales}
+        orbit |= {tuple(sign * c % q for c in reversed(image)) for image in orbit}
+        if chi == min(orbit):
+            size = 1 if kind == "scalar" else _class_size(chi, q, kind == "cyclic")
+            total += len(orbit) * size * count_commuting_det1(A.pow(n))
+    return total

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from math import prod
 
 import pytest
 
@@ -126,6 +127,22 @@ def test_commutant_basis_members_commute():
             commutant_dimension_by_null_space(m.rows, m.q), m
 
 
+def test_commutant_basis_forms_one_product_for_cyclic_rank3(monkeypatch):
+    # a cyclic rank-3 M needs M^2 for both the cyclicity test and the basis
+    # I, M, M^2; it is formed once
+    matrices = [a.pow(n) for q in (5, 7, 13) for a in class_representatives(3, q)
+                for n in (1, 2, 3)]
+    cyclic = [m for m in matrices
+              if not m.is_scalar() and commutant_dimension_by_null_space(m.rows, m.q) == 3]
+    assert len(cyclic) > 100
+    mul, calls = FqMatrix.__mul__, []
+    monkeypatch.setattr(FqMatrix, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+    for m in cyclic:
+        calls.clear()
+        assert len(commutant_basis(m)) == 3, m
+        assert len(calls) == 1, m
+
+
 def test_factor_pattern_matches_trial_division():
     # every det-1 characteristic polynomial of rank 2 and 3
     for q in (3, 5, 7, 11, 13):
@@ -230,9 +247,56 @@ def test_sweep_matches_bruteforce_oracle():
             count_rep_variety_points_bruteforce(rank, n, q), (rank, n, q)
 
 
+def _plain_class_sums(rank, q, ns):
+    # the class equation without orbits: every class representative once
+    reps = [(a, class_size(a)) for a in class_representatives(rank, q)]
+    return {n: sum(size * count_commuting_det1(a.pow(n)) for a, size in reps) for n in ns}
+
+
+def test_orbit_sweep_matches_plain_class_sum():
+    # rank 3 at q = 7, 13, 19, where the cube roots of unity are nontrivial
+    # and orbits have up to 6 classes; n <= 6, admissible or not
+    ns = range(1, 7)
+    for rank, qs in ((2, (5, 7, 11, 13)), (3, (7, 13, 19))):
+        for q in qs:
+            plain = _plain_class_sums(rank, q, ns)
+            for n in ns:
+                assert count_rep_variety_points(rank, n, q, max_cells=q ** 9) == plain[n], \
+                    (rank, n, q)
+
+
+def test_orbit_sweep_visits_one_class_per_orbit(monkeypatch):
+    # (3, 1, 7): 58 classes fall into 15 orbits of A -> zA (z^3 = 1), A -> A^-1
+    count, calls = ffcount.count_commuting_det1, []
+    monkeypatch.setattr(ffcount, "count_commuting_det1",
+                        lambda m: calls.append(m) or count(m))
+    assert count_rep_variety_points(3, 1, 7) == rep_variety_epoly_formula(3, 1).evaluate(7)
+    assert len(list(class_representatives(3, 7))) == 58
+    assert len(calls) <= 15
+
+
+def test_orbit_maps_keep_class_size_and_commutant():
+    # the invariance the orbit sum rests on: zA (z^r = 1) and A^-1 have the
+    # class size of A, and their n-th powers the SL-centralizer order of A^n
+    for rank, qs in ((2, (5, 7, 13)), (3, (7, 13))):
+        for q in qs:
+            ident = FqMatrix.identity(rank, q)
+            group_order = prod(q ** rank - q ** i for i in range(rank))
+            roots = [z for z in range(1, q) if pow(z, rank, q) == 1]
+            for a in class_representatives(rank, q):
+                inverse = a.pow(group_order - 1)
+                assert a * inverse == ident, a
+                images = [FqMatrix(q, [[z * x for x in row] for row in a.rows]) for z in roots]
+                for b in images + [inverse]:
+                    assert class_size(b) == class_size(a), (a, b)
+                    for n in (1, 2, 3):
+                        assert count_commuting_det1(b.pow(n)) == \
+                            count_commuting_det1(a.pow(n)), (a, b, n)
+
+
 def test_rank3_counts_beyond_q7():
     # q^9 is above the default cell ceiling for q >= 13, so it is raised here
-    for n, q in ((1, 13), (2, 13), (3, 19), (1, 31), (5, 31)):
+    for n, q in ((1, 13), (2, 13), (3, 19), (1, 31), (5, 31), (20, 61)):
         assert count_rep_variety_points(3, n, q, max_cells=q ** 9) == \
             rep_variety_epoly_formula(3, n).evaluate(q), (n, q)
 
@@ -288,8 +352,9 @@ def test_field_checked_once_per_count(monkeypatch):
 
 def test_cyclic_classes_skip_commutator_elimination(monkeypatch):
     # only scalar and non-cyclic matrices row-reduce their commutator
-    # equations: at rank 3 and n = 1 the q - 1 classes
-    # diag(a) + companion((x - a)(x - a^-2)), at rank 2 none
+    # equations: at rank 3 and n = 1 the classes
+    # diag(a) + companion((x - a)(x - a^-2)) the sweep visits, at most
+    # q - 1, at rank 2 none
     operator, calls = ffcount._commutator_operator, []
 
     def counting_operator(m):
