@@ -22,8 +22,8 @@ from .geom import (
 )
 from .charvar import char_piece_epoly, char_variety_epoly_formula
 from .ffcount import (
-    FqMatrix, ResourceLimitError, commutant_basis, commutant_dimension,
-    count_commuting_det1, count_rep_variety_points, is_admissible, sl_order,
+    FqMatrix, commutant_basis, commutant_dimension, count_commuting_det1,
+    count_rep_variety_points, is_admissible, sl_order,
 )
 
 __version__ = "0.1.0"

@@ -21,15 +21,12 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
 
 from . import charvar, ffcount, geom
 from .poly import Poly
-
-MAX_CELLS_ENV = "HOPFVAR_MAX_CELLS"
 
 #: Longest twist range ``table`` accepts; a longer one is refused (exit 2)
 #: before any row is built.
@@ -67,16 +64,6 @@ class VerificationReport:
 
 def _render(p: Poly, latex: bool) -> str:
     return p.to_latex() if latex else p.to_ascii()
-
-
-def _max_cells() -> int:
-    raw = os.environ.get(MAX_CELLS_ENV)
-    if raw is None:
-        return ffcount.DEFAULT_MAX_CELLS
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{MAX_CELLS_ENV} must be an integer, got {raw!r}") from None
 
 
 def _cmd_rep(args) -> int:
@@ -127,15 +114,14 @@ def _cmd_char(args) -> int:
     return 1 if mismatch else 0
 
 
-def _cmd_count(args, parser: argparse.ArgumentParser, max_cells: int) -> int:
+def _cmd_count(args, parser: argparse.ArgumentParser) -> int:
     admissible = ffcount.is_admissible(args.rank, args.n, args.q)
     if args.check and not admissible:
         parser.error(
             f"--assert requires {ffcount.admissibility_modulus(args.rank, args.n)} | q-1 "
             f"(got q={args.q})")
     started = time.perf_counter()
-    count = ffcount.count_rep_variety_points(
-        args.rank, args.n, args.q, threads=args.threads, max_cells=max_cells)
+    count = ffcount.count_rep_variety_points(args.rank, args.n, args.q, threads=args.threads)
     report = VerificationReport(rank=args.rank, n=args.n, counts=[(args.q, count)],
                                 elapsed_ms=(time.perf_counter() - started) * 1000.0)
 
@@ -264,13 +250,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # the library refuses a bad n, a bad q or a huge field before heavy work
         if args.command == "count":
-            return _cmd_count(args, parser, _max_cells())
+            return _cmd_count(args, parser)
         if args.command == "rep":
             return _cmd_rep(args)
         if args.command == "char":
             return _cmd_char(args)
         return _cmd_table(args, parser)
-    except (ValueError, ffcount.ResourceLimitError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

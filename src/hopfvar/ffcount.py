@@ -41,13 +41,17 @@ the q^9 matrices of a direct enumeration.
 
 The count equals the closed-formula E-polynomial at q when rank*n | q-1
 (is_admissible).  The sweep is serial: the threads argument is accepted and
-has no effect on the result.  max_cells still bounds q^(r^2), the number of
-r x r matrices over F_q, and is checked before the primality of q.
+has no effect on the result.  It steps through about q^(r-1) classes (q^2 + q
+at rank 3, q + 2 at rank 2) and refuses a field whose q^(r-1) exceeds
+MAX_CLASSES; that check is O(1) and runs before the primality test of q, which
+would not end for a huge q.  A^n is computed as A^(n mod |GL_r(F_q)|), exact
+by Lagrange's theorem, so the cost of a class does not grow with n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from math import comb, gcd, prod
 from typing import Iterable, Iterator, Optional
@@ -56,18 +60,17 @@ from .poly import special_linear_epoly
 from .strata import admissibility_modulus, check_twists, is_admissible, is_prime
 
 __all__ = [
-    "FqMatrix", "ResourceLimitError",
-    "sl_order", "is_admissible", "admissibility_modulus", "check_cells",
+    "FqMatrix", "MAX_CLASSES",
+    "sl_order", "is_admissible", "admissibility_modulus",
     "commutant_dimension", "commutant_basis",
     "count_commuting_det1", "class_representatives", "class_size",
     "count_rep_variety_points",
 ]
 
-DEFAULT_MAX_CELLS = 10 ** 10
-
-
-class ResourceLimitError(RuntimeError):
-    """q^(r^2) would exceed the configured cell ceiling."""
+#: Largest q^(rank-1), about the number of classes the sweep steps through,
+#: that count_rep_variety_points accepts: rank 3 up to q = 631, rank 2 up to
+#: q = 399989.
+MAX_CLASSES = 400_000
 
 
 def _check_field(q: int) -> None:
@@ -348,38 +351,40 @@ def _companion(q: int, low: tuple[int, ...]) -> FqMatrix:
                               for i in range(r)])
 
 
-def _classes(rank: int, q: int) -> Iterator[tuple[str, tuple[int, ...], FqMatrix]]:
-    """(kind, chi, A) for one matrix A of each GL_rank(F_q)-conjugacy class
-    inside SL_rank(F_q), by rational canonical form (see the module
-    docstring); chi is the characteristic polynomial of A, ascending
-    coefficients.  Checks that q is an odd prime once, on the first item."""
-    _check_field(q)
+def _classes(rank: int, q: int) -> Iterator[tuple[str, tuple[int, ...], partial[FqMatrix]]]:
+    """(kind, chi, make) for each GL_rank(F_q)-conjugacy class inside
+    SL_rank(F_q), by rational canonical form (see the module docstring); chi
+    is the characteristic polynomial of the class, ascending coefficients,
+    and make() builds its matrix.  q must have passed _check_field."""
     if rank == 2:
         for t in range(q):
             chi = (1, -t % q, 1)
-            yield "cyclic", chi, _companion(q, chi[:-1])
+            yield "cyclic", chi, partial(_companion, q, chi[:-1])
     else:
         for t in range(q):
             for s in range(q):
                 chi = (q - 1, s, -t % q, 1)
-                yield "cyclic", chi, _companion(q, chi[:-1])
+                yield "cyclic", chi, partial(_companion, q, chi[:-1])
         for a in range(1, q):
             b = pow(a, -2, q)
             # (x - a)^2 (x - b) with a^2 b = 1
             chi = (q - 1, a * (a + 2 * b) % q, -(2 * a + b) % q, 1)
-            yield "non-cyclic", chi, FqMatrix._over(q, [[a, 0, 0], [0, 0, -a * b], [0, 1, a + b]])
+            yield "non-cyclic", chi, partial(FqMatrix._over, q,
+                                             [[a, 0, 0], [0, 0, -a * b], [0, 1, a + b]])
     for a in range(1, q):
         if pow(a, rank, q) == 1:
             chi = tuple(comb(rank, i) * (-a) ** (rank - i) % q for i in range(rank + 1))
-            yield "scalar", chi, FqMatrix._over(q, [[a if i == j else 0 for j in range(rank)]
-                                                    for i in range(rank)])
+            yield "scalar", chi, partial(FqMatrix._over, q,
+                                         [[a if i == j else 0 for j in range(rank)]
+                                          for i in range(rank)])
 
 
 def class_representatives(rank: int, q: int) -> Iterator[FqMatrix]:
     """One matrix of each GL_rank(F_q)-conjugacy class inside SL_rank(F_q),
-    by rational canonical form (see the module docstring).  Checks that q is
-    an odd prime once, on the first item."""
-    return (A for _, _, A in _classes(rank, q))
+    by rational canonical form (see the module docstring).  Raises ValueError
+    unless q is an odd prime."""
+    _check_field(q)
+    return (make() for _, _, make in _classes(rank, q))
 
 
 def class_size(A: FqMatrix) -> int:
@@ -387,44 +392,38 @@ def class_size(A: FqMatrix) -> int:
     return 1 if A.is_scalar() else _class_size(A.char_poly(), A.q, _is_cyclic(A))
 
 
-def check_cells(rank: int, q: int, max_cells: int = DEFAULT_MAX_CELLS) -> None:
-    """Refuse a field whose q^(rank^2) matrices exceed max_cells.  Cheap, so
-    it runs before the trial-division primality test, which would not end
-    for a huge q."""
-    cells = q ** (rank * rank)
-    if cells > max_cells:
-        raise ResourceLimitError(
-            f"q^{rank * rank} = {cells} exceeds the cell ceiling {max_cells}")
-
-
 def count_rep_variety_points(rank: int, n: int, q: int,
-                             threads: Optional[int] = None,
-                             max_cells: int = DEFAULT_MAX_CELLS) -> int:
+                             threads: Optional[int] = None) -> int:
     """Exact #{(A, B) in SL_rank(F_q)^2 : A^n B = B A^n}.
 
     Computes the raw count for any odd prime q; equality with the closed-formula
     E-polynomial at q is only expected when is_admissible(rank, n, q).
-    Raises ResourceLimitError when q^(rank^2) exceeds max_cells.  threads is
+    Raises ValueError when q^(rank-1) exceeds MAX_CLASSES.  threads is
     accepted for compatibility; the sweep is serial and its result does not
     depend on it.
     """
     if rank not in (2, 3):
         raise ValueError(f"rank must be 2 or 3, got {rank}")
     check_twists(n)
-    if q % 2 == 0:
-        raise ValueError(f"q must be an odd prime, got {q}")
-    check_cells(rank, q, max_cells)
+    classes = q ** (rank - 1)
+    if classes > MAX_CLASSES:
+        raise ValueError(f"q^{rank - 1} = {classes} classes exceeds the class "
+                         f"ceiling {MAX_CLASSES}")
+    _check_field(q)
+    # A^|GL_r(F_q)| = I, so n may be reduced mod the group order; a zero
+    # remainder keeps the exponent at the order itself, since pow needs n >= 1
+    order = _gl_order(rank, q)
+    n = n % order or order
     # the images of chi under A -> zA, one scale vector z^(r-i) per z, and
     # under A -> A^-1, the reversed chi times (-1)^r
     scales = [tuple(pow(z, rank - i, q) for i in range(rank + 1))
               for z in range(1, q) if pow(z, rank, q) == 1]
     sign = (-1) ** rank
     total = 0
-    # _classes checks the primality of q, once
-    for kind, chi, A in _classes(rank, q):
+    for kind, chi, make in _classes(rank, q):
         orbit = {tuple(c * w % q for c, w in zip(chi, scale)) for scale in scales}
         orbit |= {tuple(sign * c % q for c in reversed(image)) for image in orbit}
         if chi == min(orbit):
             size = 1 if kind == "scalar" else _class_size(chi, q, kind == "cyclic")
-            total += len(orbit) * size * count_commuting_det1(A.pow(n))
+            total += len(orbit) * size * count_commuting_det1(make().pow(n))
     return total

@@ -203,11 +203,6 @@ def equivariant_pieces(xi: JordanType, group: str) -> tuple[S2Elem | S3Elem, S2E
     return equivariant_pgl_piece(xi, group), equivariant_stab_piece(xi, group)
 
 
-def stratum_group(stratum: Stratum) -> str | None:
-    """Residual block-permutation group of the stratum: None, 's2' or 's3'."""
-    return _FACTORS[stratum.src, stratum.tgt][0]
-
-
 # -- stratum assembly ----------------------------------------------------------
 
 def _factor_row(rank: int, i: int, j: int, group: str | None):

@@ -128,14 +128,27 @@ def test_count_rejects_bad_q(capsys):
         assert code == 2
 
 
-def test_count_honors_resource_guard_env(capsys, monkeypatch):
-    monkeypatch.setenv("HOPFVAR_MAX_CELLS", "10")
-    code, _, err = run_cli(["count", "--rank", "2", "--n", "1", "--q", "5"], capsys)
-    assert code == 2
-    assert "ceiling" in err
-    monkeypatch.setenv("HOPFVAR_MAX_CELLS", "not-a-number")
-    code, _, err = run_cli(["count", "--rank", "2", "--n", "1", "--q", "5"], capsys)
-    assert code == 2
+def test_count_rank3_beyond_old_ceiling(capsys):
+    # q^9 matrices at q = 61 exceed 10^10, but the sweep visits only q^2 classes
+    code, out, _ = run_cli(
+        ["count", "--rank", "3", "--n", "1", "--q", "61", "--assert"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "MATCH"
+
+
+def test_count_huge_n_is_quick():
+    # the sweep reduces n mod |GL_2(F_q)| before powering, so a 4000-digit n
+    # costs about as much as n = 1
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfvar.cli", "count", "--rank", "2",
+         "--n", "7" * 4000, "--q", "1009"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=10)
+    assert time.perf_counter() - started < 10.0
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("count: ")
 
 
 def test_table_csv_round_trip(capsys):

@@ -9,7 +9,7 @@ import pytest
 
 from hopfvar import ffcount
 from hopfvar.ffcount import (
-    FqMatrix, ResourceLimitError, class_representatives, class_size,
+    FqMatrix, class_representatives, class_size,
     commutant_basis, commutant_dimension, count_commuting_det1,
     count_rep_variety_points, is_admissible, sl_order,
 )
@@ -255,14 +255,19 @@ def _plain_class_sums(rank, q, ns):
 
 def test_orbit_sweep_matches_plain_class_sum():
     # rank 3 at q = 7, 13, 19, where the cube roots of unity are nontrivial
-    # and orbits have up to 6 classes; n <= 6, admissible or not
+    # and orbits have up to 6 classes; n <= 6, admissible or not.  The plain
+    # sum powers a.pow(n) directly, so a huge n at q = 5 and 7 checks that
+    # the sweep's reduction of n mod |GL_r(F_q)| is exact.
     ns = range(1, 7)
     for rank, qs in ((2, (5, 7, 11, 13)), (3, (7, 13, 19))):
         for q in qs:
             plain = _plain_class_sums(rank, q, ns)
             for n in ns:
-                assert count_rep_variety_points(rank, n, q, max_cells=q ** 9) == plain[n], \
-                    (rank, n, q)
+                assert count_rep_variety_points(rank, n, q) == plain[n], (rank, n, q)
+    huge = 10 ** 50 + 3
+    for rank, q in ((2, 5), (2, 7), (3, 5), (3, 7)):
+        assert count_rep_variety_points(rank, huge, q) == \
+            _plain_class_sums(rank, q, [huge])[huge], (rank, q)
 
 
 def test_orbit_sweep_visits_one_class_per_orbit(monkeypatch):
@@ -295,9 +300,8 @@ def test_orbit_maps_keep_class_size_and_commutant():
 
 
 def test_rank3_counts_beyond_q7():
-    # q^9 is above the default cell ceiling for q >= 13, so it is raised here
     for n, q in ((1, 13), (2, 13), (3, 19), (1, 31), (5, 31), (20, 61)):
-        assert count_rep_variety_points(3, n, q, max_cells=q ** 9) == \
+        assert count_rep_variety_points(3, n, q) == \
             rep_variety_epoly_formula(3, n).evaluate(q), (n, q)
 
 
@@ -326,13 +330,17 @@ def test_input_validation():
         count_rep_variety_points(2, 0, 5)
 
 
-def test_resource_guard():
-    with pytest.raises(ResourceLimitError):
-        count_rep_variety_points(2, 1, 5, max_cells=100)
-    with pytest.raises(ResourceLimitError):
-        count_rep_variety_points(3, 1, 13)  # 13^9 exceeds the default ceiling
-    # raising the ceiling lifts the refusal (don't actually run 13^9 here)
-    assert count_rep_variety_points(2, 1, 5, max_cells=10 ** 6, threads=1) == 1080
+def test_class_budget_boundary(monkeypatch):
+    # the sweep visits q^(rank-1) classes; 641^2 and 400009 exceed the budget
+    # of 400000, and the refusal comes before any class is visited
+    for rank, q in ((3, 641), (2, 400009)):
+        with pytest.raises(ValueError, match="ceiling"):
+            count_rep_variety_points(rank, 1, q)
+    # q^2 = 49 fits a budget of 49, 121 does not
+    monkeypatch.setattr(ffcount, "MAX_CLASSES", 49)
+    assert count_rep_variety_points(3, 1, 7) == rep_variety_epoly_formula(3, 1).evaluate(7)
+    with pytest.raises(ValueError, match="ceiling"):
+        count_rep_variety_points(3, 1, 11)
 
 
 def test_field_checked_once_per_count(monkeypatch):
@@ -372,14 +380,14 @@ def test_cyclic_classes_skip_commutator_elimination(monkeypatch):
 
 
 def test_huge_q_refused_before_primality():
-    # trial division of an 18-digit prime would not end; the cell ceiling
+    # trial division of an 18-digit prime would not end; the class ceiling
     # refuses it first
     proc = run_python(
-        "from hopfvar.ffcount import ResourceLimitError, count_rep_variety_points\n"
+        "from hopfvar.ffcount import count_rep_variety_points\n"
         "try:\n"
         f"    count_rep_variety_points(2, 1, {HUGE_PRIME})\n"
-        "except ResourceLimitError:\n"
-        "    print('refused')\n", timeout=2)
+        "except ValueError as exc:\n"
+        "    print('refused' if 'ceiling' in str(exc) else exc)\n", timeout=2)
     assert proc.stdout.strip() == "refused", proc.stderr
 
 

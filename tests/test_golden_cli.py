@@ -30,6 +30,8 @@ def commands() -> list[list[str]]:
     for rank, n, q in (("2", "2", "5"), ("3", "1", "7"), ("3", "2", "7")):
         argvs.append(["count", "--rank", rank, "--n", n, "--q", q, "--assert"])
     argvs.append(["count", "--rank", "2", "--n", "2", "--q", "7"])  # inadmissible
+    argvs.append(["count", "--rank", "3", "--n", "1", "--q", "61", "--assert"])
+    argvs.append(["count", "--rank", "2", "--n", "1", "--q", "1009"])
     return argvs
 
 
