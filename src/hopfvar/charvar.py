@@ -44,6 +44,20 @@ _IRR_DISTINCT_SLICE = Poly([2, -3, 3, 1, -4, 2, 1])
 # Diagonalizable + non-diagonalizable second-block cases for a repeated
 # eigenvalue: q^4 - q^3 + q^2 - q + 1.
 _IRR_REPEATED_SLICE = Poly([1, -1, 1, -1, 1])
+# Rank-2 diagonal pairs up to swap, and the slice of one twist class of
+# irreducibles; rank-3 sums of three characters.
+_R2_RED = Q ** 2 + 1
+_R2_IRR_SLICE = Q ** 2 - Q + 1
+_R3_RED111 = Q ** 4 + Q ** 2 + 1
+
+# n-independent terms of the closed formulas.  They repeat some of the
+# pieces' polynomials on purpose: a slip in one copy then shows as a mismatch
+# between the pieces and the formula.
+_F_Q2_1 = Q ** 2 + 1
+_F_Q2_Q_1 = Q ** 2 - Q + 1
+_F_Q3_2Q_1 = Q ** 3 - 2 * Q - 1
+_F_Q3 = Q ** 3
+_F_Q4 = Q ** 4
 
 
 def char_piece_epoly(rank: int, piece: str, n: int) -> Poly:
@@ -56,13 +70,13 @@ def char_piece_epoly(rank: int, piece: str, n: int) -> Poly:
 
     if rank == 2:
         if piece == "red_total":
-            return Q ** 2 + 1
+            return _R2_RED
         if piece == "irr_total":
-            return (n - 1) * (Q ** 2 - Q + 1)
+            return (n - 1) * _R2_IRR_SLICE
         return char_piece_epoly(2, "red_total", n) + char_piece_epoly(2, "irr_total", n)
 
     if piece == "red_111":
-        return Q ** 4 + Q ** 2 + 1
+        return _R3_RED111
     if piece == "red_21":
         # (n-1) twist classes: floor((n-1)/2) inverse pairs, plus the
         # self-inverse class when n is even.
@@ -86,15 +100,15 @@ def char_variety_epoly_formula(rank: int, n: int) -> Poly:
     handling of the half-integer and floor terms."""
     check_twists(n)
     if rank == 2:
-        return Q ** 2 + 1 + (n - 1) * (Q ** 2 - Q + 1)
+        return _F_Q2_1 + (n - 1) * _F_Q2_Q_1
     if rank == 3:
         m = (n - 1) * (n - 2)
         return (
-            Q ** 4
+            _F_Q4
             + (m * _IRR_DISTINCT_SLICE).exact_div(2)
-            - ((n - 1) // 2) * (Q ** 3 - 2 * Q - 1)
+            - ((n - 1) // 2) * _F_Q3_2Q_1
             + 3 * (n - 1) * _IRR_REPEATED_SLICE
-            - (n - 2) * (Q ** 2 + 1)
-            + (n - 1) * Q ** 3
+            - (n - 2) * _F_Q2_1
+            + (n - 1) * _F_Q3
         )
     raise ValueError(f"rank must be 2 or 3, got {rank}")

@@ -324,12 +324,6 @@ def _centralizer_orders(chi: tuple[int, ...], q: int, cyclic: bool) -> tuple[int
     return gl, gl // (q - 1)
 
 
-def _class_size(chi: tuple[int, ...], q: int, cyclic: bool) -> int:
-    """|GL_r(F_q)| / |C_GL(M)| for a non-scalar M with characteristic
-    polynomial chi."""
-    return _gl_order(len(chi) - 1, q) // _centralizer_orders(chi, q, cyclic)[0]
-
-
 def count_commuting_det1(M: FqMatrix) -> int:
     """#{B in SL_r(F_q) : BM = MB} = |C_SL(M)|.
 
@@ -389,7 +383,9 @@ def class_representatives(rank: int, q: int) -> Iterator[FqMatrix]:
 
 def class_size(A: FqMatrix) -> int:
     """|GL_r(F_q)| / |C_GL(A)|: the number of conjugates of A."""
-    return 1 if A.is_scalar() else _class_size(A.char_poly(), A.q, _is_cyclic(A))
+    if A.is_scalar():
+        return 1
+    return _gl_order(A.rank, A.q) // _centralizer_orders(A.char_poly(), A.q, _is_cyclic(A))[0]
 
 
 def count_rep_variety_points(rank: int, n: int, q: int,
@@ -414,16 +410,19 @@ def count_rep_variety_points(rank: int, n: int, q: int,
     # remainder keeps the exponent at the order itself, since pow needs n >= 1
     order = _gl_order(rank, q)
     n = n % order or order
-    # the images of chi under A -> zA, one scale vector z^(r-i) per z, and
-    # under A -> A^-1, the reversed chi times (-1)^r
-    scales = [tuple(pow(z, rank - i, q) for i in range(rank + 1))
-              for z in range(1, q) if pow(z, rank, q) == 1]
+    # chi's first and last coefficients are fixed by the orbit maps, so an
+    # image of chi is one of its middle coefficients mid = chi[1:-1]: zA
+    # multiplies c_i by z^(r-i), A^-1 reverses mid and multiplies it by (-1)^r
+    weights = [tuple(pow(z, rank - i, q) for i in range(1, rank))
+               for z in range(1, q) if pow(z, rank, q) == 1]
     sign = (-1) ** rank
     total = 0
     for kind, chi, make in _classes(rank, q):
-        orbit = {tuple(c * w % q for c, w in zip(chi, scale)) for scale in scales}
-        orbit |= {tuple(sign * c % q for c in reversed(image)) for image in orbit}
-        if chi == min(orbit):
-            size = 1 if kind == "scalar" else _class_size(chi, q, kind == "cyclic")
-            total += len(orbit) * size * count_commuting_det1(make().pow(n))
+        mid = chi[1:-1]
+        images = [tuple([c * w % q for c, w in zip(mid, ws)]) for ws in weights]
+        images += [tuple([sign * c % q for c in image[::-1]]) for image in images]
+        if mid == min(images):
+            size = 1 if kind == "scalar" else order // _centralizer_orders(
+                chi, q, kind == "cyclic")[0]
+            total += len(set(images)) * size * count_commuting_det1(make().pow(n))
     return total

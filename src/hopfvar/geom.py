@@ -144,8 +144,7 @@ class Stratum:
 
 
 def admissible_strata(rank: int) -> list[Stratum]:
-    return [Stratum(JordanType(rank, i), JordanType(rank, j))
-            for i, j, _ in _rows(_STRATA, rank)]
+    return list(_rows(_ADMISSIBLE, rank))
 
 
 def stabilizer_epoly(xi: JordanType) -> Poly:
@@ -219,6 +218,11 @@ def _factor_row(rank: int, i: int, j: int, group: str | None):
 # (src, tgt) -> (residual group, n-independent factor), for every admissible stratum
 _FACTORS = dict(_factor_row(rank, *row) for rank, rows in _STRATA.items() for row in rows)
 
+# the admissible strata of each rank, in assembly order
+_ADMISSIBLE = {rank: tuple(Stratum(JordanType(rank, i), JordanType(rank, j))
+                           for i, j, _ in rows)
+               for rank, rows in _STRATA.items()}
+
 
 def stratum_epoly(stratum: Stratum, n: int) -> Poly:
     """E-polynomial of one admissible stratum at twist count n: the
@@ -245,20 +249,24 @@ def rep_variety_epoly_strata(rank: int, n: int) -> Poly:
 _R3_N2 = Poly([0, 2, -3, -3, 1, 2, 2, 1])      # n^2 cofactor (before /2)
 _R3_N1 = Poly([0, 12, -1, -17, -3, 0, 6, 3])   # n cofactor (before /2)
 _R3_N0 = Poly([0, 13, 2, -6, -2, -1, 2, 1])    # constant-in-n cofactor
+_R3_FLOOR = (Q ** 2 - Q) * (Q ** 2 - Q - 1)     # floor(n/2) cofactor
+_R3_OUTER = (Q ** 3 - 1) * (Q ** 2 - 1) * Q ** 2
+_R2_OUTER = Q ** 3 - Q
 
 
 def rep_variety_epoly_formula(rank: int, n: int) -> Poly:
     """E-polynomial of the representation variety by the closed formula."""
     check_twists(n)
     if rank == 2:
-        return ((n - 1) * Q ** 2 + n * Q + (5 - n)) * (Q ** 3 - Q)
+        # ((n - 1) q^2 + n q + (5 - n)) (q^3 - q)
+        return Poly([5 - n, n, n - 1]) * _R2_OUTER
     if rank == 3:
         # n^2 and n terms combine to an even polynomial for every n,
         # so the halving is exact.
         bracket = (
-            (n // 2) * (Q ** 2 - Q) * (Q ** 2 - Q - 1)
+            (n // 2) * _R3_FLOOR
             + (n * n * _R3_N2 - n * _R3_N1).exact_div(2)
             + _R3_N0
         )
-        return (Q ** 3 - 1) * (Q ** 2 - 1) * Q ** 2 * bracket
+        return _R3_OUTER * bracket
     raise ValueError(f"rank must be 2 or 3, got {rank}")

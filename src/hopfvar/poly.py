@@ -8,6 +8,11 @@ arithmetic, exact evaluation, and the symmetric-product series expansion.
 
 Coefficients are stored ascending (index i holds the coefficient of q^i) with
 trailing zeros stripped, so equal polynomials compare equal structurally.
+The public constructor ``Poly(coeffs)`` validates its input: every coefficient
+must be an int.  Arithmetic (``+``, ``-``, ``*``, ``**``, ``exact_div``) takes
+Poly and int operands only, so its coefficients are ints by construction, and
+builds its results through the trusted constructor ``Poly._make``, which only
+strips trailing zeros.
 Degrees in this package stay small (<= 16), which makes the dense
 representation and schoolbook convolution the right tool.
 
@@ -38,6 +43,17 @@ class Poly:
                 raise TypeError(f"coefficients must be ints, got {type(c).__name__}")
         object.__setattr__(self, "coeffs", tuple(cs))
 
+    @staticmethod
+    def _make(cs: list[int]) -> Poly:
+        """Trusted constructor for results of arithmetic on Poly and int
+        operands: strips the trailing zeros of cs (in place) and skips the
+        coefficient type check.  Takes ownership of cs."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        p = object.__new__(Poly)
+        object.__setattr__(p, "coeffs", tuple(cs))
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
@@ -52,14 +68,6 @@ class Poly:
         if degree < 0:
             raise ValueError("degree must be >= 0")
         return Poly([0] * degree + [coeff])
-
-    @staticmethod
-    def _coerce(x: IntoPoly) -> Poly:
-        if isinstance(x, Poly):
-            return x
-        if isinstance(x, int):
-            return Poly([x])
-        return NotImplemented
 
     # -- basic queries -------------------------------------------------------
 
@@ -78,47 +86,73 @@ class Poly:
         return self.coeffs[-1] if self.coeffs else 0
 
     # -- ring arithmetic -----------------------------------------------------
+    #
+    # A Poly operand is used as it is and an int takes the scalar path; any
+    # other operand gives NotImplemented, hence a TypeError.
 
     def __add__(self, other: IntoPoly) -> Poly:
-        other = Poly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        if isinstance(other, Poly):
+            a, b = self.coeffs, other.coeffs
+            if len(a) < len(b):
+                a, b = b, a
+            out = list(a)
+            for i, c in enumerate(b):
+                out[i] += c
+            return Poly._make(out)
+        if isinstance(other, int):
+            out = list(self.coeffs) or [0]
+            out[0] += other
+            return Poly._make(out)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly([-c for c in self.coeffs])
+        return Poly._make([-c for c in self.coeffs])
 
     def __sub__(self, other: IntoPoly) -> Poly:
-        other = Poly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if isinstance(other, Poly):
+            a, b = self.coeffs, other.coeffs
+            out = list(a) + [0] * (len(b) - len(a))
+            for i, c in enumerate(b):
+                out[i] -= c
+            return Poly._make(out)
+        if isinstance(other, int):
+            out = list(self.coeffs) or [0]
+            out[0] -= other
+            return Poly._make(out)
+        return NotImplemented
 
     def __rsub__(self, other: IntoPoly) -> Poly:
-        return Poly._coerce(other) - self
+        if isinstance(other, int):
+            out = [-c for c in self.coeffs] or [0]
+            out[0] += other
+            return Poly._make(out)
+        return NotImplemented
 
     def __mul__(self, other: IntoPoly) -> Poly:
-        other = Poly._coerce(other)
-        if other is NotImplemented:
+        a = self.coeffs
+        if isinstance(other, Poly):
+            b = other.coeffs
+            if len(b) == 1:
+                k = b[0]
+            elif len(a) == 1:
+                a, k = b, a[0]
+            elif not a or not b:
+                return Poly._make([])
+            else:
+                out = [0] * (len(a) + len(b) - 1)
+                for i, ai in enumerate(a):
+                    if ai == 0:
+                        continue
+                    for j, bj in enumerate(b):
+                        out[i + j] += ai * bj
+                return Poly._make(out)
+        elif isinstance(other, int):
+            k = other
+        else:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return Poly(out)
+        return Poly._make([c * k for c in a])
 
     __rmul__ = __mul__
 
@@ -149,7 +183,7 @@ class Poly:
             if r:
                 raise ValueError(f"coefficient {c} not divisible by {k}")
             out.append(d)
-        return Poly(out)
+        return Poly._make(out)
 
     def evaluate(self, x: int) -> int:
         """Exact Horner evaluation at an integer point."""
@@ -161,11 +195,11 @@ class Poly:
     # -- comparisons / hashing ----------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, Poly):
+            return self.coeffs == other.coeffs
         if isinstance(other, int):
-            other = Poly([other])
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
+            return self.coeffs == ((other,) if other else ())
+        return NotImplemented
 
     def __hash__(self) -> int:
         return hash(self.coeffs)

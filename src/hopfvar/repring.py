@@ -22,7 +22,11 @@ IntoPoly = Union[Poly, int]
 
 
 def _poly(x: IntoPoly) -> Poly:
-    return x if isinstance(x, Poly) else Poly.const(x)
+    if isinstance(x, Poly):
+        return x
+    if isinstance(x, int):
+        return Poly([x])
+    raise TypeError(f"coefficients must be Poly or int, got {type(x).__name__}")
 
 
 def _render(parts: list[tuple[Poly, str]]) -> str:

@@ -144,7 +144,8 @@ def config_epoly(src: Partition, tgt: Partition, n: int) -> Poly:
     if key == (3, 3, 2):
         return (n - 1) * (Q - (3 * n + 1))
     if key == (3, 3, 3):
-        return Q * Q - (3 * n + 2) * Q + (6 * n * n + 3 * n + 1)
+        # q^2 - (3n + 2) q + (6n^2 + 3n + 1)
+        return Poly([6 * n * n + 3 * n + 1, -(3 * n + 2), 1])
     raise AssertionError(f"unhandled refinement pair {key}")
 
 
@@ -180,11 +181,13 @@ def config_equivariant_s3(tgt: Partition | None, n: int) -> S3Elem:
         m = (n - 1) * (n - 2)  # always even
         return S3Elem(Poly.const(_half(m)), Poly.const(_half(m)), Poly.const(m))
     if tgt == P3_DISTINCT:
-        nn = n * n
+        # q^2 - q - a (q - 1) + n^2, n^2 - b (q - 1) and 2n^2 - (n + 1) (q - 1),
+        # with a = floor(n/2) and b = floor((n-1)/2)
+        nn, a, b = n * n, n // 2, (n - 1) // 2
         return S3Elem(
-            Q * Q - Q - (n // 2) * (Q - 1) + nn,
-            -(((n - 1) // 2) * (Q - 1) - nn),
-            -((n + 1) * (Q - 1) - 2 * nn),
+            Poly([nn + a, -1 - a, 1]),
+            Poly([nn + b, -b]),
+            Poly([2 * nn + n + 1, -(n + 1)]),
         )
     raise ValueError(f"no S3 action data for target {tgt}")
 

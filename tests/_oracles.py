@@ -293,3 +293,52 @@ def factor_pattern_by_trial_division(chi, q):
     if len(poly) > 1:
         pattern.append((len(poly) - 1, 1))
     return sorted(pattern)
+
+
+# -- class orbits under A -> zA and A -> A^-1 -------------------------------------
+#
+# A class of SL_r(F_q), r <= 3, is keyed by the dimension of its commutant and
+# its characteristic polynomial.  The orbit of a class is the set of keys of
+# the matrices zA and zA^-1 (z^r = 1), formed entry by entry, with A^-1 the
+# adjugate of A (det A = 1).  It checks the package's sweep, which moves only
+# the coefficients of the characteristic polynomial.
+
+def _det_laplace(m):
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _det_laplace([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def _char_poly_by_minors(m, q):
+    """Monic characteristic polynomial, ascending: the coefficient of
+    x^(r-k) is (-1)^k times the sum of the principal k x k minors."""
+    r = len(m)
+    chi = [0] * (r + 1)
+    for k in range(r + 1):
+        minors = sum(_det_laplace([[m[i][j] for j in idx] for i in idx]) if idx else 1
+                     for idx in itertools.combinations(range(r), k))
+        chi[r - k] = (-1) ** k * minors % q
+    return tuple(chi)
+
+
+def class_key(rows, q):
+    """(commutant dimension, characteristic polynomial) of a matrix of rank
+    <= 3: equal keys mean conjugate matrices."""
+    rows = [[x % q for x in row] for row in rows]
+    return commutant_dimension_by_null_space(rows, q), _char_poly_by_minors(rows, q)
+
+
+def set_based_orbits(matrices, q):
+    """{least key of each orbit: number of classes in the orbit}, for the
+    orbits of the classes of these determinant-one matrices."""
+    out = {}
+    for rows in matrices:
+        r = len(rows)
+        adjugate = [[(-1) ** (i + j) * _det_laplace([row[:i] + row[i + 1:]
+                                                      for k, row in enumerate(rows) if k != j])
+                     for j in range(r)] for i in range(r)]
+        orbit = {class_key([[z * x for x in row] for row in m], q)
+                 for z in range(1, q) if pow(z, r, q) == 1 for m in (rows, adjugate)}
+        out[min(orbit)] = len(orbit)
+    return out

@@ -16,9 +16,10 @@ from hopfvar.ffcount import (
 from hopfvar.geom import rep_variety_epoly_formula
 
 from _oracles import (
-    commutant_dimension_by_null_space, commutant_unit_counts,
+    class_key, commutant_dimension_by_null_space, commutant_unit_counts,
     count_commuting_pairs_sl2, count_rep_variety_points_bruteforce,
-    factor_pattern_by_trial_division, linearly_independent, sl_matrices,
+    factor_pattern_by_trial_division, linearly_independent, set_based_orbits,
+    sl_matrices,
 )
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -278,6 +279,30 @@ def test_orbit_sweep_visits_one_class_per_orbit(monkeypatch):
     assert count_rep_variety_points(3, 1, 7) == rep_variety_epoly_formula(3, 1).evaluate(7)
     assert len(list(class_representatives(3, 7))) == 58
     assert len(calls) <= 15
+
+
+def test_orbit_representatives_match_set_based_orbits(monkeypatch):
+    # The k-th class the sweep visits gets the commutant count BASE^k, so at
+    # n = 1 the count holds, digit by digit in base BASE, the orbit size times
+    # the class size of each visited class.  The visited classes and their
+    # orbit sizes must be the least class and the size of each set-based orbit.
+    base = 10 ** 12  # above 6 |GL_3(F_13)|
+    for rank in (2, 3):
+        for q in (5, 7, 13):
+            visited = []
+            with monkeypatch.context() as patch:
+                patch.setattr(ffcount, "count_commuting_det1",
+                              lambda m: visited.append(m) or base ** (len(visited) - 1))
+                total = count_rep_variety_points(rank, 1, q)
+            orbits = {}
+            for a in visited:
+                total, digit = divmod(total, base)
+                size, rem = divmod(digit, class_size(a))
+                assert rem == 0, (rank, q, a)
+                orbits[class_key(a.rows, q)] = size
+            assert total == 0
+            expected = set_based_orbits([a.rows for a in class_representatives(rank, q)], q)
+            assert orbits == expected, (rank, q)
 
 
 def test_orbit_maps_keep_class_size_and_commutant():

@@ -133,3 +133,105 @@ def test_pow():
     assert (Q - 1) ** 0 == ONE
     with pytest.raises(ValueError):
         Q ** -1
+
+
+def test_constructor_rejects_non_int_coefficients():
+    with pytest.raises(TypeError):
+        Poly([1, 2.5])
+    with pytest.raises(TypeError):
+        Poly(["1"])
+
+
+@pytest.mark.parametrize("other", [1.5, "q"])
+def test_non_int_operands_raise_type_error(other):
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(TypeError):
+            op(Q + 1, other)
+        with pytest.raises(TypeError):
+            op(other, Q + 1)
+
+
+def test_results_are_canonical():
+    assert ((Q + 1) - (Q + 1)).coeffs == ()
+    assert ((Q ** 2 + Q) + (-(Q ** 2))).coeffs == (0, 1)
+    assert ((Q ** 3 + 2) - Q ** 3).coeffs == (2,)
+    assert (Q - Q).coeffs == () and (Q + (-Q)).coeffs == ()
+    assert ((Q + 1) * 0).coeffs == () and (0 * (Q + 1)).coeffs == ()
+    assert ((Q + 1) * ZERO).coeffs == () and (ZERO * (Q + 1)).coeffs == ()
+    assert (ZERO + 0).coeffs == () and (ZERO - 0).coeffs == () and (0 - ZERO).coeffs == ()
+    assert (1 - ONE).coeffs == () and (ONE - 1).coeffs == ()
+    assert (-ZERO).coeffs == () and (ZERO ** 3).coeffs == ()
+    assert ZERO.exact_div(7).coeffs == ()
+
+
+# Naive reference arithmetic on coefficient lists, ascending.
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    return _trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def _ref_neg(a):
+    return _trim(-c for c in a)
+
+
+def _ref_mul(a, b):
+    out = [0] * (len(a) + len(b))
+    for i in range(len(a)):
+        for j in range(len(b)):
+            out[i + j] += a[i] * b[j]
+    return _trim(out)
+
+
+def _ref_pow(a, e):
+    out = (1,)
+    for _ in range(e):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _random_coeffs(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return []                                          # zero
+    if kind == 1:
+        return [rng.randint(-9, 9)]                        # constant
+    width = 10 ** 100 if kind == 2 else 9                  # 100-digit coefficients
+    cs = [rng.randint(-width, width) for _ in range(rng.randint(1, 6))]
+    if kind == 3:
+        cs += [0] * rng.randint(1, 3)                      # trailing zeros
+    return cs
+
+
+def test_arithmetic_matches_naive_reference():
+    rng = random.Random(2024)
+    for _ in range(400):
+        ca, cb = _random_coeffs(rng), _random_coeffs(rng)
+        a, b = Poly(ca), Poly(cb)
+        ra, rb = _trim(ca), _trim(cb)
+        k = rng.choice([0, 1, -1, rng.randint(-10 ** 30, 10 ** 30)])
+        rk = _trim([k])
+        assert (a + b).coeffs == _ref_add(ra, rb)
+        assert (a - b).coeffs == _ref_add(ra, _ref_neg(rb))
+        assert (-a).coeffs == _ref_neg(ra)
+        assert (a * b).coeffs == _ref_mul(ra, rb)
+        assert (a + k).coeffs == (k + a).coeffs == _ref_add(ra, rk)
+        assert (a - k).coeffs == _ref_add(ra, _ref_neg(rk))
+        assert (k - a).coeffs == _ref_add(rk, _ref_neg(ra))
+        assert (a * k).coeffs == (k * a).coeffs == _ref_mul(ra, rk)
+        e = rng.randint(0, 4)
+        assert (a ** e).coeffs == _ref_pow(ra, e)
+        d = rng.choice([1, -1, 2, 3, 10 ** 40])
+        assert (a * d).exact_div(d).coeffs == ra
+        if any(c % d for c in ra):
+            with pytest.raises(ValueError):
+                a.exact_div(d)
+        else:
+            assert a.exact_div(d).coeffs == _trim(c // d for c in ra)
