@@ -11,7 +11,9 @@ Subcommands:
 * ``table``  one row per twist count, as CSV, JSON or LaTeX.
 
 Exit codes: 0 success/match, 1 verified mismatch (a finding), 2 usage or
-precondition error.  Data goes to stdout and is deterministic; timings go to
+precondition error.  A refusal (bad n, bad q, a field over the class budget,
+an inadmissible ``--assert``, a bad table range) prints one ``error: ...``
+line on stderr.  Data goes to stdout and is deterministic; timings go to
 stderr.
 """
 
@@ -23,7 +25,6 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import charvar, ffcount, geom
 from .poly import Poly
@@ -33,57 +34,31 @@ from .poly import Poly
 MAX_TABLE_ROWS = 10_000
 
 
-@dataclass
-class VerificationReport:
-    """Outcome of comparing independent computations of one E-polynomial."""
-
-    rank: int
-    n: int
-    formula: Poly | None = None
-    strata: Poly | None = None
-    counts: list[tuple[int, int]] = field(default_factory=list)
-    elapsed_ms: float = 0.0
-
-    @property
-    def strata_match(self) -> bool | None:
-        if self.formula is None or self.strata is None:
-            return None
-        return self.formula == self.strata
-
-    def count_matches(self) -> list[tuple[int, bool]]:
-        if self.formula is None:
-            return []
-        return [(q, self.formula.evaluate(q) == c) for q, c in self.counts]
-
-    @property
-    def all_match(self) -> bool:
-        if self.strata_match is False:
-            return False
-        return all(ok for _, ok in self.count_matches())
-
-
 def _render(p: Poly, latex: bool) -> str:
     return p.to_latex() if latex else p.to_ascii()
 
 
+def _verdict(ok: bool) -> int:
+    print("MATCH" if ok else "MISMATCH")
+    return 0 if ok else 1
+
+
 def _cmd_rep(args) -> int:
     started = time.perf_counter()
-    report = VerificationReport(rank=args.rank, n=args.n)
+    formula = strata = None
     if args.method in ("formula", "both"):
-        report.formula = geom.rep_variety_epoly_formula(args.rank, args.n)
+        formula = geom.rep_variety_epoly_formula(args.rank, args.n)
     if args.method in ("strata", "both"):
-        report.strata = geom.rep_variety_epoly_strata(args.rank, args.n)
-    report.elapsed_ms = (time.perf_counter() - started) * 1000.0
+        strata = geom.rep_variety_epoly_strata(args.rank, args.n)
+    elapsed = (time.perf_counter() - started) * 1000.0
 
-    if report.formula is not None:
-        print(f"formula: {_render(report.formula, args.latex)}")
-    if report.strata is not None:
-        print(f"strata:  {_render(report.strata, args.latex)}")
-    print(f"[timing] {report.elapsed_ms:.2f} ms", file=sys.stderr)
+    if formula is not None:
+        print(f"formula: {_render(formula, args.latex)}")
+    if strata is not None:
+        print(f"strata:  {_render(strata, args.latex)}")
+    print(f"[timing] {elapsed:.2f} ms", file=sys.stderr)
     if args.method == "both":
-        ok = report.strata_match
-        print("MATCH" if ok else "MISMATCH")
-        return 0 if ok else 1
+        return _verdict(formula == strata)
     return 0
 
 
@@ -92,18 +67,11 @@ def _cmd_char(args) -> int:
     total = charvar.char_variety_epoly_formula(args.rank, args.n)
     lines, mismatch = [], False
     if args.pieces:
-        if args.rank == 2:
-            names = [("red", "red_total"), ("irr", "irr_total")]
-        else:
-            names = [("red_111", "red_111"), ("red_21", "red_21"),
-                     ("red", "red_total"), ("irr_repeated", "irr_repeated"),
-                     ("irr_distinct", "irr_distinct"), ("irr", "irr_total")]
-        for label, piece in names:
+        # the last piece, "total", is the piece sum checked against the formula
+        for piece in charvar.PIECES[args.rank]:
             value = charvar.char_piece_epoly(args.rank, piece, args.n)
-            lines.append(f"{label}: {_render(value, args.latex)}")
-        piece_total = charvar.char_piece_epoly(args.rank, "total", args.n)
-        lines.append(f"total: {_render(piece_total, args.latex)}")
-        mismatch = piece_total != total
+            lines.append(f"{piece.removesuffix('_total')}: {_render(value, args.latex)}")
+        mismatch = value != total
         if mismatch:
             lines.append("MISMATCH (piece sum differs from closed formula)")
     else:
@@ -114,32 +82,25 @@ def _cmd_char(args) -> int:
     return 1 if mismatch else 0
 
 
-def _cmd_count(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_count(args) -> int:
+    modulus = ffcount.admissibility_modulus(args.rank, args.n)
     admissible = ffcount.is_admissible(args.rank, args.n, args.q)
     if args.check and not admissible:
-        parser.error(
-            f"--assert requires {ffcount.admissibility_modulus(args.rank, args.n)} | q-1 "
-            f"(got q={args.q})")
+        raise ValueError(f"--assert requires {modulus} | q-1 (got q={args.q})")
     started = time.perf_counter()
     count = ffcount.count_rep_variety_points(args.rank, args.n, args.q, threads=args.threads)
-    report = VerificationReport(rank=args.rank, n=args.n, counts=[(args.q, count)],
-                                elapsed_ms=(time.perf_counter() - started) * 1000.0)
+    elapsed = (time.perf_counter() - started) * 1000.0
 
     print(f"count: {count}")
-    print(f"[timing] {report.elapsed_ms:.2f} ms", file=sys.stderr)
+    print(f"[timing] {elapsed:.2f} ms", file=sys.stderr)
     if not admissible:
-        mod = ffcount.admissibility_modulus(args.rank, args.n)
-        print(f"no equality asserted ({mod} does not divide {args.q - 1})")
+        print(f"no equality asserted ({modulus} does not divide {args.q - 1})")
         return 0
-    report.formula = geom.rep_variety_epoly_formula(args.rank, args.n)
-    if args.check:
-        print(f"expected: {report.formula.evaluate(args.q)}")
-        if report.all_match:
-            print("MATCH")
-            return 0
-        print("MISMATCH")
-        return 1
-    return 0
+    if not args.check:
+        return 0
+    expected = geom.rep_variety_epoly_formula(args.rank, args.n).evaluate(args.q)
+    print(f"expected: {expected}")
+    return _verdict(count == expected)
 
 
 def _parse_range(text: str) -> list[int]:
@@ -178,12 +139,8 @@ def _table_rows(rank: int, ns: list[int], target: str,
     return rows
 
 
-def _cmd_table(args, parser: argparse.ArgumentParser) -> int:
-    try:
-        ns = _parse_range(args.n)
-    except ValueError as exc:
-        parser.error(str(exc))
-    rows = _table_rows(args.rank, ns, args.target, args.format == "json")
+def _cmd_table(args) -> int:
+    rows = _table_rows(args.rank, _parse_range(args.n), args.target, args.format == "json")
 
     if args.format == "json":
         print(json.dumps([row for _, row in rows], indent=2))
@@ -247,15 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    command = {"rep": _cmd_rep, "char": _cmd_char, "count": _cmd_count,
+               "table": _cmd_table}[args.command]
     try:
-        # the library refuses a bad n, a bad q or a huge field before heavy work
-        if args.command == "count":
-            return _cmd_count(args, parser)
-        if args.command == "rep":
-            return _cmd_rep(args)
-        if args.command == "char":
-            return _cmd_char(args)
-        return _cmd_table(args, parser)
+        # every refusal, the library's and the CLI's own, comes before heavy work
+        return command(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -56,7 +56,6 @@ from itertools import accumulate
 from math import comb, gcd, prod
 from typing import Iterable, Iterator, Optional
 
-from .poly import special_linear_epoly
 from .strata import admissibility_modulus, check_twists, is_admissible, is_prime
 
 __all__ = [
@@ -256,14 +255,16 @@ def commutant_dimension(M: FqMatrix) -> int:
     return len(commutant_basis(M))
 
 
-def sl_order(rank: int, q: int) -> int:
-    """|SL_rank(F_q)|, via the E-polynomial of SL_rank evaluated at q."""
-    return special_linear_epoly(rank).evaluate(q)
-
-
 def _gl_order(rank: int, q: int) -> int:
     """|GL_rank(F_q)| = (q^r - 1)(q^r - q) ... (q^r - q^(r-1))."""
     return prod(q ** rank - q ** i for i in range(rank))
+
+
+def sl_order(rank: int, q: int) -> int:
+    """|SL_rank(F_q)|: det maps GL_rank(F_q) onto F_q^* with kernel SL_rank."""
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+    return _gl_order(rank, q) // (q - 1)
 
 
 def _factor_pattern(chi: tuple[int, ...], q: int) -> list[tuple[int, int]]:

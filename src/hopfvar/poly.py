@@ -209,49 +209,34 @@ class Poly:
 
     # -- rendering ------------------------------------------------------------
 
-    def _terms(self) -> list[tuple[int, int]]:
-        # (degree, coefficient) pairs, descending degree, zero coeffs skipped
-        return [(i, c) for i, c in reversed(list(enumerate(self.coeffs))) if c != 0]
+    def _render(self, times: str, power: str, pad: str) -> str:
+        """Descending-degree rendering, zero coefficients skipped.  times
+        joins a coefficient to its power of q, power formats q^deg (a
+        str.format pattern) and pad surrounds the sign between terms."""
+        out = ""
+        for deg in range(self.degree, -1, -1):
+            c = self.coeffs[deg]
+            if c == 0:
+                continue
+            mag = abs(c)
+            if deg == 0:
+                body = str(mag)
+            else:
+                var = "q" if deg == 1 else power.format(deg)
+                body = var if mag == 1 else f"{mag}{times}{var}"
+            if out:
+                out += pad + ("+" if c > 0 else "-") + pad + body
+            else:
+                out = body if c > 0 else "-" + body
+        return out or "0"
 
     def to_ascii(self) -> str:
         """Plain-text rendering, descending degree, e.g. 'q^3 - q'."""
-        terms = self._terms()
-        if not terms:
-            return "0"
-        parts = []
-        for pos, (deg, c) in enumerate(terms):
-            mag = abs(c)
-            if deg == 0:
-                body = str(mag)
-            elif deg == 1:
-                body = "q" if mag == 1 else f"{mag}*q"
-            else:
-                body = f"q^{deg}" if mag == 1 else f"{mag}*q^{deg}"
-            if pos == 0:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+        return self._render("*", "q^{}", " ")
 
     def to_latex(self) -> str:
         """LaTeX rendering, descending degree, e.g. 'q^{3}-q'."""
-        terms = self._terms()
-        if not terms:
-            return "0"
-        out = ""
-        for pos, (deg, c) in enumerate(terms):
-            mag = abs(c)
-            if deg == 0:
-                body = str(mag)
-            elif deg == 1:
-                body = "q" if mag == 1 else f"{mag}q"
-            else:
-                body = f"q^{{{deg}}}" if mag == 1 else f"{mag}q^{{{deg}}}"
-            if pos == 0:
-                out += body if c > 0 else "-" + body
-            else:
-                out += ("+" if c > 0 else "-") + body
-        return out
+        return self._render("", "q^{{{}}}", "")
 
     def __str__(self) -> str:
         return self.to_ascii()

@@ -83,12 +83,13 @@ def check_twists(n: int) -> int:
 def refines(src: Partition, tgt: Partition) -> bool:
     """True when src subdivides tgt: every src block sits inside a tgt block.
 
+    The canonical patterns of one rank form a chain under refinement, index 1
+    (one block) the coarsest, so src refines tgt iff src.index >= tgt.index.
     Raises on rank mismatch.
     """
     if src.rank != tgt.rank:
         raise ValueError(f"rank mismatch: {src.rank} vs {tgt.rank}")
-    tgt_sets = [set(b) for b in tgt.blocks]
-    return all(any(set(b) <= t for t in tgt_sets) for b in src.blocks)
+    return src.index >= tgt.index
 
 
 def refinement_pairs(rank: int) -> list[tuple[Partition, Partition]]:

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from hopfvar import charvar, ffcount, geom
 from hopfvar.cli import MAX_TABLE_ROWS, _parse_range, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -95,10 +96,22 @@ def test_count_inadmissible_reports_no_assertion(capsys):
     assert "no equality asserted (4 does not divide 6)" in out
 
 
+def test_count_without_assert_skips_formula(capsys, monkeypatch):
+    def refuse(rank, n):
+        raise AssertionError("formula built without --assert")
+
+    monkeypatch.setattr(geom, "rep_variety_epoly_formula", refuse)
+    code, out, _ = run_cli(["count", "--rank", "2", "--n", "2", "--q", "5"], capsys)
+    assert code == 0
+    assert out == "count: 4560\n"
+
+
 def test_count_assert_requires_admissible_prime(capsys):
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         ["count", "--rank", "2", "--n", "2", "--q", "7", "--assert"], capsys)
     assert code == 2
+    assert out == ""
+    assert err == "error: --assert requires 4 | q-1 (got q=7)\n"
 
 
 def test_count_assert_rank3_when_3n_divides(capsys):
@@ -195,12 +208,12 @@ def test_table_latex(capsys):
 
 
 def test_table_rejects_empty_range(capsys):
-    code, _, _ = run_cli(
-        ["table", "--rank", "2", "--n", "5..4", "--target", "char"], capsys)
-    assert code == 2
-    code, _, _ = run_cli(
-        ["table", "--rank", "2", "--n", "0..3", "--target", "rep"], capsys)
-    assert code == 2
+    for ns in ("5..4", "0..3", "x..3"):
+        code, out, err = run_cli(
+            ["table", "--rank", "2", "--n", ns, "--target", "char"], capsys)
+        assert code == 2, ns
+        assert out == "", ns
+        assert err.startswith("error: ") and err.count("\n") == 1, ns
 
 
 def test_table_refuses_huge_range_quickly():
@@ -228,16 +241,32 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli([], capsys)[0] == 2
 
 
-def test_verification_report_flags_are_derived():
-    from hopfvar.cli import VerificationReport
-    from hopfvar.geom import rep_variety_epoly_formula, rep_variety_epoly_strata
+# The golden set holds only MATCH cases; each test below makes one route
+# disagree and checks the verdict line and exit code.
 
-    report = VerificationReport(rank=2, n=3)
-    assert report.strata_match is None and report.all_match
-    report.formula = rep_variety_epoly_formula(2, 3)
-    report.strata = rep_variety_epoly_strata(2, 3)
-    report.counts = [(7, report.formula.evaluate(7)), (13, report.formula.evaluate(13))]
-    assert report.strata_match and report.all_match
-    assert report.count_matches() == [(7, True), (13, True)]
-    report.counts.append((5, 1))
-    assert not report.all_match
+def test_rep_both_reports_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr(geom, "rep_variety_epoly_strata",
+                        lambda rank, n: geom.rep_variety_epoly_formula(rank, n) + 1)
+    code, out, _ = run_cli(["rep", "--rank", "2", "--n", "3", "--method", "both"], capsys)
+    assert code == 1
+    assert out.splitlines()[-1] == "MISMATCH"
+
+
+def test_count_assert_reports_mismatch(capsys, monkeypatch):
+    count = ffcount.count_rep_variety_points
+    monkeypatch.setattr(ffcount, "count_rep_variety_points",
+                        lambda *args, **kwargs: count(*args, **kwargs) + 1)
+    code, out, _ = run_cli(
+        ["count", "--rank", "2", "--n", "2", "--q", "5", "--assert"], capsys)
+    assert code == 1
+    assert out.splitlines() == ["count: 4561", "expected: 4560", "MISMATCH"]
+
+
+def test_char_pieces_reports_mismatch(capsys, monkeypatch):
+    piece = charvar.char_piece_epoly
+    monkeypatch.setattr(charvar, "char_piece_epoly",
+                        lambda rank, name, n: piece(rank, name, n) + 1)
+    for rank in ("2", "3"):
+        code, out, _ = run_cli(["char", "--rank", rank, "--n", "3", "--pieces"], capsys)
+        assert code == 1, rank
+        assert out.splitlines()[-1].startswith("MISMATCH"), rank

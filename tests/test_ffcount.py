@@ -1,3 +1,4 @@
+import ast
 import itertools
 import os
 import random
@@ -213,6 +214,23 @@ def test_thread_count_does_not_change_result():
     assert count_rep_variety_points(3, 2, 5, threads=5) == baseline
     two = count_rep_variety_points(2, 3, 7, threads=2)
     assert two == count_rep_variety_points(2, 3, 7, threads=1)
+
+
+def test_oracle_imports_nothing_it_checks():
+    # the F_q count must not share code with the polynomials it verifies
+    tree = ast.parse(open(ffcount.__file__, encoding="utf-8").read())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            # ffcount sits at the top of the package, so "." is hopfvar
+            module = ".".join(filter(None, ("hopfvar" if node.level else "", node.module)))
+            imported += [f"{module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert imported
+    for name in imported:
+        assert not name.startswith(("hopfvar.poly.", "hopfvar.geom.")), name
+        assert name not in ("hopfvar.poly", "hopfvar.geom"), name
 
 
 def test_class_sizes_sum_to_sl_order():

@@ -112,6 +112,10 @@ def test_ascii_rendering():
     assert Poly([-7]).to_ascii() == "-7"
     assert (2 * Q).to_ascii() == "2*q"
     assert (-Q ** 2 + 1).to_ascii() == "-q^2 + 1"
+    assert (Q ** 2 - Q).to_ascii() == "q^2 - q"
+    assert (-Q).to_ascii() == "-q"
+    assert Poly([-1]).to_ascii() == "-1"
+    assert (Q ** 10 - 12 * Q ** 2 - 1).to_ascii() == "q^10 - 12*q^2 - 1"
 
 
 def test_latex_rendering():
@@ -119,6 +123,11 @@ def test_latex_rendering():
     assert (Q ** 2 + 1).to_latex() == "q^{2}+1"
     assert (4 * Q ** 2 - 3 * Q + 4).to_latex() == "4q^{2}-3q+4"
     assert ZERO.to_latex() == "0"
+    assert (-Q ** 2 + 1).to_latex() == "-q^{2}+1"
+    assert (Q ** 2 - Q).to_latex() == "q^{2}-q"
+    assert (-Q).to_latex() == "-q"
+    assert Poly([-1]).to_latex() == "-1"
+    assert (Q ** 10 - 12 * Q ** 2 - 1).to_latex() == "q^{10}-12q^{2}-1"
 
 
 def test_equality_and_hash():

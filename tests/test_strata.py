@@ -30,6 +30,13 @@ def test_refines():
         assert refines(p, p)
     with pytest.raises(ValueError):
         refines(P2_DISTINCT, P3_DISTINCT)
+    # refines compares indices; block inclusion is the definition
+    for rank in (2, 3):
+        parts = [Partition(rank, i) for i in range(1, rank + 1)]
+        for src in parts:
+            for tgt in parts:
+                inside = all(any(set(b) <= set(t) for t in tgt.blocks) for b in src.blocks)
+                assert refines(src, tgt) == inside, (src, tgt)
 
 
 def test_refinement_pairs():
