@@ -20,7 +20,7 @@ from .geom import (
     rep_variety_epoly_formula, rep_variety_epoly_strata, stabilizer_epoly,
     stratum_epoly,
 )
-from .charvar import char_piece_epoly, char_variety_epoly_formula
+from .charvar import char_piece_epoly, char_pieces, char_variety_epoly_formula
 from .ffcount import (
     FqMatrix, commutant_basis, commutant_dimension, count_commuting_det1,
     count_rep_variety_points, is_admissible, sl_order,

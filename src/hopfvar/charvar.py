@@ -23,7 +23,7 @@ from __future__ import annotations
 from .poly import Poly, Q
 from .strata import check_twists
 
-__all__ = ["PIECES", "char_piece_epoly", "char_variety_epoly_formula"]
+__all__ = ["PIECES", "char_pieces", "char_piece_epoly", "char_variety_epoly_formula"]
 
 PIECES = {
     2: ("red_total", "irr_total", "total"),
@@ -58,6 +58,31 @@ _F_Q2_Q_1 = Q ** 2 - Q + 1
 _F_Q3_2Q_1 = Q ** 3 - 2 * Q - 1
 _F_Q3 = Q ** 3
 _F_Q4 = Q ** 4
+_F_Q6_2Q5 = Q ** 6 + 2 * Q ** 5 - 4 * Q ** 4 + Q ** 3 + 3 * Q ** 2 - 3 * Q + 2
+_F_Q4_Q3 = Q ** 4 - Q ** 3 + Q ** 2 - Q + 1
+
+
+def char_pieces(rank: int, n: int) -> dict[str, Poly]:
+    """E-polynomial of every character-variety piece at twist count n, in
+    PIECES order: each leaf is computed once, each aggregate is the sum of
+    its leaves."""
+    check_twists(n)
+    if rank == 2:
+        red, irr = _R2_RED, (n - 1) * _R2_IRR_SLICE
+        return {"red_total": red, "irr_total": irr, "total": red + irr}
+    if rank != 3:
+        raise ValueError(f"rank must be 2 or 3, got {rank}")
+    # red_21: (n-1) twist classes, floor((n-1)/2) inverse pairs, plus the
+    # self-inverse class when n is even
+    half = (n - 1) // 2
+    red_21 = half * _RED21_PAIRED + (n - 1 - 2 * half) * _RED21_SELF
+    irr_repeated = (3 * n - 3) * _IRR_REPEATED_SLICE
+    # (n-1)(n-2) is always even
+    irr_distinct = ((n - 1) * (n - 2) * _IRR_DISTINCT_SLICE).exact_div(2)
+    red, irr = _R3_RED111 + red_21, irr_repeated + irr_distinct
+    return {"red_111": _R3_RED111, "red_21": red_21, "red_total": red,
+            "irr_repeated": irr_repeated, "irr_distinct": irr_distinct,
+            "irr_total": irr, "total": red + irr}
 
 
 def char_piece_epoly(rank: int, piece: str, n: int) -> Poly:
@@ -67,32 +92,7 @@ def char_piece_epoly(rank: int, piece: str, n: int) -> Poly:
         raise ValueError(f"rank must be 2 or 3, got {rank}")
     if piece not in PIECES[rank]:
         raise ValueError(f"invalid piece {piece!r} for rank {rank}")
-
-    if rank == 2:
-        if piece == "red_total":
-            return _R2_RED
-        if piece == "irr_total":
-            return (n - 1) * _R2_IRR_SLICE
-        return char_piece_epoly(2, "red_total", n) + char_piece_epoly(2, "irr_total", n)
-
-    if piece == "red_111":
-        return _R3_RED111
-    if piece == "red_21":
-        # (n-1) twist classes: floor((n-1)/2) inverse pairs, plus the
-        # self-inverse class when n is even.
-        half = (n - 1) // 2
-        return half * _RED21_PAIRED + (n - 1 - 2 * half) * _RED21_SELF
-    if piece == "red_total":
-        return char_piece_epoly(3, "red_111", n) + char_piece_epoly(3, "red_21", n)
-    if piece == "irr_distinct":
-        m = (n - 1) * (n - 2)  # always even
-        return (m * _IRR_DISTINCT_SLICE).exact_div(2)
-    if piece == "irr_repeated":
-        return (3 * n - 3) * _IRR_REPEATED_SLICE
-    if piece == "irr_total":
-        return (char_piece_epoly(3, "irr_distinct", n)
-                + char_piece_epoly(3, "irr_repeated", n))
-    return char_piece_epoly(3, "red_total", n) + char_piece_epoly(3, "irr_total", n)
+    return char_pieces(rank, n)[piece]
 
 
 def char_variety_epoly_formula(rank: int, n: int) -> Poly:
@@ -105,9 +105,9 @@ def char_variety_epoly_formula(rank: int, n: int) -> Poly:
         m = (n - 1) * (n - 2)
         return (
             _F_Q4
-            + (m * _IRR_DISTINCT_SLICE).exact_div(2)
+            + (m * _F_Q6_2Q5).exact_div(2)
             - ((n - 1) // 2) * _F_Q3_2Q_1
-            + 3 * (n - 1) * _IRR_REPEATED_SLICE
+            + 3 * (n - 1) * _F_Q4_Q3
             - (n - 2) * _F_Q2_1
             + (n - 1) * _F_Q3
         )

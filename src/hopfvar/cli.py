@@ -68,8 +68,7 @@ def _cmd_char(args) -> int:
     lines, mismatch = [], False
     if args.pieces:
         # the last piece, "total", is the piece sum checked against the formula
-        for piece in charvar.PIECES[args.rank]:
-            value = charvar.char_piece_epoly(args.rank, piece, args.n)
+        for piece, value in charvar.char_pieces(args.rank, args.n).items():
             lines.append(f"{piece.removesuffix('_total')}: {_render(value, args.latex)}")
         mismatch = value != total
         if mismatch:

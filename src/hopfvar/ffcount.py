@@ -25,7 +25,13 @@ the centralizer of A^n, hence the same #{B}.  On chi = sum c_i x^i, zA
 multiplies c_i by z^(r-i), and A^-1 gives the reversed polynomial times
 (-1)^r (det A = 1): at rank 3 (c_1, c_2) -> (-c_2, -c_1), at rank 2 chi is
 unchanged.  An orbit is represented by its least chi; it has up to 6
-classes at rank 3 (when 3 | q - 1) and up to 2 at rank 2.
+classes at rank 3 (when 3 | q - 1) and up to 2 at rank 2.  The classes of
+each kind come in ascending chi (cyclic: c_1 in the outer loop, c_2 in the
+inner; non-cyclic and scalar: sorted), so the first class of an orbit the
+sweep meets is its least.  The sweep keeps one bytearray of q^(r-1) flags
+per kind, indexed by chi's middle coefficients: a representative flags its
+images and is weighted by the number of flags it sets, and a flagged class
+is skipped.
 
 The orders of the centralizers C_GL(A_C) and C_SL(A_C^n) are closed forms in
 q, read from the factor pattern of the characteristic polynomial (its roots
@@ -52,8 +58,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate
 from math import comb, gcd, prod
+from operator import mul
 from typing import Iterable, Iterator, Optional
 
 from .strata import admissibility_modulus, check_twists, is_admissible, is_prime
@@ -72,9 +78,18 @@ __all__ = [
 MAX_CLASSES = 400_000
 
 
+#: Rows of the identity matrix of each rank.
+_IDENTITY = {r: tuple(tuple(int(i == j) for j in range(r)) for i in range(r)) for r in (2, 3)}
+
+
 def _check_field(q: int) -> None:
     if q % 2 == 0 or not is_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
+
+
+def _is_scalar(rows) -> bool:
+    d = rows[0][0]
+    return all(x == (d if i == j else 0) for i, row in enumerate(rows) for j, x in enumerate(row))
 
 
 @dataclass(frozen=True)
@@ -94,17 +109,22 @@ class FqMatrix:
         object.__setattr__(self, "rows", rs)
 
     @classmethod
-    def _over(cls, q: int, rows: Iterable[Iterable[int]]) -> FqMatrix:
-        """Square matrix over a field that _check_field has already accepted:
-        entries are reduced, the primality test is skipped."""
+    def _of(cls, q: int, rows: tuple[tuple[int, ...], ...]) -> FqMatrix:
+        """Square matrix over a field that _check_field has already accepted,
+        from a tuple of row tuples whose entries are already reduced."""
         m = object.__new__(cls)
         object.__setattr__(m, "q", q)
-        object.__setattr__(m, "rows", tuple(tuple(x % q for x in row) for row in rows))
+        object.__setattr__(m, "rows", rows)
         return m
+
+    @classmethod
+    def _over(cls, q: int, rows: Iterable[Iterable[int]]) -> FqMatrix:
+        """As _of, for rows whose entries still need reducing."""
+        return cls._of(q, tuple(tuple(x % q for x in row) for row in rows))
 
     @staticmethod
     def identity(rank: int, q: int) -> FqMatrix:
-        return FqMatrix(q, [[1 if i == j else 0 for j in range(rank)] for i in range(rank)])
+        return FqMatrix(q, _IDENTITY[rank])
 
     @property
     def rank(self) -> int:
@@ -113,10 +133,9 @@ class FqMatrix:
     def __mul__(self, other: FqMatrix) -> FqMatrix:
         if self.q != other.q or self.rank != other.rank:
             raise ValueError("incompatible matrices")
-        q, r = self.q, self.rank
-        a, b = self.rows, other.rows
-        return FqMatrix._over(q, [[sum(a[i][k] * b[k][j] for k in range(r))
-                                   for j in range(r)] for i in range(r)])
+        q, cols = self.q, tuple(zip(*other.rows))
+        return FqMatrix._of(q, tuple(tuple(sum(map(mul, row, col)) % q for col in cols)
+                                     for row in self.rows))
 
     def pow(self, n: int) -> FqMatrix:
         """n-th power by binary exponentiation, n >= 1."""
@@ -143,9 +162,7 @@ class FqMatrix:
                 + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])) % q
 
     def is_scalar(self) -> bool:
-        m, r = self.rows, self.rank
-        return all(m[i][j] == (m[0][0] if i == j else 0)
-                   for i in range(r) for j in range(r))
+        return _is_scalar(self.rows)
 
     def char_poly(self) -> tuple[int, ...]:
         """Monic characteristic polynomial, ascending coefficients."""
@@ -228,8 +245,8 @@ def _is_cyclic(M: FqMatrix, M2: Optional[FqMatrix] = None) -> bool:
         return len({m[0][0], m[1][1], m[2][2]}) == 3
     m2 = (M * M if M2 is None else M2).rows
     alpha = m2[i][j] * pow(m[i][j], -1, q)
-    return not FqMatrix._over(q, [[a - alpha * b for a, b in zip(row2, row)]
-                                  for row2, row in zip(m2, m)]).is_scalar()
+    return not _is_scalar([[(a - alpha * b) % q for a, b in zip(row2, row)]
+                           for row2, row in zip(m2, m)])
 
 
 def commutant_basis(M: FqMatrix) -> list[FqMatrix]:
@@ -243,10 +260,10 @@ def commutant_basis(M: FqMatrix) -> list[FqMatrix]:
     if not M.is_scalar():
         M2 = M * M if r == 3 else None
         if _is_cyclic(M, M2):
-            basis = [FqMatrix._over(q, [[int(i == j) for j in range(r)] for i in range(r)]), M]
+            basis = [FqMatrix._of(q, _IDENTITY[r]), M]
             return basis + [M2] if r == 3 else basis
     vecs = _kernel_basis_mod(_commutator_operator(M), q)
-    return [FqMatrix._over(q, [v[i * r:(i + 1) * r] for i in range(r)]) for v in vecs]
+    return [FqMatrix._of(q, tuple(tuple(v[i * r:(i + 1) * r]) for i in range(r))) for v in vecs]
 
 
 def commutant_dimension(M: FqMatrix) -> int:
@@ -269,39 +286,47 @@ def sl_order(rank: int, q: int) -> int:
 
 def _factor_pattern(chi: tuple[int, ...], q: int) -> list[tuple[int, int]]:
     """(deg f, e) for each irreducible factor f^e of a monic polynomial over
-    F_q of degree 2 or 3, ascending coefficients.
+    F_q of degree 2 or 3, ascending coefficients; q is an odd prime.
 
-    A cubic is scanned for its first root a in F_q by Horner's rule, and a
-    is divided out synthetically with its multiplicity; a cubic without a
-    root is irreducible.  The monic quadratic x^2 + bx + c that may be left
-    is read from its discriminant b^2 - 4c (q is odd): zero gives a double
-    root, a nonzero square (Euler's criterion) two roots, a non-square an
-    irreducible factor."""
-    pattern, desc = [], chi[::-1]
-    if len(desc) == 4:
-        _, c2, c1, c0 = desc
-        a = next((a for a in range(q) if (((a + c2) * a + c1) * a + c0) % q == 0), None)
-        if a is None:
-            return [(3, 1)]
-        e = 0
-        while len(desc) > 1:
-            *quotient, remainder = accumulate(desc, lambda acc, c: (acc * a + c) % q)
-            if remainder:
-                break
-            desc, e = quotient, e + 1
-        pattern.append((1, e))
-    if len(desc) == 3:
-        _, b, c = desc
+    A quadratic x^2 + bx + c is read from its discriminant b^2 - 4c: zero
+    gives a double root, a nonzero square (Euler's criterion) two roots, a
+    non-square an irreducible factor.  A cubic f = x^3 + c2 x^2 + c1 x + c0
+    is read from its discriminant
+    D = c2^2 c1^2 - 4 c1^3 - 4 c2^3 c0 - 27 c0^2 + 18 c2 c1 c0, the product
+    of the squared root differences in any characteristic:
+
+    * D = 0: the roots are a, a, b in F_q, and c2^2 - 3 c1 = (a - b)^2 tells
+      a triple root from a double one;
+    * D a non-square: by Stickelberger's theorem a squarefree f has a number
+      of irreducible factors of the parity of deg f iff D is a square, so f
+      is a linear times an irreducible quadratic factor;
+    * D a nonzero square: f has three roots or none in F_q, and it has three
+      iff x^q = x mod f, found by square-and-multiply in O(log q) products.
+    """
+    if len(chi) == 3:
+        c, b, _ = chi
         disc = (b * b - 4 * c) % q
         if disc == 0:
-            pattern.append((1, 2))
-        elif pow(disc, (q - 1) // 2, q) == 1:
-            pattern += [(1, 1), (1, 1)]
-        else:
-            pattern.append((2, 1))
-    elif len(desc) == 2:
-        pattern.append((1, 1))
-    return pattern
+            return [(1, 2)]
+        return [(1, 1), (1, 1)] if pow(disc, (q - 1) // 2, q) == 1 else [(2, 1)]
+    c0, c1, c2, _ = chi
+    disc = (c2 * c2 * c1 * c1 - 4 * c1 ** 3 - 4 * c2 ** 3 * c0 - 27 * c0 * c0
+            + 18 * c2 * c1 * c0) % q
+    if disc == 0:
+        return [(1, 3)] if (c2 * c2 - 3 * c1) % q == 0 else [(1, 2), (1, 1)]
+    if pow(disc, (q - 1) // 2, q) != 1:
+        return [(1, 1), (2, 1)]
+    # u = x^k mod f as (u0, u1, u2), k running through the leading bits of q;
+    # x^3 = -(c2 x^2 + c1 x + c0) reduces the x^4 and x^3 terms of u^2
+    u0, u1, u2 = 0, 1, 0
+    for bit in bin(q)[3:]:
+        p4 = u2 * u2 % q
+        p3 = (2 * u1 * u2 - p4 * c2) % q
+        p2, p1 = 2 * u0 * u2 + u1 * u1 - p4 * c1, 2 * u0 * u1 - p4 * c0
+        u0, u1, u2 = (u0 * u0 - p3 * c0) % q, (p1 - p3 * c1) % q, (p2 - p3 * c2) % q
+        if bit == "1":
+            u0, u1, u2 = -u2 * c0 % q, (u0 - u2 * c1) % q, (u1 - u2 * c2) % q
+    return [(1, 1)] * 3 if (u0, u1, u2) == (0, 1, 0) else [(3, 1)]
 
 
 def _centralizer_orders(chi: tuple[int, ...], q: int, cyclic: bool) -> tuple[int, int]:
@@ -350,28 +375,33 @@ def _classes(rank: int, q: int) -> Iterator[tuple[str, tuple[int, ...], partial[
     """(kind, chi, make) for each GL_rank(F_q)-conjugacy class inside
     SL_rank(F_q), by rational canonical form (see the module docstring); chi
     is the characteristic polynomial of the class, ascending coefficients,
-    and make() builds its matrix.  q must have passed _check_field."""
+    and make() builds its matrix.  The classes of each kind come in
+    ascending chi.  q must have passed _check_field."""
     if rank == 2:
-        for t in range(q):
-            chi = (1, -t % q, 1)
+        for c1 in range(q):
+            chi = (1, c1, 1)
             yield "cyclic", chi, partial(_companion, q, chi[:-1])
     else:
-        for t in range(q):
-            for s in range(q):
-                chi = (q - 1, s, -t % q, 1)
+        for c1 in range(q):
+            for c2 in range(q):
+                chi = (q - 1, c1, c2, 1)
                 yield "cyclic", chi, partial(_companion, q, chi[:-1])
-        for a in range(1, q):
-            b = pow(a, -2, q)
-            # (x - a)^2 (x - b) with a^2 b = 1
-            chi = (q - 1, a * (a + 2 * b) % q, -(2 * a + b) % q, 1)
+        # (x - a)^2 (x - b) with a^2 b = 1
+        for chi, a, b in sorted(((q - 1, a * (a + 2 * b) % q, -(2 * a + b) % q, 1), a, b)
+                                for a in range(1, q) for b in [pow(a, -2, q)]):
             yield "non-cyclic", chi, partial(FqMatrix._over, q,
                                              [[a, 0, 0], [0, 0, -a * b], [0, 1, a + b]])
-    for a in range(1, q):
-        if pow(a, rank, q) == 1:
-            chi = tuple(comb(rank, i) * (-a) ** (rank - i) % q for i in range(rank + 1))
-            yield "scalar", chi, partial(FqMatrix._over, q,
-                                         [[a if i == j else 0 for j in range(rank)]
-                                          for i in range(rank)])
+    scalars = sorted((tuple(comb(rank, i) * (-a) ** (rank - i) % q for i in range(rank + 1)), a)
+                     for a in range(1, q) if pow(a, rank, q) == 1)
+    for chi, a in scalars:
+        yield "scalar", chi, partial(FqMatrix._over, q,
+                                     [[a if i == j else 0 for j in range(rank)]
+                                      for i in range(rank)])
+
+
+def _flag(mid, q: int) -> int:
+    """Index of the middle coefficients of chi in the sweep's flags."""
+    return mid[0] * q + mid[1] if len(mid) == 2 else mid[0]
 
 
 def class_representatives(rank: int, q: int) -> Iterator[FqMatrix]:
@@ -417,13 +447,20 @@ def count_rep_variety_points(rank: int, n: int, q: int,
     weights = [tuple(pow(z, rank - i, q) for i in range(1, rank))
                for z in range(1, q) if pow(z, rank, q) == 1]
     sign = (-1) ** rank
-    total = 0
+    total, flags, flagged_kind = 0, None, None
     for kind, chi, make in _classes(rank, q):
+        if kind != flagged_kind:
+            flags, flagged_kind = bytearray(classes), kind
         mid = chi[1:-1]
-        images = [tuple([c * w % q for c, w in zip(mid, ws)]) for ws in weights]
-        images += [tuple([sign * c % q for c in image[::-1]]) for image in images]
-        if mid == min(images):
-            size = 1 if kind == "scalar" else order // _centralizer_orders(
-                chi, q, kind == "cyclic")[0]
-            total += len(set(images)) * size * count_commuting_det1(make().pow(n))
+        if flags[_flag(mid, q)]:
+            continue
+        orbit = 0
+        images = [[c * w % q for c, w in zip(mid, ws)] for ws in weights]
+        for image in images + [[sign * c % q for c in image[::-1]] for image in images]:
+            i = _flag(image, q)
+            orbit += not flags[i]
+            flags[i] = 1
+        size = 1 if kind == "scalar" else order // _centralizer_orders(
+            chi, q, kind == "cyclic")[0]
+        total += orbit * size * count_commuting_det1(make().pow(n))
     return total

@@ -1,6 +1,9 @@
+import ast
+
 import pytest
 
-from hopfvar.charvar import PIECES, char_piece_epoly, char_variety_epoly_formula
+from hopfvar import charvar
+from hopfvar.charvar import PIECES, char_piece_epoly, char_pieces, char_variety_epoly_formula
 from hopfvar.poly import ZERO, Q
 
 
@@ -73,3 +76,32 @@ def test_leading_coefficients_positive():
                 p = char_piece_epoly(rank, piece, n)
                 if not p.is_zero():
                     assert p.leading_coefficient() > 0, (rank, piece, n)
+
+
+def test_char_pieces_in_pieces_order():
+    for rank in (2, 3):
+        for n in (1, 2, 3, 8, 15, 200):
+            pieces = char_pieces(rank, n)
+            assert tuple(pieces) == PIECES[rank], (rank, n)
+            for piece, value in pieces.items():
+                assert value == char_piece_epoly(rank, piece, n), (rank, piece, n)
+            assert pieces["total"] == pieces["red_total"] + pieces["irr_total"]
+        with pytest.raises(ValueError):
+            char_pieces(rank, 0)
+    for n in (1, 4, 9):
+        pieces = char_pieces(3, n)
+        assert pieces["red_total"] == pieces["red_111"] + pieces["red_21"]
+        assert pieces["irr_total"] == pieces["irr_repeated"] + pieces["irr_distinct"]
+    with pytest.raises(ValueError):
+        char_pieces(4, 1)
+
+
+def test_formula_shares_no_constant_with_pieces():
+    # the closed formula checks the piece sum only if it does not read the
+    # pieces' module constants
+    tree = ast.parse(open(charvar.__file__, encoding="utf-8").read())
+    names = {node.name: {n.id for n in ast.walk(node)
+                         if isinstance(n, ast.Name) and n.id.startswith("_")}
+             for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert names["char_variety_epoly_formula"]
+    assert not names["char_variety_epoly_formula"] & names["char_pieces"]

@@ -74,6 +74,19 @@ def test_char_pieces(capsys):
     assert any(l.startswith("irr_distinct: ") for l in out.splitlines())
 
 
+def test_char_pieces_computes_each_piece_once(capsys, monkeypatch):
+    # the aggregates are sums of the leaves, not recomputations of them
+    pieces, calls = charvar.char_pieces, []
+    monkeypatch.setattr(charvar, "char_pieces",
+                        lambda rank, n: calls.append((rank, n)) or pieces(rank, n))
+    monkeypatch.setattr(charvar, "char_piece_epoly", None)
+    code, out, _ = run_cli(["char", "--rank", "3", "--n", "7", "--pieces"], capsys)
+    assert code == 0
+    assert calls == [(3, 7)]
+    assert [l.split(":")[0] for l in out.splitlines()] == \
+        [p.removesuffix("_total") for p in charvar.PIECES[3]]
+
+
 def test_count_assert_match(capsys):
     code, out, _ = run_cli(
         ["count", "--rank", "2", "--n", "1", "--q", "5", "--assert"], capsys)
@@ -263,9 +276,9 @@ def test_count_assert_reports_mismatch(capsys, monkeypatch):
 
 
 def test_char_pieces_reports_mismatch(capsys, monkeypatch):
-    piece = charvar.char_piece_epoly
-    monkeypatch.setattr(charvar, "char_piece_epoly",
-                        lambda rank, name, n: piece(rank, name, n) + 1)
+    pieces = charvar.char_pieces
+    monkeypatch.setattr(charvar, "char_pieces",
+                        lambda rank, n: {k: v + 1 for k, v in pieces(rank, n).items()})
     for rank in ("2", "3"):
         code, out, _ = run_cli(["char", "--rank", rank, "--n", "3", "--pieces"], capsys)
         assert code == 1, rank

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from math import prod
 
 import pytest
@@ -147,12 +148,60 @@ def test_commutant_basis_forms_one_product_for_cyclic_rank3(monkeypatch):
 
 def test_factor_pattern_matches_trial_division():
     # every det-1 characteristic polynomial of rank 2 and 3
-    for q in (3, 5, 7, 11, 13):
+    for q in (3, 5, 7, 11, 13, 17, 19):
         chis = [(1, -t % q, 1) for t in range(q)]
         chis += [(q - 1, s, -t % q, 1) for t in range(q) for s in range(q)]
         for chi in chis:
             assert sorted(ffcount._factor_pattern(chi, q)) == \
                 factor_pattern_by_trial_division(chi, q), (chi, q)
+
+
+def test_factor_pattern_of_known_factors_at_a_large_prime():
+    # q = 10^9 + 7: cubics multiplied out from known factors; a scan of F_q
+    # for a root would not end within the timeout
+    proc = run_python(
+        "from hopfvar.ffcount import _factor_pattern\n"
+        "q = 10 ** 9 + 7\n"
+        "d = next(d for d in range(2, q) if pow(d, (q - 1) // 2, q) == q - 1)\n"
+        "def monic(*factors):\n"
+        "    poly = [1]\n"
+        "    for factor in factors:\n"
+        "        out = [0] * (len(poly) + len(factor) - 1)\n"
+        "        for i, a in enumerate(poly):\n"
+        "            for j, b in enumerate(factor):\n"
+        "                out[i + j] = (out[i + j] + a * b) % q\n"
+        "        poly = out\n"
+        "    return tuple(poly)\n"
+        "def root(a):\n"
+        "    return (-a % q, 1)\n"
+        "cases = [\n"
+        "    (monic(root(2), root(3), root(q - 5)), [(1, 1)] * 3),\n"
+        "    (monic(root(123456789), root(123456789), root(987654321)), [(1, 1), (1, 2)]),\n"
+        "    (monic(root(q - 42), root(q - 42), root(q - 42)), [(1, 3)]),\n"
+        "    (monic(root(7), (-d % q, 0, 1)), [(1, 1), (2, 1)]),\n"
+        "    (monic(root(0), (-d % q, 0, 1)), [(1, 1), (2, 1)]),\n"
+        "]\n"
+        "print(all(sorted(_factor_pattern(chi, q)) == p for chi, p in cases))\n",
+        timeout=2)
+    assert proc.stdout.strip() == "True", proc.stderr
+
+
+def test_product_matches_naive_product():
+    # entries given unreduced to the public constructor; the product reduces
+    # each entry once and must equal, and hash as, the validated matrix
+    rng = random.Random(41)
+    for q in (3, 7, 31):
+        for rank in (2, 3):
+            for _ in range(40):
+                a, b = ([[rng.randrange(-3 * q, 3 * q) for _ in range(rank)]
+                         for _ in range(rank)] for _ in range(2))
+                naive = [[sum(a[i][k] * b[k][j] for k in range(rank)) % q
+                          for j in range(rank)] for i in range(rank)]
+                product = FqMatrix(q, a) * FqMatrix(q, b)
+                assert all(0 <= x < q for row in product.rows for x in row)
+                assert product == FqMatrix(q, naive), (q, a, b)
+                assert hash(product) == hash(FqMatrix(q, naive)), (q, a, b)
+                assert product.rows == tuple(map(tuple, naive))
 
 
 def test_count_commuting_det1_examples():
@@ -321,6 +370,19 @@ def test_orbit_representatives_match_set_based_orbits(monkeypatch):
             assert total == 0
             expected = set_based_orbits([a.rows for a in class_representatives(rank, q)], q)
             assert orbits == expected, (rank, q)
+
+
+def test_orbit_flags_keep_count_memory_small():
+    # one flag byte per class and kind: about 23 KB at q = 151, where a set
+    # of visited characteristic polynomials would take several MB
+    count_rep_variety_points(3, 1, 7)
+    tracemalloc.start()
+    try:
+        count_rep_variety_points(3, 1, 151)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000, peak
 
 
 def test_orbit_maps_keep_class_size_and_commutant():
