@@ -3,10 +3,12 @@
 The character variety is the moduli of semisimple pairs (A, B) with A^n
 commuting with B, up to simultaneous conjugation.  It splits into a reducible
 locus (computed from lower-rank irreducibles) and an irreducible locus, which
-is only populated by pairs where A^n is central.  The piece polynomials below
-are exact transcriptions; their sums must equal the closed formulas in
-``char_variety_epoly_formula``, which the test suite enforces for both
-ranks.
+is only populated by pairs where A^n is central.  The pieces are
+transcriptions except ``red_21``, the irreducible GL2 locus: its transcribed
+values have degree 3 on that 4-dimensional locus, so it follows F_q counts
+of the locus (tests/_oracles.py), and so does the rank-3 closed formula in
+``char_variety_epoly_formula``.  The piece sums must equal the closed
+formulas, which the test suite enforces for both ranks.
 
 Pieces, by name:
 
@@ -31,11 +33,12 @@ PIECES = {
         "irr_repeated", "irr_distinct", "irr_total", "total"),
 }
 
-# Intermediate values feeding the rank-3 (2,1) reducible locus: a pair of
-# mutually inverse twist classes glued together contributes the first value,
-# the self-inverse class (present only for even n) the second.
-_RED21_PAIRED = Q ** 3 - 2 * Q ** 2 + 2 * Q - 1
-_RED21_SELF = Q ** 3 - Q ** 2 - 1
+# The rank-3 (2,1) reducible locus is the irreducible GL2 locus: A' has
+# eigenvalues a, za with z^n = 1, z != 1.  A pair {z, 1/z} of distinct twist
+# classes contributes the first value; the self-inverse class z = -1 (even n
+# only) the second, its split and non-split A' together.
+_RED21_PAIRED = (Q - 1) ** 2 * (Q ** 2 - Q + 1)
+_RED21_SELF = Q * (Q - 1) ** 3
 
 # Sum over the three position patterns of the second generator for a
 # distinct-eigenvalue A: q^6 - 4q^4 + 5q^3 - 3q^2 + q, plus twice
@@ -55,9 +58,9 @@ _R3_RED111 = Q ** 4 + Q ** 2 + 1
 # between the pieces and the formula.
 _F_Q2_1 = Q ** 2 + 1
 _F_Q2_Q_1 = Q ** 2 - Q + 1
-_F_Q3_2Q_1 = Q ** 3 - 2 * Q - 1
-_F_Q3 = Q ** 3
-_F_Q4 = Q ** 4
+_F_Q4_Q2_1 = Q ** 4 + Q ** 2 + 1
+_F_Q_QM1_3 = Q * (Q - 1) ** 3
+_F_QM1_2_Q2_Q_M1 = (Q - 1) ** 2 * (Q ** 2 - Q - 1)
 _F_Q6_2Q5 = Q ** 6 + 2 * Q ** 5 - 4 * Q ** 4 + Q ** 3 + 3 * Q ** 2 - 3 * Q + 2
 _F_Q4_Q3 = Q ** 4 - Q ** 3 + Q ** 2 - Q + 1
 
@@ -96,19 +99,17 @@ def char_piece_epoly(rank: int, piece: str, n: int) -> Poly:
 
 
 def char_variety_epoly_formula(rank: int, n: int) -> Poly:
-    """Closed character-variety formula, transcribed with exact integer
-    handling of the half-integer and floor terms."""
+    """Closed character-variety formula, with exact integer handling of the
+    half-integer and floor terms and the corrected rank-3 red_21 terms."""
     check_twists(n)
     if rank == 2:
         return _F_Q2_1 + (n - 1) * _F_Q2_Q_1
     if rank == 3:
         m = (n - 1) * (n - 2)
         return (
-            _F_Q4
+            _F_Q4_Q2_1
             + (m * _F_Q6_2Q5).exact_div(2)
-            - ((n - 1) // 2) * _F_Q3_2Q_1
-            + 3 * (n - 1) * _F_Q4_Q3
-            - (n - 2) * _F_Q2_1
-            + (n - 1) * _F_Q3
+            - ((n - 1) // 2) * _F_QM1_2_Q2_Q_M1
+            + (n - 1) * (3 * _F_Q4_Q3 + _F_Q_QM1_3)
         )
     raise ValueError(f"rank must be 2 or 3, got {rank}")

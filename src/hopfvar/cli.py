@@ -44,41 +44,32 @@ def _verdict(ok: bool) -> int:
 
 
 def _cmd_rep(args) -> int:
-    started = time.perf_counter()
     formula = strata = None
     if args.method in ("formula", "both"):
         formula = geom.rep_variety_epoly_formula(args.rank, args.n)
     if args.method in ("strata", "both"):
         strata = geom.rep_variety_epoly_strata(args.rank, args.n)
-    elapsed = (time.perf_counter() - started) * 1000.0
-
     if formula is not None:
         print(f"formula: {_render(formula, args.latex)}")
     if strata is not None:
         print(f"strata:  {_render(strata, args.latex)}")
-    print(f"[timing] {elapsed:.2f} ms", file=sys.stderr)
     if args.method == "both":
         return _verdict(formula == strata)
     return 0
 
 
 def _cmd_char(args) -> int:
-    started = time.perf_counter()
     total = charvar.char_variety_epoly_formula(args.rank, args.n)
-    lines, mismatch = [], False
-    if args.pieces:
-        # the last piece, "total", is the piece sum checked against the formula
-        for piece, value in charvar.char_pieces(args.rank, args.n).items():
-            lines.append(f"{piece.removesuffix('_total')}: {_render(value, args.latex)}")
-        mismatch = value != total
-        if mismatch:
-            lines.append("MISMATCH (piece sum differs from closed formula)")
-    else:
-        lines.append(_render(total, args.latex))
-    elapsed = (time.perf_counter() - started) * 1000.0
-    print("\n".join(lines))
-    print(f"[timing] {elapsed:.2f} ms", file=sys.stderr)
-    return 1 if mismatch else 0
+    if not args.pieces:
+        print(_render(total, args.latex))
+        return 0
+    # the last piece, "total", is the piece sum checked against the formula
+    for piece, value in charvar.char_pieces(args.rank, args.n).items():
+        print(f"{piece.removesuffix('_total')}: {_render(value, args.latex)}")
+    if value != total:
+        print("MISMATCH (piece sum differs from closed formula)")
+        return 1
+    return 0
 
 
 def _cmd_count(args) -> int:
@@ -86,12 +77,8 @@ def _cmd_count(args) -> int:
     admissible = ffcount.is_admissible(args.rank, args.n, args.q)
     if args.check and not admissible:
         raise ValueError(f"--assert requires {modulus} | q-1 (got q={args.q})")
-    started = time.perf_counter()
     count = ffcount.count_rep_variety_points(args.rank, args.n, args.q, threads=args.threads)
-    elapsed = (time.perf_counter() - started) * 1000.0
-
     print(f"count: {count}")
-    print(f"[timing] {elapsed:.2f} ms", file=sys.stderr)
     if not admissible:
         print(f"no equality asserted ({modulus} does not divide {args.q - 1})")
         return 0
@@ -205,12 +192,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     command = {"rep": _cmd_rep, "char": _cmd_char, "count": _cmd_count,
                "table": _cmd_table}[args.command]
+    started = time.perf_counter()
     try:
         # every refusal, the library's and the CLI's own, comes before heavy work
-        return command(args)
+        code = command(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(f"[timing] {(time.perf_counter() - started) * 1000.0:.2f} ms", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

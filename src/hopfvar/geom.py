@@ -35,7 +35,7 @@ __all__ = [
     "J2_SCALAR", "J2_BLOCK", "J2_DISTINCT",
     "J3_SCALAR", "J3_EQUAL_B21", "J3_EQUAL_B3",
     "J3_PAIR_DIAG", "J3_PAIR_B2", "J3_DISTINCT",
-    "jordan_types", "admissible_strata",
+    "admissible_strata",
     "stabilizer_epoly", "pgl_mod_stab_epoly",
     "equivariant_pgl_piece", "equivariant_stab_piece", "equivariant_pieces",
     "stratum_epoly", "rep_variety_epoly_strata", "rep_variety_epoly_formula",
@@ -106,10 +106,6 @@ J3_EQUAL_B3 = JordanType(3, 3)
 J3_PAIR_DIAG = JordanType(3, 4)
 J3_PAIR_B2 = JordanType(3, 5)
 J3_DISTINCT = JordanType(3, 6)
-
-
-def jordan_types(rank: int) -> list[JordanType]:
-    return [JordanType(rank, i) for i in range(1, len(_rows(_TYPES, rank)) + 1)]
 
 
 # Admissible strata by rank, in assembly order: (src index, tgt index,

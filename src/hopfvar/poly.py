@@ -79,9 +79,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
     def leading_coefficient(self) -> int:
         return self.coeffs[-1] if self.coeffs else 0
 

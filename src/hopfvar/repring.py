@@ -13,12 +13,11 @@ other groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+import operator
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
-from .poly import ONE, ZERO, Poly
-
-IntoPoly = Union[Poly, int]
+from .poly import ONE, ZERO, IntoPoly, Poly
 
 
 def _poly(x: IntoPoly) -> Poly:
@@ -29,26 +28,68 @@ def _poly(x: IntoPoly) -> Poly:
     raise TypeError(f"coefficients must be Poly or int, got {type(x).__name__}")
 
 
-def _render(parts: list[tuple[Poly, str]]) -> str:
-    # e.g. '(q^2 + 1)*T - 2*q*N'; a coefficient of several terms is bracketed
-    out = ""
-    for coeff, name in parts:
-        if coeff.is_zero():
-            continue
-        text = coeff.to_ascii()
-        if " " in text:
-            sign, body = "+", f"({text})*{name}"
-        else:
-            sign, mag = ("-", text[1:]) if text.startswith("-") else ("+", text)
-            body = name if mag == "1" else f"{mag}*{name}"
-        out += f" {sign} {body}" if out else ("-" if sign == "-" else "") + body
-    return out or "0"
+class _RepElem:
+    """Body shared by S2Elem and S3Elem.  A subclass is a frozen dataclass
+    (equality and hashing) with one Poly field per irreducible, in basis
+    order and named after it, the trivial representation t first; it brings
+    its own __init__ and __mul__ (its multiplication table)."""
+
+    #: dimension of each irreducible, in field order
+    DIMS: ClassVar[tuple[int, ...]]
+
+    def _coeffs(self) -> list[Poly]:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    @classmethod
+    def trivial(cls, e: IntoPoly):
+        """Equivariant class of a connected group acted on by inner
+        automorphisms: the action on cohomology is trivial, so e_F = e * T."""
+        return cls(e)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)(*map(operator.add, self._coeffs(), other._coeffs()))
+
+    def t_component(self) -> Poly:
+        """E-polynomial of the quotient by the full group action."""
+        return self.t
+
+    def dim(self) -> Poly:
+        """Plain E-polynomial of the underlying space: the coefficients
+        weighted by the dimensions of their irreducibles."""
+        return sum(map(operator.mul, self.DIMS, self._coeffs()), ZERO)
+
+    def is_zero(self) -> bool:
+        return not any(self._coeffs())
+
+    def to_ascii(self) -> str:
+        # e.g. '(q^2 + 1)*T - 2*q*N'; a coefficient of several terms is bracketed
+        out = ""
+        for f in fields(self):
+            coeff, name = getattr(self, f.name), f.name.upper()
+            if coeff.is_zero():
+                continue
+            text = coeff.to_ascii()
+            if " " in text:
+                sign, body = "+", f"({text})*{name}"
+            else:
+                sign, mag = ("-", text[1:]) if text.startswith("-") else ("+", text)
+                body = name if mag == "1" else f"{mag}*{name}"
+            out += f" {sign} {body}" if out else ("-" if sign == "-" else "") + body
+        return out or "0"
+
+    __str__ = to_ascii
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}('{self.to_ascii()}')"
 
 
-@dataclass(frozen=True)
-class S2Elem:
+@dataclass(frozen=True, repr=False)
+class S2Elem(_RepElem):
     """Element a*T + b*N of the S2 representation ring over Poly."""
 
+    DIMS = (1, 1)
     t: Poly
     n: Poly
 
@@ -57,20 +98,11 @@ class S2Elem:
         object.__setattr__(self, "n", _poly(n))
 
     @staticmethod
-    def trivial(e: IntoPoly) -> S2Elem:
-        """Equivariant class of a connected group acted on by inner
-        automorphisms: the action on cohomology is trivial, so e_F = e * T."""
-        return S2Elem(_poly(e), ZERO)
-
-    @staticmethod
     def from_quotients(e_x: IntoPoly, e_x_mod_s2: IntoPoly) -> S2Elem:
         """Reconstruct a*T + b*N from e(X) and e(X/S2): a is the quotient
         E-polynomial and b the difference."""
         e_x, a = _poly(e_x), _poly(e_x_mod_s2)
         return S2Elem(a, e_x - a)
-
-    def __add__(self, other: S2Elem) -> S2Elem:
-        return S2Elem(self.t + other.t, self.n + other.n)
 
     def __mul__(self, other: S2Elem) -> S2Elem:
         # (aT + bN)(a'T + b'N) = (aa' + bb')T + (ab' + ba')N
@@ -78,38 +110,19 @@ class S2Elem:
         c, d = other.t, other.n
         return S2Elem(a * c + b * d, a * d + b * c)
 
-    def t_component(self) -> Poly:
-        """E-polynomial of the quotient by the action."""
-        return self.t
-
-    def dim(self) -> Poly:
-        """Plain E-polynomial of the underlying space: t + n."""
-        return self.t + self.n
-
-    def is_zero(self) -> bool:
-        return self.t.is_zero() and self.n.is_zero()
-
-    def to_ascii(self) -> str:
-        return _render([(self.t, "T"), (self.n, "N")])
-
-    def __str__(self) -> str:
-        return self.to_ascii()
-
-    def __repr__(self) -> str:
-        return f"S2Elem('{self.to_ascii()}')"
-
 
 S2_ONE = S2Elem(ONE, ZERO)
 
 
-@dataclass(frozen=True)
-class S3Elem:
+@dataclass(frozen=True, repr=False)
+class S3Elem(_RepElem):
     """Element a*T + b*S + c*D of the S3 representation ring over Poly.
 
     The product is the bilinear extension of the tensor table
     S*S = T, S*D = D, D*D = T + S + D (T is the unit).
     """
 
+    DIMS = (1, 1, 2)
     t: Poly
     s: Poly
     d: Poly
@@ -118,11 +131,6 @@ class S3Elem:
         object.__setattr__(self, "t", _poly(t))
         object.__setattr__(self, "s", _poly(s))
         object.__setattr__(self, "d", _poly(d))
-
-    @staticmethod
-    def trivial(e: IntoPoly) -> S3Elem:
-        """Trivial-action class e * T (connected group, inner automorphisms)."""
-        return S3Elem(_poly(e), ZERO, ZERO)
 
     @staticmethod
     def from_quotients(e_x: IntoPoly, e_x_mod_tau: IntoPoly,
@@ -136,9 +144,6 @@ class S3Elem:
         a = _poly(e_x_mod_s3)
         return S3Elem(a, e_x - 2 * e_tau + a, e_tau - a)
 
-    def __add__(self, other: S3Elem) -> S3Elem:
-        return S3Elem(self.t + other.t, self.s + other.s, self.d + other.d)
-
     def __mul__(self, other: S3Elem) -> S3Elem:
         a, b, c = self.t, self.s, self.d
         x, y, z = other.t, other.s, other.d
@@ -148,29 +153,9 @@ class S3Elem:
             a * z + c * x + b * z + c * y + c * z,
         )
 
-    def t_component(self) -> Poly:
-        """E-polynomial of the quotient by the full S3 action."""
-        return self.t
-
     def tau_quotient(self) -> Poly:
         """E-polynomial of the quotient by a transposition: t + d."""
         return self.t + self.d
-
-    def dim(self) -> Poly:
-        """Plain E-polynomial of the underlying space: t + s + 2d."""
-        return self.t + self.s + 2 * self.d
-
-    def is_zero(self) -> bool:
-        return self.t.is_zero() and self.s.is_zero() and self.d.is_zero()
-
-    def to_ascii(self) -> str:
-        return _render([(self.t, "T"), (self.s, "S"), (self.d, "D")])
-
-    def __str__(self) -> str:
-        return self.to_ascii()
-
-    def __repr__(self) -> str:
-        return f"S3Elem('{self.to_ascii()}')"
 
 
 S3_ONE = S3Elem(ONE, ZERO, ZERO)

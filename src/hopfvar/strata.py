@@ -15,6 +15,8 @@ nothing here is symbolic in n.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 from .poly import ONE, Poly, Q
@@ -251,24 +253,13 @@ def count_config_points(src: Partition, tgt: Partition, n: int, q: int) -> int:
     power = [0] + [pow(x, n, q) for x in units]
 
     count = 0
-    if r == 2:
-        for a in units:
-            tup = (a, inverse[a])
-            if _coincidence_pattern(tup) != src_pattern:
-                continue
-            if _coincidence_pattern((power[a], power[tup[1]])) != tgt_pattern:
-                continue
-            count += 1
-    else:
-        for a in units:
-            for b in units:
-                c = inverse[a * b % q]
-                tup = (a, b, c)
-                if _coincidence_pattern(tup) != src_pattern:
-                    continue
-                if _coincidence_pattern((power[a], power[b], power[c])) != tgt_pattern:
-                    continue
-                count += 1
+    for free in itertools.product(units, repeat=r - 1):
+        tup = (*free, inverse[math.prod(free) % q])
+        if _coincidence_pattern(tup) != src_pattern:
+            continue
+        if _coincidence_pattern(tuple(power[x] for x in tup)) != tgt_pattern:
+            continue
+        count += 1
     return count
 
 

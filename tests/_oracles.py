@@ -38,9 +38,15 @@ def pow2(x, n, q):
     return r
 
 
+def gl2_elements(q: int) -> list[tuple[int, int, int, int]]:
+    return [m for m in itertools.product(range(q), repeat=4)
+            if (m[0] * m[3] - m[1] * m[2]) % q]
+
+
 def inv2(x, q):
     a, b, c, d = x
-    return (d % q, (-b) % q, (-c) % q, a % q)
+    u = pow(a * d - b * c, -1, q)
+    return (d * u % q, -b * u % q, -c * u % q, a * u % q)
 
 
 def count_commuting_pairs_sl2(q: int, n: int) -> int:
@@ -53,6 +59,49 @@ def count_commuting_pairs_sl2(q: int, n: int) -> int:
             if mul2(an, b, q) == mul2(b, an, q):
                 total += 1
     return total
+
+
+def _is_scalar2(x) -> bool:
+    return x[1] == x[2] == 0 and x[0] == x[3]
+
+
+def _irreducible_pairs_mod_pgl2(sweep, group, n, q) -> int:
+    """#{(A, B) : A in sweep, B in group, A^n B = B A^n, tr[A, B] != 2} /
+    |PGL2(F_q)|.  A pair of 2x2 matrices is irreducible iff tr[A, B] != 2,
+    and PGL2 acts freely on irreducible pairs, so with sweep holding every A
+    that can occur this counts the F_q points of the irreducible locus."""
+    inverses = [inv2(b, q) for b in group]
+    total = 0
+    for a in sweep:
+        an, ainv = pow2(a, n, q), inv2(a, q)
+        for b, binv in zip(group, inverses):
+            if mul2(an, b, q) != mul2(b, an, q):
+                continue
+            x, y = mul2(a, b, q), mul2(ainv, binv, q)
+            if (x[0] * y[0] + x[1] * y[2] + x[2] * y[1] + x[3] * y[3]) % q != 2:
+                total += 1
+    pgl2 = q * (q * q - 1)
+    if total % pgl2:
+        raise ValueError(f"{total} irreducible pairs is not a multiple of |PGL2| = {pgl2}")
+    return total // pgl2
+
+
+def irreducible_char_points_sl2(q: int, n: int) -> int:
+    """#{(A, B) in SL2(F_q)^2 : A^n B = B A^n, tr[A, B] != 2} / |PGL2(F_q)|,
+    the F_q points of the irreducible locus of the SL2 character variety."""
+    group = sl2_elements(q)
+    return _irreducible_pairs_mod_pgl2(group, group, n, q)
+
+
+def irreducible_char_points_gl2(q: int, n: int) -> int:
+    """#{(A', B') in GL2(F_q)^2 : A'^n B' = B' A'^n, tr[A', B'] != 2} /
+    |PGL2(F_q)|, the F_q points of the irreducible locus of the GL2
+    character variety; rho2 -> rho2 + det(rho2)^-1 maps it onto the (2, 1)
+    reducible locus of the SL3 one.  On it A'^n is scalar (Schur) and A' is
+    not, so only those A' are swept."""
+    group = gl2_elements(q)
+    sweep = [a for a in group if _is_scalar2(pow2(a, n, q)) and not _is_scalar2(a)]
+    return _irreducible_pairs_mod_pgl2(sweep, group, n, q)
 
 
 def conjugacy_class_count_sl2(q: int) -> int:

@@ -6,6 +6,8 @@ from hopfvar import charvar
 from hopfvar.charvar import PIECES, char_piece_epoly, char_pieces, char_variety_epoly_formula
 from hopfvar.poly import ZERO, Q
 
+from _oracles import irreducible_char_points_gl2, irreducible_char_points_sl2
+
 
 def test_rank2_pieces():
     assert char_piece_epoly(2, "irr_total", 1) == ZERO
@@ -16,7 +18,7 @@ def test_rank2_pieces():
 
 def test_rank3_pieces():
     assert char_piece_epoly(3, "irr_distinct", 2) == ZERO
-    assert char_piece_epoly(3, "red_21", 3) == Q ** 3 - 2 * Q ** 2 + 2 * Q - 1
+    assert char_piece_epoly(3, "red_21", 3) == Q ** 4 - 3 * Q ** 3 + 4 * Q ** 2 - 3 * Q + 1
     assert char_piece_epoly(3, "red_111", 9) == Q ** 4 + Q ** 2 + 1
     assert char_piece_epoly(3, "irr_repeated", 2) == \
         3 * (Q ** 4 - Q ** 3 + Q ** 2 - Q + 1)
@@ -37,6 +39,22 @@ def test_formula_values():
     assert char_variety_epoly_formula(2, 1) == Q ** 2 + 1
     assert char_variety_epoly_formula(2, 4) == 4 * Q ** 2 - 3 * Q + 4
     assert char_variety_epoly_formula(3, 1) == Q ** 4 + Q ** 2 + 1
+    assert char_variety_epoly_formula(3, 2) == \
+        5 * Q ** 4 - 6 * Q ** 3 + 7 * Q ** 2 - 4 * Q + 4
+
+
+@pytest.mark.parametrize("n, q, expected", [(2, 7, 1512), (3, 7, 1548)])
+def test_red21_matches_gl2_point_count(n, q, expected):
+    # red_21 is the irreducible GL2 locus; q - 1 is a multiple of n, so F_q
+    # holds the twist classes and the count is the E-polynomial at q
+    assert irreducible_char_points_gl2(q, n) == expected
+    assert char_piece_epoly(3, "red_21", n).evaluate(q) == expected
+
+
+@pytest.mark.parametrize("n, q, expected", [(2, 5, 21), (3, 7, 86)])
+def test_rank2_irr_total_matches_sl2_point_count(n, q, expected):
+    assert irreducible_char_points_sl2(q, n) == expected
+    assert char_piece_epoly(2, "irr_total", n).evaluate(q) == expected
 
 
 def test_piece_sums_match_formula():

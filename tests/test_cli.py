@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -48,9 +49,16 @@ def test_rep_latex(capsys):
     assert "q^{4}+4q^{3}-q^{2}-4q" in out
 
 
-def test_rep_timing_goes_to_stderr(capsys):
-    _, out, err = run_cli(["rep", "--rank", "2", "--n", "1"], capsys)
-    assert "[timing]" in err
+@pytest.mark.parametrize("argv", [
+    ["rep", "--rank", "2", "--n", "1"],
+    ["char", "--rank", "3", "--n", "2", "--pieces"],
+    ["count", "--rank", "2", "--n", "1", "--q", "5", "--assert"],
+    ["table", "--rank", "2", "--n", "1..3", "--target", "rep"],
+], ids=lambda argv: argv[0])
+def test_rep_timing_goes_to_stderr(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0
+    assert re.fullmatch(r"\[timing\] \d+\.\d\d ms\n", err), err
     assert "[timing]" not in out
 
 

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from hopfvar.poly import ONE, ZERO, Poly, Q
 from hopfvar.repring import S2_ONE, S2Elem, S3_ONE, S3Elem
 
@@ -126,3 +128,16 @@ def test_rendering():
     assert S2Elem(Q, -1).to_ascii() == "q*T - N"
     assert S3Elem(Q ** 2, 1, -Q).to_ascii() == "q^2*T + S - q*D"
     assert S2Elem(0, 0).to_ascii() == "0"
+    assert repr(S2Elem(Q, -1)) == "S2Elem('q*T - N')" == f"S2Elem('{S2Elem(Q, -1)}')"
+    assert repr(S3Elem(0, 0, 2)) == "S3Elem('2*D')"
+
+
+def test_shared_body_keeps_each_ring_apart():
+    assert S2Elem.trivial(Q) == S2Elem(Q, 0) and type(S2Elem.trivial(Q)) is S2Elem
+    assert S3Elem.trivial(Q) == S3Elem(Q, 0, 0) and type(S3Elem.trivial(Q)) is S3Elem
+    assert S2Elem(1) != S3Elem(1)
+    assert len({S3Elem(Q, 1, 0), S3Elem(Q, 1), S3Elem(Q, 0, 1)}) == 2
+    with pytest.raises(TypeError):
+        S2Elem(1) + S3Elem(1)
+    with pytest.raises(TypeError):
+        S3Elem(1) + S2Elem(1)
