@@ -11,14 +11,18 @@ which must agree with the closed formula transcribed in
 ``rep_variety_epoly_formula``.
 
 Per rank, ``_TYPES`` holds one row per Jordan type (eigenvalue pattern,
-orbit, stabilizer) and ``_STRATA`` one row per admissible stratum; the
-n-independent factor of each stratum is built once, at import.  These
-constants are pinned by the test suite (dimension checks, fibration identity,
-match with the closed formulas, finite-field counts) rather than re-derived.
+orbit, stabilizer) and ``_STRATA`` one row per admissible stratum.  Each
+stratum is built once, at import, on the twist basis of ``strata``
+(1, n, n(n-1)/2, floor(n/2)): one fixed polynomial per basis function, so
+``stratum_epoly`` at a given n is a short integer combination of them, with no
+ring product.  These constants are pinned by the test suite (dimension checks,
+fibration identity, match with the closed formulas for all n, finite-field
+counts) rather than re-derived.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,9 +30,10 @@ from .poly import ONE, ZERO, Poly, Q, general_linear_epoly, special_linear_epoly
 from .repring import S2Elem, S3Elem
 from .strata import (
     P2_BOTH_EQUAL, P2_DISTINCT, P3_ALL_EQUAL, P3_DISTINCT, P3_TWO_EQUAL,
-    Partition, check_twists, config_epoly, config_equivariant_s2,
-    config_equivariant_s3,
+    Partition, check_twists, config_rows, twist_basis,
 )
+# unused here, but perfbench traces them as geom attributes (strata.config_self_s)
+from .strata import config_epoly, config_equivariant_s2, config_equivariant_s3  # noqa: F401
 
 __all__ = [
     "JordanType", "Stratum",
@@ -128,7 +133,7 @@ class Stratum:
     def __post_init__(self):
         if self.src.rank != self.tgt.rank:
             raise ValueError("stratum endpoints must have equal rank")
-        if (self.src, self.tgt) not in _FACTORS:
+        if (self.src, self.tgt) not in _ROWS:
             raise ValueError(f"inadmissible stratum {self.src} -> {self.tgt}")
 
     @property
@@ -200,19 +205,24 @@ def equivariant_pieces(xi: JordanType, group: str) -> tuple[S2Elem | S3Elem, S2E
 
 # -- stratum assembly ----------------------------------------------------------
 
-def _factor_row(rank: int, i: int, j: int, group: str | None):
-    # n-independent part of stratum i -> j: orbit of the source times
-    # stabilizer of the target, taken equivariantly under a residual group
+def _stratum_row(rank: int, i: int, j: int, group: str | None):
+    # stratum i -> j on the twist basis: each basis element of its
+    # configuration space times the n-independent factor (orbit of the source
+    # times stabilizer of the target), of which a residual group keeps the
+    # T-component; with self-dual irreducibles that is the sum of the
+    # products of matching coefficients.  Only the nonzero terms are kept.
     src, tgt = JordanType(rank, i), JordanType(rank, j)
+    config = config_rows(group, src.partition, tgt.partition)
     if group is None:
-        factor = pgl_mod_stab_epoly(src) * stabilizer_epoly(tgt)
+        factor = (pgl_mod_stab_epoly(src) * stabilizer_epoly(tgt),)
     else:
-        factor = equivariant_pgl_piece(src, group) * equivariant_stab_piece(tgt, group)
-    return (src, tgt), (group, factor)
+        factor = (equivariant_pgl_piece(src, group) * equivariant_stab_piece(tgt, group)).coeffs
+    terms = [sum(map(operator.mul, element, factor), ZERO) for element in zip(*config)]
+    return (src, tgt), tuple((k, p) for k, p in enumerate(terms) if p)
 
 
-# (src, tgt) -> (residual group, n-independent factor), for every admissible stratum
-_FACTORS = dict(_factor_row(rank, *row) for rank, rows in _STRATA.items() for row in rows)
+# (src, tgt) -> ((k, P_k), ...): the stratum is sum_k twist_basis(n)[k] * P_k
+_ROWS = dict(_stratum_row(rank, *row) for rank, rows in _STRATA.items() for row in rows)
 
 # the admissible strata of each rank, in assembly order
 _ADMISSIBLE = {rank: tuple(Stratum(JordanType(rank, i), JordanType(rank, j))
@@ -221,17 +231,11 @@ _ADMISSIBLE = {rank: tuple(Stratum(JordanType(rank, i), JordanType(rank, j))
 
 
 def stratum_epoly(stratum: Stratum, n: int) -> Poly:
-    """E-polynomial of one admissible stratum at twist count n: the
-    configuration stratum times the stored factor, or with residual symmetry
-    the T-component of that equivariant product."""
+    """E-polynomial of one admissible stratum at twist count n: its fixed
+    polynomials summed against the twist basis at n."""
     check_twists(n)
-    group, factor = _FACTORS[stratum.src, stratum.tgt]
-    s_src, s_tgt = stratum.src.partition, stratum.tgt.partition
-    if group is None:
-        return config_epoly(s_src, s_tgt, n) * factor
-    if group == "s3":
-        return (config_equivariant_s3(s_tgt, n) * factor).t_component()
-    return (config_equivariant_s2(s_src, s_tgt, n) * factor).t_component()
+    basis = twist_basis(n)
+    return sum((basis[k] * p for k, p in _ROWS[stratum.src, stratum.tgt]), ZERO)
 
 
 def rep_variety_epoly_strata(rank: int, n: int) -> Poly:

@@ -4,7 +4,10 @@ A finite group acting on a variety refines its E-polynomial to an element of
 the group's representation ring with polynomial coefficients.  For S2 the
 basis is {T, N} (trivial, sign); for S3 it is {T, S, D} (trivial, sign,
 standard).  The T-coefficient is the E-polynomial of the quotient, and the
-dimension map T,N,S -> 1, D -> 2 recovers the plain E-polynomial.
+dimension map T,N,S -> 1, D -> 2 recovers the plain E-polynomial.  Every
+irreducible of S2 and S3 is self-dual, so T occurs once in the product of an
+irreducible with itself and never in a product of two distinct ones: the
+T-coefficient of x * y is the sum of the products of matching coefficients.
 
 Negative coefficients are legal (virtual representations occur naturally,
 e.g. (q-2)*T - N).  Only S2 and S3 are provided; nothing here generalizes to
@@ -37,8 +40,10 @@ class _RepElem:
     #: dimension of each irreducible, in field order
     DIMS: ClassVar[tuple[int, ...]]
 
-    def _coeffs(self) -> list[Poly]:
-        return [getattr(self, f.name) for f in fields(self)]
+    @property
+    def coeffs(self) -> tuple[Poly, ...]:
+        """The coefficients, one per irreducible, in basis order."""
+        return tuple(getattr(self, f.name) for f in fields(self))
 
     @classmethod
     def trivial(cls, e: IntoPoly):
@@ -49,7 +54,7 @@ class _RepElem:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return type(self)(*map(operator.add, self._coeffs(), other._coeffs()))
+        return type(self)(*map(operator.add, self.coeffs, other.coeffs))
 
     def t_component(self) -> Poly:
         """E-polynomial of the quotient by the full group action."""
@@ -58,10 +63,10 @@ class _RepElem:
     def dim(self) -> Poly:
         """Plain E-polynomial of the underlying space: the coefficients
         weighted by the dimensions of their irreducibles."""
-        return sum(map(operator.mul, self.DIMS, self._coeffs()), ZERO)
+        return sum(map(operator.mul, self.DIMS, self.coeffs), ZERO)
 
     def is_zero(self) -> bool:
-        return not any(self._coeffs())
+        return not any(self.coeffs)
 
     def to_ascii(self) -> str:
         # e.g. '(q^2 + 1)*T - 2*q*N'; a coefficient of several terms is bracketed

@@ -5,12 +5,15 @@ coincidence patterns (set partitions of the r positions, taken up to
 equivalence with a fixed canonical representative per shape).  Raising a
 tuple to the n-th power can merge eigenvalues, so each pattern splits further
 by the pattern of the powered tuple.  This module hard-codes the exact
-E-polynomials of these strata as functions of the twist count n, together
-with their S2/S3-equivariant refinements, and provides a brute-force
-finite-field point count that independently re-derives every formula.
+E-polynomials of these strata, together with their S2/S3-equivariant
+refinements, and provides a brute-force finite-field point count that
+independently re-derives every formula.
 
-All formulas return concrete polynomials in q for a fixed integer n >= 1;
-nothing here is symbolic in n.
+Every coefficient of every stratum is an integer combination of the same four
+functions of the twist count, twist_basis(n) = (1, n, n(n-1)/2, floor(n/2)).
+So one table holds each stratum, once, as integer polynomials in q on that
+basis (one row per irreducible for an equivariant class), and the public
+functions evaluate its row at a given integer n >= 1.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .poly import ONE, Poly, Q
+from .poly import ZERO, Poly, Q
 from .repring import S2Elem, S3Elem
 
 __all__ = [
@@ -27,10 +30,11 @@ __all__ = [
     "P2_BOTH_EQUAL", "P2_DISTINCT",
     "P3_ALL_EQUAL", "P3_TWO_EQUAL", "P3_DISTINCT",
     "refines", "check_twists",
+    "twist_basis", "config_rows",
     "config_epoly", "config_epoly_plain",
     "config_equivariant_s2", "config_equivariant_s3",
     "count_config_points", "refinement_pairs",
-    "admissibility_modulus", "is_admissible",
+    "admissibility_modulus", "is_admissible", "smallest_admissible_prime",
 ]
 
 
@@ -105,23 +109,69 @@ def _require_refines(src: Partition, tgt: Partition) -> None:
         raise ValueError(f"{src} does not refine {tgt}")
 
 
-def _half(k: int) -> int:
-    d, r = divmod(k, 2)
-    if r:
-        raise ValueError(f"{k} is not even")
-    return d
+# Every configuration stratum, at twist count n, on the basis of functions of
+# n given by twist_basis: (group, src, tgt) -> one row per irreducible of the
+# group (T; T, N; or T, S, D), each row the coefficients of
+# (1, n, n(n-1)/2, floor(n/2)).  tgt None is the whole stratum of pattern src,
+# with no power condition; group None is the plain E-polynomial.
+_CONFIG = {
+    (None, P2_BOTH_EQUAL, None): ((2, 0, 0, 0),),               # square roots of unity
+    (None, P2_DISTINCT, None): ((Q - 3, 0, 0, 0),),             # punctured torus minus mu_2
+    (None, P3_ALL_EQUAL, None): ((3, 0, 0, 0),),                # cube roots of unity
+    (None, P3_TWO_EQUAL, None): ((Q - 4, 0, 0, 0),),            # C^* minus mu_3
+    (None, P3_DISTINCT, None): ((Q * Q - 5 * Q + 10, 0, 0, 0),),  # 2-torus minus 3 crossing curves
+    (None, P2_BOTH_EQUAL, P2_BOTH_EQUAL): ((2, 0, 0, 0),),
+    (None, P2_DISTINCT, P2_BOTH_EQUAL): ((-2, 2, 0, 0),),       # 2n - 2
+    (None, P2_DISTINCT, P2_DISTINCT): ((Q - 1, -2, 0, 0),),     # q - (2n + 1)
+    (None, P3_ALL_EQUAL, P3_ALL_EQUAL): ((3, 0, 0, 0),),
+    (None, P3_TWO_EQUAL, P3_ALL_EQUAL): ((-3, 3, 0, 0),),       # 3n - 3
+    (None, P3_DISTINCT, P3_ALL_EQUAL): ((6, -6, 6, 0),),        # 3n^2 - 9n + 6
+    (None, P3_TWO_EQUAL, P3_TWO_EQUAL): ((Q - 1, -3, 0, 0),),   # q - (3n + 1)
+    (None, P3_DISTINCT, P3_TWO_EQUAL): ((1 - Q, Q - 1, -6, 0),),  # (n - 1)(q - (3n + 1))
+    # q^2 - (3n + 2) q + 6n^2 + 3n + 1
+    (None, P3_DISTINCT, P3_DISTINCT): ((Q * Q - 2 * Q + 1, 9 - 3 * Q, 12, 0),),
+    ("s2", P2_DISTINCT, None): ((Q - 2, 0, 0, 0), (-1, 0, 0, 0)),           # (q - 2) T - N
+    ("s2", P2_DISTINCT, P2_BOTH_EQUAL): ((-1, 1, 0, 0), (-1, 1, 0, 0)),     # (n - 1)(T + N)
+    ("s2", P2_DISTINCT, P2_DISTINCT): ((Q - 1, -1, 0, 0), (0, -1, 0, 0)),   # (q - n - 1) T - n N
+    # (floor(n/2) (q - 1) - 3n(n-1)/2) T + (floor((n-1)/2) (q - 1) - 3n(n-1)/2) N
+    ("s2", P3_DISTINCT, P3_TWO_EQUAL): ((0, 0, -3, Q - 1), (1 - Q, Q - 1, -3, 1 - Q)),
+    # (q^2 - q + 1) T + S + (4 - 2q) D
+    ("s3", P3_DISTINCT, None): ((Q * Q - Q + 1, 0, 0, 0), (1, 0, 0, 0), (4 - 2 * Q, 0, 0, 0)),
+    # m/2 T + m/2 S + m D with m = (n - 1)(n - 2)
+    ("s3", P3_DISTINCT, P3_ALL_EQUAL): ((1, -1, 1, 0), (1, -1, 1, 0), (2, -2, 2, 0)),
+    # (q^2 - q - a (q - 1) + n^2) T + (n^2 - b (q - 1)) S + (2n^2 - (n + 1)(q - 1)) D,
+    # with a = floor(n/2) and b = floor((n-1)/2) = n - 1 - a
+    ("s3", P3_DISTINCT, P3_DISTINCT): ((Q * Q - Q, 1, 2, 1 - Q),
+                                       (Q - 1, 2 - Q, 2, Q - 1),
+                                       (1 - Q, 3 - Q, 4, 0)),
+}
+
+
+def twist_basis(n: int) -> tuple[int, int, int, int]:
+    """The functions of n every configuration stratum is an integer (Poly)
+    combination of: (1, n, n(n-1)/2, floor(n/2))."""
+    return 1, n, n * (n - 1) // 2, n // 2
+
+
+def config_rows(group: str | None, src: Partition, tgt: Partition | None) -> tuple:
+    """The configuration stratum (group, src, tgt) on the twist basis: one
+    row of four coefficients (Poly or int) per irreducible of the group."""
+    rows = _CONFIG.get((group, src, tgt))
+    if rows is None:
+        raise ValueError(f"no {group or 'plain'} configuration data for ({src}, {tgt})")
+    return rows
+
+
+def _at(group: str | None, src: Partition, tgt: Partition | None, n: int) -> list[Poly]:
+    # one Poly per irreducible: each row summed against the twist basis at n
+    basis = twist_basis(n)
+    return [sum((b * c for b, c in zip(basis, row)), ZERO)
+            for row in config_rows(group, src, tgt)]
 
 
 def config_epoly_plain(sigma: Partition) -> Poly:
     """E-polynomial of the whole configuration stratum, no power condition."""
-    table = {
-        (2, 1): Poly.const(2),            # square roots of unity
-        (2, 2): Q - 3,                    # punctured torus minus mu_2
-        (3, 1): Poly.const(3),            # cube roots of unity
-        (3, 2): Q - 4,                    # C^* minus mu_3
-        (3, 3): Q * Q - 5 * Q + 10,       # 2-torus minus three crossing curves
-    }
-    return table[(sigma.rank, sigma.index)]
+    return _at(None, sigma, None, 1)[0]  # its row is constant in n
 
 
 def config_epoly(src: Partition, tgt: Partition, n: int) -> Poly:
@@ -129,27 +179,7 @@ def config_epoly(src: Partition, tgt: Partition, n: int) -> Poly:
     have pattern tgt.  Requires src to refine tgt."""
     check_twists(n)
     _require_refines(src, tgt)
-    key = (src.rank, src.index, tgt.index)
-    if key == (2, 1, 1):
-        return Poly.const(2)
-    if key == (2, 2, 1):
-        return Poly.const(2 * n - 2)
-    if key == (2, 2, 2):
-        return Q - (2 * n + 1)
-    if key == (3, 1, 1):
-        return Poly.const(3)
-    if key == (3, 2, 1):
-        return Poly.const(3 * n - 3)
-    if key == (3, 3, 1):
-        return Poly.const(3 * n * n - 9 * n + 6)
-    if key == (3, 2, 2):
-        return Q - (3 * n + 1)
-    if key == (3, 3, 2):
-        return (n - 1) * (Q - (3 * n + 1))
-    if key == (3, 3, 3):
-        # q^2 - (3n + 2) q + (6n^2 + 3n + 1)
-        return Poly([6 * n * n + 3 * n + 1, -(3 * n + 2), 1])
-    raise AssertionError(f"unhandled refinement pair {key}")
+    return _at(None, src, tgt, n)[0]
 
 
 def config_equivariant_s2(src: Partition, tgt: Partition | None, n: int) -> S2Elem:
@@ -158,19 +188,7 @@ def config_equivariant_s2(src: Partition, tgt: Partition | None, n: int) -> S2El
     condition); supported cases are the rank-2 distinct-pair strata and the
     rank-3 distinct triple degenerating to a coincident pair."""
     check_twists(n)
-    if src == P2_DISTINCT and tgt is None:
-        return S2Elem(Q - 2, Poly.const(-1))
-    if src == P2_DISTINCT and tgt == P2_BOTH_EQUAL:
-        return S2Elem(Poly.const(n - 1), Poly.const(n - 1))
-    if src == P2_DISTINCT and tgt == P2_DISTINCT:
-        return S2Elem(Q - (n + 1), Poly.const(-n))
-    if src == P3_DISTINCT and tgt == P3_TWO_EQUAL:
-        swap = 3 * n * (n - 1) // 2  # n(n-1) is even
-        return S2Elem(
-            (n // 2) * (Q - 1) - swap,
-            ((n - 1) // 2) * (Q - 1) - swap,
-        )
-    raise ValueError(f"no S2 action data for ({src}, {tgt})")
+    return S2Elem(*_at("s2", src, tgt, n))
 
 
 def config_equivariant_s3(tgt: Partition | None, n: int) -> S3Elem:
@@ -178,21 +196,7 @@ def config_equivariant_s3(tgt: Partition | None, n: int) -> S3Elem:
     split by the power pattern tgt (all-equal or still-distinct); tgt=None is
     the whole distinct-triple stratum."""
     check_twists(n)
-    if tgt is None:
-        return S3Elem(Q * Q - Q + 1, ONE, -2 * Q + 4)
-    if tgt == P3_ALL_EQUAL:
-        m = (n - 1) * (n - 2)  # always even
-        return S3Elem(Poly.const(_half(m)), Poly.const(_half(m)), Poly.const(m))
-    if tgt == P3_DISTINCT:
-        # q^2 - q - a (q - 1) + n^2, n^2 - b (q - 1) and 2n^2 - (n + 1) (q - 1),
-        # with a = floor(n/2) and b = floor((n-1)/2)
-        nn, a, b = n * n, n // 2, (n - 1) // 2
-        return S3Elem(
-            Poly([nn + a, -1 - a, 1]),
-            Poly([nn + b, -b]),
-            Poly([2 * nn + n + 1, -(n + 1)]),
-        )
-    raise ValueError(f"no S3 action data for target {tgt}")
+    return S3Elem(*_at("s3", P3_DISTINCT, tgt, n))
 
 
 # -- finite-field oracle ------------------------------------------------------

@@ -2,6 +2,7 @@ import pytest
 
 from hopfvar.poly import ONE, ZERO, Q, general_linear_epoly, special_linear_epoly
 from hopfvar.repring import S2Elem, S3Elem
+from hopfvar import geom
 from hopfvar.geom import (
     J2_BLOCK, J2_DISTINCT, J2_SCALAR, J3_DISTINCT, J3_EQUAL_B21, J3_EQUAL_B3,
     J3_PAIR_B2, J3_PAIR_DIAG, J3_SCALAR, JordanType, Stratum,
@@ -12,6 +13,7 @@ from hopfvar.geom import (
 
 E_SL2 = special_linear_epoly(2)
 E_SL3 = special_linear_epoly(3)
+HUGE_NS = (10 ** 18, 10 ** 18 + 1)
 
 
 def test_jordan_type_validation():
@@ -114,7 +116,7 @@ def test_stratum_admissibility():
 
 
 def test_rank2_stratum_table():
-    for n in range(1, 51):
+    for n in [*range(1, 51), *HUGE_NS]:
         assert stratum_epoly(Stratum(J2_SCALAR, J2_SCALAR), n) == 2 * E_SL2
         assert stratum_epoly(Stratum(J2_BLOCK, J2_BLOCK), n) == 4 * E_SL2
         assert stratum_epoly(Stratum(J2_DISTINCT, J2_DISTINCT), n) == \
@@ -125,7 +127,7 @@ def test_rank2_stratum_table():
 
 def test_rank3_stratum_table():
     e_pgl3 = E_SL3
-    for n in range(1, 51):
+    for n in [*range(1, 51), *HUGE_NS]:
         base = {
             (1, 1): 3 * e_pgl3,
             (2, 2): 3 * e_pgl3,
@@ -159,9 +161,37 @@ def test_stratum_examples():
 
 def test_strata_match_formula():
     for rank in (2, 3):
-        for n in range(1, 31):
+        for n in [*range(1, 31), *HUGE_NS]:
             assert rep_variety_epoly_strata(rank, n) == \
                 rep_variety_epoly_formula(rank, n), (rank, n)
+
+
+def test_strata_equal_formula_for_all_n():
+    """Strata = formula for every n >= 1, not just for the n sampled above.
+
+    The strata route is, by construction, sum_k b_k(n) R_k over the basis
+    b(n) = (1, n, n(n-1)/2, floor(n/2)), with R_k the sum of the rank's
+    stratum rows.  rep_variety_epoly_formula is visibly in span{1, n, n^2,
+    floor(n/2)}, the same span over the rationals.  The four functions are
+    independent on n = 1..4 (that 4x4 system has determinant 2), so the
+    formula's coefficients on the basis are read off its values there; the
+    two routes agree for every n exactly when the four polynomials agree.
+    """
+    for rank in (2, 3):
+        rows = [ZERO] * 4
+        for stratum in admissible_strata(rank):
+            for k, p in geom._ROWS[stratum.src, stratum.tgt]:
+                rows[k] = rows[k] + p
+        f1, f2, f3, f4 = (rep_variety_epoly_formula(rank, n) for n in (1, 2, 3, 4))
+        # inverse of b(1..4) = (1,1,0,0), (1,2,1,1), (1,3,3,1), (1,4,6,2)
+        c2 = (f4 - f3 - f2 + f1).exact_div(2)
+        c1 = 2 * f3 - f4 - f1
+        formula = [f1 - c1, c1, c2, f2 - f1 - c1 - c2]
+        assert rows == formula, rank
+        for n in (1, 2, 3, 7, *HUGE_NS):
+            b = (1, n, n * (n - 1) // 2, n // 2)
+            assert sum((bk * r for bk, r in zip(b, rows)), ZERO) == \
+                rep_variety_epoly_strata(rank, n), (rank, n)
 
 
 def test_formula_values():

@@ -1,6 +1,6 @@
 import pytest
 
-from hopfvar.poly import Q
+from hopfvar.poly import ONE, Poly, Q
 from hopfvar.repring import S2Elem, S3Elem
 from hopfvar.strata import (
     P2_BOTH_EQUAL, P2_DISTINCT, P3_ALL_EQUAL, P3_DISTINCT, P3_TWO_EQUAL,
@@ -8,6 +8,49 @@ from hopfvar.strata import (
     config_equivariant_s3, count_config_points, refinement_pairs, refines,
     smallest_admissible_prime,
 )
+
+# twist counts at which the table is checked against the closed forms below
+NS = [*range(1, 301), 10 ** 18, 10 ** 18 + 1]
+
+
+# -- oracle: closed forms in n, one per stratum, as written before the table --
+
+def closed_config(src, tgt, n):
+    key = (src.rank, src.index, tgt.index)
+    return {
+        (2, 1, 1): Poly.const(2),
+        (2, 2, 1): Poly.const(2 * n - 2),
+        (2, 2, 2): Q - (2 * n + 1),
+        (3, 1, 1): Poly.const(3),
+        (3, 2, 1): Poly.const(3 * n - 3),
+        (3, 3, 1): Poly.const(3 * n * n - 9 * n + 6),
+        (3, 2, 2): Q - (3 * n + 1),
+        (3, 3, 2): (n - 1) * (Q - (3 * n + 1)),
+        (3, 3, 3): Poly([6 * n * n + 3 * n + 1, -(3 * n + 2), 1]),
+    }[key]
+
+
+def closed_s2(src, tgt, n):
+    if tgt is None:
+        return S2Elem(Q - 2, Poly.const(-1))
+    if tgt == P2_BOTH_EQUAL:
+        return S2Elem(Poly.const(n - 1), Poly.const(n - 1))
+    if tgt == P2_DISTINCT:
+        return S2Elem(Q - (n + 1), Poly.const(-n))
+    swap = 3 * n * (n - 1) // 2
+    return S2Elem((n // 2) * (Q - 1) - swap, ((n - 1) // 2) * (Q - 1) - swap)
+
+
+def closed_s3(tgt, n):
+    if tgt is None:
+        return S3Elem(Q * Q - Q + 1, ONE, -2 * Q + 4)
+    if tgt == P3_ALL_EQUAL:
+        m = (n - 1) * (n - 2)
+        assert m % 2 == 0
+        return S3Elem(Poly.const(m // 2), Poly.const(m // 2), Poly.const(m))
+    nn, a, b = n * n, n // 2, (n - 1) // 2
+    return S3Elem(Poly([nn + a, -1 - a, 1]), Poly([nn + b, -b]),
+                  Poly([2 * nn + n + 1, -(n + 1)]))
 
 
 def test_partition_validation():
@@ -58,6 +101,10 @@ def test_config_epoly_values():
     assert config_epoly(P3_DISTINCT, P3_DISTINCT, 2) == Q ** 2 - 8 * Q + 31
     assert config_epoly(P2_DISTINCT, P2_BOTH_EQUAL, 4) == 6
     assert config_epoly(P2_DISTINCT, P2_DISTINCT, 3) == Q - 7
+    for rank in (2, 3):
+        for src, tgt in refinement_pairs(rank):
+            for n in NS:
+                assert config_epoly(src, tgt, n) == closed_config(src, tgt, n), (src, tgt, n)
 
 
 def test_config_epoly_requires_refinement():
@@ -78,6 +125,11 @@ def test_equivariant_s2_values():
     assert config_equivariant_s2(P3_DISTINCT, P3_TWO_EQUAL, 2) == S2Elem(Q - 4, -3)
     assert config_equivariant_s2(P2_DISTINCT, None, 7) == S2Elem(Q - 2, -1)
     assert config_equivariant_s2(P2_DISTINCT, P2_DISTINCT, 3) == S2Elem(Q - 4, -3)
+    pairs = [(P2_DISTINCT, None), (P2_DISTINCT, P2_BOTH_EQUAL),
+             (P2_DISTINCT, P2_DISTINCT), (P3_DISTINCT, P3_TWO_EQUAL)]
+    for src, tgt in pairs:
+        for n in NS:
+            assert config_equivariant_s2(src, tgt, n) == closed_s2(src, tgt, n), (src, tgt, n)
 
 
 def test_equivariant_s2_rejects_pairs_without_action():
@@ -94,6 +146,9 @@ def test_equivariant_s3_values():
     # stratum is the whole space
     assert config_equivariant_s3(P3_DISTINCT, 1) == S3Elem(Q ** 2 - Q + 1, 1, -2 * Q + 4)
     assert config_equivariant_s3(P3_DISTINCT, 1) == config_equivariant_s3(None, 1)
+    for tgt in (None, P3_ALL_EQUAL, P3_DISTINCT):
+        for n in NS:
+            assert config_equivariant_s3(tgt, n) == closed_s3(tgt, n), (tgt, n)
     with pytest.raises(ValueError):
         config_equivariant_s3(P3_TWO_EQUAL, 2)
 
