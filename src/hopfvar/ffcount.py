@@ -25,30 +25,32 @@ the centralizer of A^n, hence the same #{B}.  On chi = sum c_i x^i, zA
 multiplies c_i by z^(r-i), and A^-1 gives the reversed polynomial times
 (-1)^r (det A = 1): at rank 3 (c_1, c_2) -> (-c_2, -c_1), at rank 2 chi is
 unchanged.  An orbit is represented by its least chi; it has up to 6
-classes at rank 3 (when 3 | q - 1) and up to 2 at rank 2.  The classes of
-each kind come in ascending chi (cyclic: c_1 in the outer loop, c_2 in the
-inner; non-cyclic and scalar: sorted), so the first class of an orbit the
-sweep meets is its least.  The sweep keeps one bytearray of q^(r-1) flags
-per kind, indexed by chi's middle coefficients: a representative flags its
-images and is weighted by the number of flags it sets, and a flagged class
-is skipped.
+classes at rank 3 (when 3 | q - 1) and up to 2 at rank 2.  The sweep keeps
+one bytearray of q^(r-1) flags per kind, indexed by chi's middle
+coefficients, and steps through the unflagged indices in ascending order with
+bytearray.find, so the first class of an orbit it meets is its least.  A
+class it visits flags its images and is weighted by the number of flags it
+sets; a flagged class is skipped without building its chi or its matrix.  The
+cyclic kind has a class at every index, and a non-cyclic or scalar kind
+starts with the indices of the other polynomials flagged.
 
 The orders of the centralizers C_GL(A_C) and C_SL(A_C^n) are closed forms in
 q, read from the factor pattern of the characteristic polynomial (its roots
 in F_q with multiplicity) and from whether the matrix is cyclic (see
-_centralizer_orders).  The sweep types A_C from its kind and the chi it was
-built from.  For A_C^n, a non-scalar matrix M is cyclic iff its minimal
-polynomial has degree r, which is read off M and M^2 without row reduction
-(_is_cyclic); the commutant of a cyclic M is then F_q[M], with basis
-I, M, ..., M^(r-1).  Only scalar and non-cyclic matrices have their
-commutant computed by Gaussian elimination.  Nothing is enumerated: at
-rank 3 about q^2 / 6 orbits (q^2 / 2 when 3 does not divide q - 1) replace
-the q^9 matrices of a direct enumeration.
+_centralizer_orders).  The sweep types A_C from its kind and its chi.  For
+A_C^n, the commutant has a closed-form basis (commutant_basis), and nothing
+is row-reduced: a scalar M has the r^2 matrix units; a non-scalar M is
+cyclic iff its minimal polynomial has degree r, read off M and M^2
+(_double_eigenvalue), and then has the basis I, M, ..., M^(r-1) of F_q[M];
+a non-cyclic M has rank 3 and a double eigenvalue a with M - aI = u v^T of
+rank 1, and its commutant is F_q I + (v-perp (x) u-perp).  Nothing is
+enumerated: at rank 3 about q^2 / 6 orbits (q^2 / 2 when 3 does not divide
+q - 1) replace the q^9 matrices of a direct enumeration.
 
 The count equals the closed-formula E-polynomial at q when rank*n | q-1
 (is_admissible).  The sweep is serial: the threads argument is accepted and
-has no effect on the result.  It steps through about q^(r-1) classes (q^2 + q
-at rank 3, q + 2 at rank 2) and refuses a field whose q^(r-1) exceeds
+has no effect on the result.  Its flags cover about q^(r-1) classes (q^2 + q
+at rank 3, q + 2 at rank 2), and it refuses a field whose q^(r-1) exceeds
 MAX_CLASSES; that check is O(1) and runs before the primality test of q, which
 would not end for a huge q.  A^n is computed as A^(n mod |GL_r(F_q)|), exact
 by Lagrange's theorem, so the cost of a class does not grow with n.
@@ -57,9 +59,7 @@ by Lagrange's theorem, so the cost of a class does not grow with n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from math import comb, gcd, prod
-from operator import mul
+from math import gcd, prod
 from typing import Iterable, Iterator, Optional
 
 from .strata import admissibility_modulus, check_twists, is_admissible, is_prime
@@ -87,9 +87,9 @@ def _check_field(q: int) -> None:
         raise ValueError(f"q must be an odd prime, got {q}")
 
 
-def _is_scalar(rows) -> bool:
+def _is_scalar(rows: tuple[tuple[int, ...], ...]) -> bool:
     d = rows[0][0]
-    return all(x == (d if i == j else 0) for i, row in enumerate(rows) for j, x in enumerate(row))
+    return rows == (((d, 0), (0, d)) if len(rows) == 2 else ((d, 0, 0), (0, d, 0), (0, 0, d)))
 
 
 @dataclass(frozen=True)
@@ -117,11 +117,6 @@ class FqMatrix:
         object.__setattr__(m, "rows", rows)
         return m
 
-    @classmethod
-    def _over(cls, q: int, rows: Iterable[Iterable[int]]) -> FqMatrix:
-        """As _of, for rows whose entries still need reducing."""
-        return cls._of(q, tuple(tuple(x % q for x in row) for row in rows))
-
     @staticmethod
     def identity(rank: int, q: int) -> FqMatrix:
         return FqMatrix(q, _IDENTITY[rank])
@@ -131,11 +126,22 @@ class FqMatrix:
         return len(self.rows)
 
     def __mul__(self, other: FqMatrix) -> FqMatrix:
-        if self.q != other.q or self.rank != other.rank:
+        if self.q != other.q or len(self.rows) != len(other.rows):
             raise ValueError("incompatible matrices")
-        q, cols = self.q, tuple(zip(*other.rows))
-        return FqMatrix._of(q, tuple(tuple(sum(map(mul, row, col)) % q for col in cols)
-                                     for row in self.rows))
+        q = self.q
+        if len(self.rows) == 2:
+            (a, b), (c, d) = self.rows
+            (e, f), (g, h) = other.rows
+            return FqMatrix._of(q, (((a * e + b * g) % q, (a * f + b * h) % q),
+                                    ((c * e + d * g) % q, (c * f + d * h) % q)))
+        (a, b, c), (d, e, f), (g, h, i) = self.rows
+        (j, k, l), (m, n, o), (s, t, u) = other.rows
+        return FqMatrix._of(q, (((a * j + b * m + c * s) % q, (a * k + b * n + c * t) % q,
+                                 (a * l + b * o + c * u) % q),
+                                ((d * j + e * m + f * s) % q, (d * k + e * n + f * t) % q,
+                                 (d * l + e * o + f * u) % q),
+                                ((g * j + h * m + i * s) % q, (g * k + h * n + i * t) % q,
+                                 (g * l + h * o + i * u) % q)))
 
     def pow(self, n: int) -> FqMatrix:
         """n-th power by binary exponentiation, n >= 1."""
@@ -150,120 +156,91 @@ class FqMatrix:
                 return result
             base = base * base
 
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.rank)) % self.q
-
     def det(self) -> int:
-        q, m = self.q, self.rows
-        if self.rank == 2:
-            return (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % q
-        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])) % q
+        return (-1) ** self.rank * self.char_poly()[0] % self.q
 
     def is_scalar(self) -> bool:
         return _is_scalar(self.rows)
 
     def char_poly(self) -> tuple[int, ...]:
         """Monic characteristic polynomial, ascending coefficients."""
-        q, m = self.q, self.rows
-        t = self.trace()
-        if self.rank == 2:
-            return ((self.det()) % q, (-t) % q, 1)
-        c2 = (m[0][0] * m[1][1] - m[0][1] * m[1][0]
-              + m[0][0] * m[2][2] - m[0][2] * m[2][0]
-              + m[1][1] * m[2][2] - m[1][2] * m[2][1]) % q
-        return ((-self.det()) % q, c2, (-t) % q, 1)
+        q = self.q
+        if len(self.rows) == 2:
+            (a, b), (c, d) = self.rows
+            return ((a * d - b * c) % q, -(a + d) % q, 1)
+        (a, b, c), (d, e, f), (g, h, i) = self.rows
+        ei_fh, di_fg, dh_eg = e * i - f * h, d * i - f * g, d * h - e * g
+        return (-(a * ei_fh - b * di_fg + c * dh_eg) % q,
+                (a * e - b * d + a * i - c * g + ei_fh) % q, -(a + e + i) % q, 1)
 
 
-# -- commutant linear algebra ---------------------------------------------------
+# -- commutants in closed form ------------------------------------------------------
 
-def _kernel_basis_mod(rows: list[list[int]], q: int) -> list[list[int]]:
-    """Basis of the null space of a matrix over F_q (Gaussian elimination)."""
-    if not rows:
-        return []
-    m = len(rows[0])
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(m):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] % q), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], q - 2, q)
-        mat[rank] = [(x * inv) % q for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(a - f * b) % q for a, b in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(m) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * m
-        v[fc] = 1
-        for prow, pcol in enumerate(pivots):
-            v[pcol] = (-mat[prow][fc]) % q
-        basis.append(v)
-    return basis
-
-
-def _commutator_operator(M: FqMatrix) -> list[list[int]]:
-    # rows of the map X -> XM - MX on r^2 coordinates (row-major X)
-    q, r, m = M.q, M.rank, M.rows
-    rows = []
-    for i in range(r):
-        for j in range(r):
-            row = [0] * (r * r)
-            for a in range(r):
-                for b in range(r):
-                    c = 0
-                    if a == i:
-                        c += m[b][j]
-                    if b == j:
-                        c -= m[i][a]
-                    row[a * r + b] = c % q
-            rows.append(row)
-    return rows
-
-
-def _is_cyclic(M: FqMatrix, M2: Optional[FqMatrix] = None) -> bool:
-    """Whether a non-scalar M is cyclic, i.e. its minimal polynomial has
-    degree r.  At rank 2 every non-scalar M is.  At rank 3 M is not iff
+def _double_eigenvalue(M: FqMatrix, M2: Optional[FqMatrix] = None) -> Optional[int]:
+    """None if a non-scalar M is cyclic, i.e. its minimal polynomial has
+    degree r; otherwise the eigenvalue a with M - aI of rank 1.  At rank 2
+    every non-scalar M is cyclic.  At rank 3 M is not iff
     M^2 = alpha M + beta I: alpha is read off an entry M[i][j] != 0 with
-    i != j, where I vanishes, and M^2 - alpha M must then be scalar.  A
-    diagonal M is cyclic iff its three entries are distinct.  M2, when
-    given, is M * M."""
+    i != j, where I vanishes, and M^2 - alpha M must then be scalar.  The
+    minimal polynomial is then (x - a)(x - b) with characteristic polynomial
+    (x - a)^2 (x - b), so a = tr M - alpha.  A diagonal M is cyclic iff its
+    three entries are distinct, and a is the repeated one.  M2, when given,
+    is M * M."""
     if M.rank == 2:
-        return True
+        return None
     q, m = M.q, M.rows
-    i, j = next(((i, j) for i in range(3) for j in range(3) if i != j and m[i][j]),
-                (None, None))
-    if i is None:
-        return len({m[0][0], m[1][1], m[2][2]}) == 3
+    for i, j in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
+        if m[i][j]:
+            break
+    else:
+        d0, d1, d2 = m[0][0], m[1][1], m[2][2]
+        return d0 if d0 in (d1, d2) else d1 if d1 == d2 else None
     m2 = (M * M if M2 is None else M2).rows
-    alpha = m2[i][j] * pow(m[i][j], -1, q)
-    return not _is_scalar([[(a - alpha * b) % q for a, b in zip(row2, row)]
-                           for row2, row in zip(m2, m)])
+    # M^2 - alpha M is scalar iff x M^2 - y M is, x = M[i][j], y = M^2[i][j]
+    x, y = m[i][j], m2[i][j]
+    rest = [(x * s - y * t) % q for row2, row in zip(m2, m) for s, t in zip(row2, row)]
+    if rest != [rest[0], 0, 0, 0, rest[0], 0, 0, 0, rest[0]]:
+        return None
+    return (m[0][0] + m[1][1] + m[2][2] - y * pow(x, -1, q)) % q
+
+
+def _perp(v: tuple[int, ...], q: int) -> list[tuple[int, ...]]:
+    """Basis of {p : v . p = 0} for a nonzero v in F_q^3: v_k e_j - v_j e_k
+    for j != k, where v_k != 0."""
+    k = next(k for k, x in enumerate(v) if x)
+    return [tuple(v[k] if l == j else -v[j] % q if l == k else 0 for l in range(3))
+            for j in range(3) if j != k]
 
 
 def commutant_basis(M: FqMatrix) -> list[FqMatrix]:
-    """Basis of the algebra of matrices commuting with M.
+    """Basis of the algebra of matrices commuting with M, in closed form.
 
-    A cyclic M has the commutant F_q[M], with basis I, M, ..., M^(r-1).  A
-    scalar or non-cyclic M gets a null-space basis of the commutator
-    equations XM - MX = 0 by Gaussian elimination.  At rank 3, M^2 is formed
-    once, for both the cyclicity test and the basis."""
-    q, r = M.q, M.rank
-    if not M.is_scalar():
-        M2 = M * M if r == 3 else None
-        if _is_cyclic(M, M2):
-            basis = [FqMatrix._of(q, _IDENTITY[r]), M]
-            return basis + [M2] if r == 3 else basis
-    vecs = _kernel_basis_mod(_commutator_operator(M), q)
-    return [FqMatrix._of(q, tuple(tuple(v[i * r:(i + 1) * r]) for i in range(r))) for v in vecs]
+    A scalar M gets the r^2 matrix units, a cyclic M the basis I, ...,
+    M^(r-1) of F_q[M].  A non-cyclic, non-scalar M has rank 3 and a double
+    eigenvalue a with M - aI = u v^T of rank 1 (_double_eigenvalue): u spans
+    its columns and v its rows.  X commutes with u v^T iff Xu = cu and
+    v^T X = c v^T for one scalar c: applying X u v^T = u v^T X to a w with
+    v^T w = 1 gives Xu = (v^T X w) u, and cancelling u != 0 then gives the
+    second.  So X - cI has its columns in v-perp and its rows in u-perp, and
+    the basis is I and the four p c^T with v^T p = 0 and c^T u = 0 (_perp).
+    At rank 3, M^2 is formed once, for both the cyclicity test and the basis."""
+    q, r, m = M.q, M.rank, M.rows
+    ident = FqMatrix._of(q, _IDENTITY[r])
+    if _is_scalar(m):
+        return [FqMatrix._of(q, tuple(tuple(int((i, j) == (k, l)) for l in range(r))
+                                      for k in range(r))) for i in range(r) for j in range(r)]
+    if r == 2:
+        return [ident, M]
+    M2 = M * M
+    a = _double_eigenvalue(M, M2)
+    if a is None:
+        return [ident, M, M2]
+    n = tuple(tuple((x - a) % q if i == j else x for j, x in enumerate(row))
+              for i, row in enumerate(m))
+    v = next(row for row in n if any(row))
+    u = next(col for col in zip(*n) if any(col))
+    return [ident] + [FqMatrix._of(q, tuple(tuple(pi * ci % q for ci in c) for pi in p))
+                      for p in _perp(v, q) for c in _perp(u, q)]
 
 
 def commutant_dimension(M: FqMatrix) -> int:
@@ -363,45 +340,44 @@ def count_commuting_det1(M: FqMatrix) -> int:
 
 
 # -- class-equation sweep ---------------------------------------------------------
+#
+# A det-1 characteristic polynomial chi is fixed by its middle coefficients,
+# its constant term being (-1)^r; they give chi's key, the index of its flag:
+# c_1 at rank 2, c_1 q + c_2 at rank 3.  Ascending key is ascending chi.
 
-def _companion(q: int, low: tuple[int, ...]) -> FqMatrix:
-    """Companion matrix of x^r + low[r-1] x^(r-1) + ... + low[0]."""
-    r = len(low)
-    return FqMatrix._over(q, [[-low[i] if j == r - 1 else int(i == j + 1) for j in range(r)]
-                              for i in range(r)])
-
-
-def _classes(rank: int, q: int) -> Iterator[tuple[str, tuple[int, ...], partial[FqMatrix]]]:
-    """(kind, chi, make) for each GL_rank(F_q)-conjugacy class inside
-    SL_rank(F_q), by rational canonical form (see the module docstring); chi
-    is the characteristic polynomial of the class, ascending coefficients,
-    and make() builds its matrix.  The classes of each kind come in
-    ascending chi.  q must have passed _check_field."""
-    if rank == 2:
-        for c1 in range(q):
-            chi = (1, c1, 1)
-            yield "cyclic", chi, partial(_companion, q, chi[:-1])
-    else:
-        for c1 in range(q):
-            for c2 in range(q):
-                chi = (q - 1, c1, c2, 1)
-                yield "cyclic", chi, partial(_companion, q, chi[:-1])
-        # (x - a)^2 (x - b) with a^2 b = 1
-        for chi, a, b in sorted(((q - 1, a * (a + 2 * b) % q, -(2 * a + b) % q, 1), a, b)
-                                for a in range(1, q) for b in [pow(a, -2, q)]):
-            yield "non-cyclic", chi, partial(FqMatrix._over, q,
-                                             [[a, 0, 0], [0, 0, -a * b], [0, 1, a + b]])
-    scalars = sorted((tuple(comb(rank, i) * (-a) ** (rank - i) % q for i in range(rank + 1)), a)
-                     for a in range(1, q) if pow(a, rank, q) == 1)
-    for chi, a in scalars:
-        yield "scalar", chi, partial(FqMatrix._over, q,
-                                     [[a if i == j else 0 for j in range(rank)]
-                                      for i in range(rank)])
+def _chi(rank: int, q: int, key: int) -> tuple[int, ...]:
+    """The det-1 characteristic polynomial with this key, ascending
+    coefficients."""
+    return (1, key, 1) if rank == 2 else (q - 1, *divmod(key, q), 1)
 
 
-def _flag(mid, q: int) -> int:
-    """Index of the middle coefficients of chi in the sweep's flags."""
-    return mid[0] * q + mid[1] if len(mid) == 2 else mid[0]
+def _companion(q: int, chi: tuple[int, ...]) -> FqMatrix:
+    """Companion matrix of the monic chi, ascending reduced coefficients."""
+    if len(chi) == 3:
+        return FqMatrix._of(q, ((0, -chi[0] % q), (1, -chi[1] % q)))
+    return FqMatrix._of(q, ((0, 0, -chi[0] % q), (1, 0, -chi[1] % q), (0, 1, -chi[2] % q)))
+
+
+def _classes(rank: int, q: int) -> list[tuple[str, Optional[dict[int, tuple]]]]:
+    """(kind, members) for each kind of GL_rank(F_q)-conjugacy class inside
+    SL_rank(F_q), by rational canonical form (see the module docstring).
+    members maps the key of each class of a non-cyclic or scalar kind to the
+    rows of its matrix, in ascending key; it is None for the cyclic kind,
+    which has one class at every key, the companion matrix of its chi.  q
+    must have passed _check_field."""
+    kinds: list[tuple[str, Optional[dict[int, tuple]]]] = [("cyclic", None)]
+    if rank == 3:
+        # (x - a)^2 (x - b) = x^3 - (2a + b) x^2 + a(a + 2b) x - 1 with a^2 b = 1
+        kinds.append(("non-cyclic", dict(sorted(
+            (a * (a + 2 * b) % q * q + -(2 * a + b) % q,
+             ((a, 0, 0), (0, 0, -a * b % q), (0, 1, (a + b) % q)))
+            for a in range(1, q) for b in [pow(a, -2, q)]))))
+    # (x - a)^2 = x^2 - 2a x + 1 and (x - a)^3 = x^3 - 3a x^2 + 3a^2 x - 1
+    kinds.append(("scalar", dict(sorted(
+        (3 * a * a % q * q + -3 * a % q if rank == 3 else -2 * a % q,
+         tuple(tuple(a if i == j else 0 for j in range(rank)) for i in range(rank)))
+        for a in range(1, q) if pow(a, rank, q) == 1))))
+    return kinds
 
 
 def class_representatives(rank: int, q: int) -> Iterator[FqMatrix]:
@@ -409,14 +385,35 @@ def class_representatives(rank: int, q: int) -> Iterator[FqMatrix]:
     by rational canonical form (see the module docstring).  Raises ValueError
     unless q is an odd prime."""
     _check_field(q)
-    return (make() for _, _, make in _classes(rank, q))
+    return (_companion(q, _chi(rank, q, key)) if members is None else FqMatrix._of(q, members[key])
+            for _, members in _classes(rank, q)
+            for key in (range(q ** (rank - 1)) if members is None else members))
 
 
 def class_size(A: FqMatrix) -> int:
     """|GL_r(F_q)| / |C_GL(A)|: the number of conjugates of A."""
     if A.is_scalar():
         return 1
-    return _gl_order(A.rank, A.q) // _centralizer_orders(A.char_poly(), A.q, _is_cyclic(A))[0]
+    return _gl_order(A.rank, A.q) // _centralizer_orders(A.char_poly(), A.q,
+                                                           _double_eigenvalue(A) is None)[0]
+
+
+def _flag_orbit(flags: bytearray, rank: int, q: int, key: int, roots: list[int]) -> int:
+    """Flag the keys of the orbit of the class with this key and return how
+    many were unflagged.  zA (z in roots, z^r = 1) multiplies c_i by
+    z^(r-i); A^-1 maps (c_1, c_2) to (-c_2, -c_1) at rank 3 and fixes chi at
+    rank 2."""
+    orbit, (c1, c2) = 0, divmod(key, q)
+    for z in roots:
+        if rank == 2:
+            images = (key * z % q,)
+        else:
+            a, b = c1 * z * z % q, c2 * z % q
+            images = (a * q + b, -b % q * q + -a % q)
+        for i in images:
+            orbit += not flags[i]
+            flags[i] = 1
+    return orbit
 
 
 def count_rep_variety_points(rank: int, n: int, q: int,
@@ -441,26 +438,21 @@ def count_rep_variety_points(rank: int, n: int, q: int,
     # remainder keeps the exponent at the order itself, since pow needs n >= 1
     order = _gl_order(rank, q)
     n = n % order or order
-    # chi's first and last coefficients are fixed by the orbit maps, so an
-    # image of chi is one of its middle coefficients mid = chi[1:-1]: zA
-    # multiplies c_i by z^(r-i), A^-1 reverses mid and multiplies it by (-1)^r
-    weights = [tuple(pow(z, rank - i, q) for i in range(1, rank))
-               for z in range(1, q) if pow(z, rank, q) == 1]
-    sign = (-1) ** rank
-    total, flags, flagged_kind = 0, None, None
-    for kind, chi, make in _classes(rank, q):
-        if kind != flagged_kind:
-            flags, flagged_kind = bytearray(classes), kind
-        mid = chi[1:-1]
-        if flags[_flag(mid, q)]:
-            continue
-        orbit = 0
-        images = [[c * w % q for c, w in zip(mid, ws)] for ws in weights]
-        for image in images + [[sign * c % q for c in image[::-1]] for image in images]:
-            i = _flag(image, q)
-            orbit += not flags[i]
-            flags[i] = 1
-        size = 1 if kind == "scalar" else order // _centralizer_orders(
-            chi, q, kind == "cyclic")[0]
-        total += orbit * size * count_commuting_det1(make().pow(n))
+    roots = [z for z in range(1, q) if pow(z, rank, q) == 1]
+    total = 0
+    for kind, members in _classes(rank, q):
+        # the keys of a sparse kind's non-members start flagged, so every
+        # unflagged key is a class of this kind not yet in a visited orbit
+        flags = bytearray(classes) if members is None else bytearray(b"\x01") * classes
+        for key in members or ():
+            flags[key] = 0
+        key = flags.find(0)
+        while key >= 0:
+            orbit = _flag_orbit(flags, rank, q, key, roots)
+            chi = _chi(rank, q, key)
+            A = _companion(q, chi) if members is None else FqMatrix._of(q, members[key])
+            size = 1 if kind == "scalar" else order // _centralizer_orders(
+                chi, q, members is None)[0]
+            total += orbit * size * count_commuting_det1(A.pow(n))
+            key = flags.find(0, key + 1)
     return total

@@ -278,7 +278,7 @@ def _span_det_counts(basis, q, rank):
     return units, det1
 
 
-def _commutant_null_space(rows, q):
+def commutant_null_space(rows, q):
     """Null-space basis of the commutator equations of M, row-major
     vec(XM - MX) = (I x M^T - M x I) vec(X)."""
     m = np.array(rows, dtype=np.int64)
@@ -289,20 +289,26 @@ def _commutant_null_space(rows, q):
 def commutant_unit_counts(rows, q):
     """(|C_GL(M)|, |C_SL(M)|) for the matrix M with these rows, by
     enumerating its commutant."""
-    basis = _commutant_null_space(rows, q)
+    basis = commutant_null_space(rows, q)
     return _span_det_counts(tuple(basis.ravel().tolist()), q, len(rows))
 
 
 def commutant_dimension_by_null_space(rows, q):
     """Dimension of the commutant of M over F_q."""
-    return len(_commutant_null_space(rows, q))
+    return len(commutant_null_space(rows, q))
+
+
+def matrix_rank(matrices, q):
+    """Dimension of the F_q-span of these square matrices (row tuples or
+    flat vectors): their number less the dimension of their relations."""
+    columns = np.array([np.ravel(m) for m in matrices], dtype=np.int64).T
+    return len(matrices) - len(_null_space(columns, q))
 
 
 def linearly_independent(matrices, q):
     """Whether these square matrices (as row tuples) are linearly
     independent over F_q: no nonzero combination of their entries vanishes."""
-    columns = np.array([np.ravel(m) for m in matrices], dtype=np.int64).T
-    return len(_null_space(columns, q)) == 0
+    return matrix_rank(matrices, q) == len(matrices)
 
 
 # -- factor pattern by trial division ---------------------------------------------

@@ -18,10 +18,10 @@ from hopfvar.ffcount import (
 from hopfvar.geom import rep_variety_epoly_formula
 
 from _oracles import (
-    class_key, commutant_dimension_by_null_space, commutant_unit_counts,
-    count_commuting_pairs_sl2, count_rep_variety_points_bruteforce,
-    factor_pattern_by_trial_division, linearly_independent, set_based_orbits,
-    sl_matrices,
+    class_key, commutant_dimension_by_null_space, commutant_null_space,
+    commutant_unit_counts, count_commuting_pairs_sl2,
+    count_rep_variety_points_bruteforce, factor_pattern_by_trial_division,
+    linearly_independent, matrix_rank, set_based_orbits, sl_matrices,
 )
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -111,10 +111,10 @@ def test_commutant_dimension_exhaustive_rank3_q3():
 
 
 def test_commutant_basis_members_commute():
-    # both paths of commutant_basis, powers of M for a cyclic M and Gaussian
-    # elimination otherwise: every class and its powers n = 1, 2, 3, 6, and
-    # random matrices; the basis must commute with m, be linearly
-    # independent and have the dimension of the oracle's null space
+    # every path of commutant_basis (matrix units, powers of M, and
+    # I + v-perp (x) u-perp for a non-cyclic M): every class and its powers
+    # n = 1, 2, 3, 6, and random matrices; the basis must commute with m, be
+    # linearly independent and have the dimension of the oracle's null space
     matrices = [a.pow(n) for rank in (2, 3) for q in (3, 5, 7, 13)
                 for a in class_representatives(rank, q) for n in (1, 2, 3, 6)]
     rng = random.Random(23)
@@ -463,25 +463,62 @@ def test_field_checked_once_per_count(monkeypatch):
         FqMatrix(9, [(1, 0), (0, 1)])
 
 
-def test_cyclic_classes_skip_commutator_elimination(monkeypatch):
-    # only scalar and non-cyclic matrices row-reduce their commutator
-    # equations: at rank 3 and n = 1 the classes
-    # diag(a) + companion((x - a)(x - a^-2)) the sweep visits, at most
-    # q - 1, at rank 2 none
-    operator, calls = ffcount._commutator_operator, []
+def test_commutant_basis_closed_form_matches_null_space():
+    # the closed forms for scalar (matrix units) and non-cyclic rank-3 M
+    # (I and v-perp (x) u-perp for M - aI = u v^T): every scalar and
+    # non-cyclic 3x3 matrix over F_3, and conjugates of diag(a, a, b) and
+    # J_2(a) + (a) by random GL_3 elements at q = 5, 7, 13
+    matrices = []
+    for entries in itertools.product(range(3), repeat=9):
+        rows = (entries[:3], entries[3:6], entries[6:])
+        square = [[sum(rows[i][k] * rows[k][j] for k in range(3)) % 3 for j in range(3)]
+                  for i in range(3)]
+        # scalar or non-cyclic: M^2 = alpha M + beta I for some alpha, beta
+        if any(all(square[i][j] == (alpha * rows[i][j] + beta * (i == j)) % 3
+                   for i in range(3) for j in range(3))
+               for alpha in range(3) for beta in range(3)):
+            matrices.append(FqMatrix(3, rows))
+    # 3 scalars, 702 conjugates of diag(a, a, b) and 312 of J_2(a) + (a)
+    assert len(matrices) == 1017
+    rng = random.Random(59)
+    for q in (5, 7, 13):
+        for _ in range(60):
+            a, b = rng.randrange(q), rng.randrange(q)
+            core = rng.choice([((a, 0, 0), (0, a, 0), (0, 0, b)),
+                               ((a, 1, 0), (0, a, 0), (0, 0, a))])
+            while True:
+                g = FqMatrix(q, [[rng.randrange(q) for _ in range(3)] for _ in range(3)])
+                if g.det():
+                    break
+            g_inv = g.pow(prod(q ** 3 - q ** i for i in range(3)) - 1)
+            matrices.append(g * FqMatrix(q, core) * g_inv)
+    for m in matrices:
+        basis = commutant_basis(m)
+        null_space = commutant_null_space(m.rows, m.q)
+        assert len(null_space) in (5, 9), m
+        assert all(b * m == m * b for b in basis), m
+        assert linearly_independent([b.rows for b in basis], m.q), m
+        # the same span: as many members, and stacking adds no rank
+        assert len(basis) == len(null_space), m
+        assert matrix_rank([b.rows for b in basis] + list(null_space), m.q) == len(basis), m
 
-    def counting_operator(m):
-        calls.append(m)
-        return operator(m)
 
-    monkeypatch.setattr(ffcount, "_commutator_operator", counting_operator)
-    assert count_rep_variety_points(3, 1, 7) == \
-        rep_variety_epoly_formula(3, 1).evaluate(7)
-    assert len(calls) <= 6
-    calls.clear()
-    assert count_rep_variety_points(2, 1, 7) == \
-        rep_variety_epoly_formula(2, 1).evaluate(7)
-    assert calls == []
+def test_is_scalar_matches_entrywise_definition():
+    # every rank-2 and rank-3 matrix over F_3, the zero matrix included
+    for rank in (2, 3):
+        for entries in itertools.product(range(3), repeat=rank * rank):
+            rows = [entries[i * rank:(i + 1) * rank] for i in range(rank)]
+            expected = all(x == (rows[0][0] if i == j else 0)
+                           for i, row in enumerate(rows) for j, x in enumerate(row))
+            assert FqMatrix(3, rows).is_scalar() == expected, rows
+
+
+def test_class_representatives_have_reduced_entries():
+    # the sweep builds representatives without re-reducing their entries
+    for rank in (2, 3):
+        for q in (3, 5, 7, 13):
+            for m in class_representatives(rank, q):
+                assert m == FqMatrix(q, m.rows), (rank, q, m)
 
 
 def test_huge_q_refused_before_primality():
