@@ -78,7 +78,7 @@ def char_pieces(rank: int, n: int) -> dict[str, Poly]:
     # red_21: (n-1) twist classes, floor((n-1)/2) inverse pairs, plus the
     # self-inverse class when n is even
     half = (n - 1) // 2
-    red_21 = half * _RED21_PAIRED + (n - 1 - 2 * half) * _RED21_SELF
+    red_21 = Poly.combine([(half, _RED21_PAIRED), (n - 1 - 2 * half, _RED21_SELF)])
     irr_repeated = (3 * n - 3) * _IRR_REPEATED_SLICE
     # (n-1)(n-2) is always even
     irr_distinct = ((n - 1) * (n - 2) * _IRR_DISTINCT_SLICE).exact_div(2)
@@ -105,11 +105,8 @@ def char_variety_epoly_formula(rank: int, n: int) -> Poly:
     if rank == 2:
         return _F_Q2_1 + (n - 1) * _F_Q2_Q_1
     if rank == 3:
-        m = (n - 1) * (n - 2)
-        return (
-            _F_Q4_Q2_1
-            + (m * _F_Q6_2Q5).exact_div(2)
-            - ((n - 1) // 2) * _F_QM1_2_Q2_Q_M1
-            + (n - 1) * (3 * _F_Q4_Q3 + _F_Q_QM1_3)
-        )
+        # (n-1)(n-2) is always even, so its half is exact
+        return Poly.combine([(1, _F_Q4_Q2_1), ((n - 1) * (n - 2) // 2, _F_Q6_2Q5),
+                             (-((n - 1) // 2), _F_QM1_2_Q2_Q_M1),
+                             (3 * (n - 1), _F_Q4_Q3), (n - 1, _F_Q_QM1_3)])
     raise ValueError(f"rank must be 2 or 3, got {rank}")

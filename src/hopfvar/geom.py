@@ -14,10 +14,10 @@ Per rank, ``_TYPES`` holds one row per Jordan type (eigenvalue pattern,
 orbit, stabilizer) and ``_STRATA`` one row per admissible stratum.  Each
 stratum is built once, at import, on the twist basis of ``strata``
 (1, n, n(n-1)/2, floor(n/2)): one fixed polynomial per basis function, so
-``stratum_epoly`` at a given n is a short integer combination of them, with no
-ring product.  These constants are pinned by the test suite (dimension checks,
-fibration identity, match with the closed formulas for all n, finite-field
-counts) rather than re-derived.
+``stratum_epoly`` at a given n is one ``Poly.combine`` pass over them, with no
+ring product, and the strata route one such pass per stratum and one over the
+strata.  These constants are pinned by the test suite (dimension checks,
+fibration identity, closed formulas for all n, F_q counts), not re-derived.
 """
 
 from __future__ import annotations
@@ -224,25 +224,32 @@ def _stratum_row(rank: int, i: int, j: int, group: str | None):
 # (src, tgt) -> ((k, P_k), ...): the stratum is sum_k twist_basis(n)[k] * P_k
 _ROWS = dict(_stratum_row(rank, *row) for rank, rows in _STRATA.items() for row in rows)
 
-# the admissible strata of each rank, in assembly order
+# the admissible strata of each rank, in assembly order, and their rows
 _ADMISSIBLE = {rank: tuple(Stratum(JordanType(rank, i), JordanType(rank, j))
                            for i, j, _ in rows)
                for rank, rows in _STRATA.items()}
+_RANK_ROWS = {rank: tuple(_ROWS[s.src, s.tgt] for s in strata)
+              for rank, strata in _ADMISSIBLE.items()}
+
+
+def _at(row: tuple, basis: tuple[int, ...]) -> Poly:
+    """A stratum row summed against the twist basis at one n."""
+    return Poly.combine([(basis[k], p) for k, p in row])
 
 
 def stratum_epoly(stratum: Stratum, n: int) -> Poly:
     """E-polynomial of one admissible stratum at twist count n: its fixed
     polynomials summed against the twist basis at n."""
     check_twists(n)
-    basis = twist_basis(n)
-    return sum((basis[k] * p for k, p in _ROWS[stratum.src, stratum.tgt]), ZERO)
+    return _at(_ROWS[stratum.src, stratum.tgt], twist_basis(n))
 
 
 def rep_variety_epoly_strata(rank: int, n: int) -> Poly:
     """E-polynomial of the representation variety as the sum over all
     admissible strata (the stratification route)."""
     check_twists(n)
-    return sum((stratum_epoly(stratum, n) for stratum in admissible_strata(rank)), ZERO)
+    basis = twist_basis(n)
+    return Poly.combine([(1, _at(row, basis)) for row in _rows(_RANK_ROWS, rank)])
 
 
 # Closed-formula route: fixed coefficient data, ascending in q.
@@ -261,12 +268,9 @@ def rep_variety_epoly_formula(rank: int, n: int) -> Poly:
         # ((n - 1) q^2 + n q + (5 - n)) (q^3 - q)
         return Poly([5 - n, n, n - 1]) * _R2_OUTER
     if rank == 3:
-        # n^2 and n terms combine to an even polynomial for every n,
-        # so the halving is exact.
-        bracket = (
-            (n // 2) * _R3_FLOOR
-            + (n * n * _R3_N2 - n * _R3_N1).exact_div(2)
-            + _R3_N0
-        )
+        # floor(n/2) FLOOR + (n^2 N2 - n N1) / 2 + N0 over 2: the n^2 and n
+        # terms combine to an even polynomial for every n, so halving is exact
+        bracket = Poly.combine([(n // 2 * 2, _R3_FLOOR), (n * n, _R3_N2),
+                                (-n, _R3_N1), (2, _R3_N0)]).exact_div(2)
         return _R3_OUTER * bracket
     raise ValueError(f"rank must be 2 or 3, got {rank}")

@@ -12,7 +12,8 @@ The public constructor ``Poly(coeffs)`` validates its input: every coefficient
 must be an int.  Arithmetic (``+``, ``-``, ``*``, ``**``, ``exact_div``) takes
 Poly and int operands only, so its coefficients are ints by construction, and
 builds its results through the trusted constructor ``Poly._make``, which only
-strips trailing zeros.
+strips trailing zeros.  ``Poly.combine`` takes the same operands and forms
+sum s*p in one pass over the coefficients, with no intermediate Poly.
 Degrees in this package stay small (<= 16), which makes the dense
 representation and schoolbook convolution the right tool.
 
@@ -152,6 +153,23 @@ class Poly:
         return Poly._make([c * k for c in a])
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def combine(terms: Iterable[tuple[int, Poly]]) -> Poly:
+        """sum s*p over the (int s, Poly p) pairs of terms, in one pass over
+        their coefficients; zero scalars are skipped and no terms give ZERO."""
+        out: list[int] = []
+        for s, p in terms:
+            if not isinstance(s, int) or not isinstance(p, Poly):
+                raise TypeError(f"combine takes (int, Poly) pairs, not {s!r:.20}, {p!r:.20}")
+            if not s:
+                continue
+            cs = p.coeffs
+            if len(cs) > len(out):
+                out.extend([0] * (len(cs) - len(out)))
+            for i, c in enumerate(cs):
+                out[i] += s * c
+        return Poly._make(out)
 
     def __pow__(self, exponent: int) -> Poly:
         if exponent < 0:

@@ -226,6 +226,46 @@ def count_rep_variety_points_bruteforce(rank, n, q):
                for i, size in zip(first.tolist(), sizes.tolist()))
 
 
+# -- class sum for the irreducible GL2 locus -------------------------------------
+#
+# The pair sum of irreducible_char_points_gl2 grouped by the class of A': a
+# non-scalar 2 x 2 matrix is cyclic, so its characteristic polynomial fixes
+# its class, and tr[A', B'] is a class function of A'.  One representative
+# per class is paired with all of GL2(F_q) at once; A'^n is scalar, so every
+# B' commutes with it.
+
+def irreducible_char_points_gl2_by_classes(q: int, n: int) -> int:
+    """irreducible_char_points_gl2(q, n) as a sum over the classes of A':
+    #{B' : tr[A', B'] != 2} for one A' per characteristic polynomial, times
+    the number of A' that share it, over |PGL2(F_q)|."""
+    group = _odometer(0, q ** 4, q, 4).reshape(-1, 2, 2)
+    det = _det(group, q)
+    group, det = group[det != 0], det[det != 0]
+    # B'^-1 = adj(B') / det B'
+    inverses = np.stack([group[:, 1, 1], -group[:, 0, 1], -group[:, 1, 0], group[:, 0, 0]],
+                        axis=1).reshape(-1, 2, 2)
+    inv_det = np.array([0] + [pow(d, -1, q) for d in range(1, q)], dtype=np.int64)
+    inverses = inverses * inv_det[det][:, None, None] % q
+
+    def scalar(m):
+        return (m[:, 0, 1] == 0) & (m[:, 1, 0] == 0) & (m[:, 0, 0] == m[:, 1, 1])
+
+    sweep = group[scalar(_matpow(group, n, q)) & ~scalar(group)]
+    chi = (sweep[:, 0, 0] + sweep[:, 1, 1]) % q * q + _det(sweep, q)
+    _, first, sizes = np.unique(chi, return_index=True, return_counts=True)
+    total = 0
+    for i, size in zip(first.tolist(), sizes.tolist()):
+        a = sweep[i]
+        a_inv = np.array(inv2(tuple(a.ravel().tolist()), q), dtype=np.int64).reshape(2, 2)
+        x, y = a @ group % q, a_inv @ inverses % q
+        trace = np.einsum("kij,kji->k", x, y) % q
+        total += size * int(np.count_nonzero(trace != 2))
+    pgl2 = q * (q * q - 1)
+    if total % pgl2:
+        raise ValueError(f"{total} irreducible pairs is not a multiple of |PGL2| = {pgl2}")
+    return total // pgl2
+
+
 # -- commutant enumeration ------------------------------------------------------
 #
 # The centralizer of M in GL_r(F_q) (resp. SL_r(F_q)) is the set of members of

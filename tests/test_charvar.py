@@ -6,7 +6,12 @@ from hopfvar import charvar
 from hopfvar.charvar import PIECES, char_piece_epoly, char_pieces, char_variety_epoly_formula
 from hopfvar.poly import ZERO, Q
 
-from _oracles import irreducible_char_points_gl2, irreducible_char_points_sl2
+from _oracles import (
+    irreducible_char_points_gl2, irreducible_char_points_gl2_by_classes,
+    irreducible_char_points_sl2,
+)
+
+HUGE_NS = (10 ** 18, 10 ** 18 + 1)
 
 
 def test_rank2_pieces():
@@ -48,6 +53,15 @@ def test_red21_matches_gl2_point_count(n, q, expected):
     # red_21 is the irreducible GL2 locus; q - 1 is a multiple of n, so F_q
     # holds the twist classes and the count is the E-polynomial at q
     assert irreducible_char_points_gl2(q, n) == expected
+    assert char_piece_epoly(3, "red_21", n).evaluate(q) == expected
+
+
+@pytest.mark.parametrize("n, q, expected", [(2, 7, 1512), (3, 7, 1548), (2, 13, 22464),
+                                         (3, 13, 22608), (4, 13, 45072)])
+def test_red21_matches_gl2_class_sum(n, q, expected):
+    # the class sum agrees with the pair sum at q = 7 and reaches q = 13,
+    # where n = 4 holds both the paired and the self-inverse twist classes
+    assert irreducible_char_points_gl2_by_classes(q, n) == expected
     assert char_piece_epoly(3, "red_21", n).evaluate(q) == expected
 
 
@@ -123,3 +137,17 @@ def test_formula_shares_no_constant_with_pieces():
              for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert names["char_variety_epoly_formula"]
     assert not names["char_variety_epoly_formula"] & names["char_pieces"]
+
+
+def test_one_pass_red21_and_formula_match_their_expansions():
+    # red_21 and the rank-3 closed formula are each one combine pass; both
+    # must equal the scalar products and sums they replace
+    for n in [*range(1, 51), *HUGE_NS]:
+        half = (n - 1) // 2
+        assert char_piece_epoly(3, "red_21", n) == \
+            half * charvar._RED21_PAIRED + (n - 1 - 2 * half) * charvar._RED21_SELF, n
+        assert char_variety_epoly_formula(3, n) == (
+            charvar._F_Q4_Q2_1
+            + ((n - 1) * (n - 2) * charvar._F_Q6_2Q5).exact_div(2)
+            - ((n - 1) // 2) * charvar._F_QM1_2_Q2_Q_M1
+            + (n - 1) * (3 * charvar._F_Q4_Q3 + charvar._F_Q_QM1_3)), n

@@ -217,3 +217,16 @@ def test_formula_rejects_bad_input():
         admissible_strata(4)
     with pytest.raises(ValueError):
         rep_variety_epoly_formula(2, 0)
+
+
+def test_one_pass_assembly_matches_the_sum_of_strata():
+    # rep_variety_epoly_strata and the rank-3 formula each take one combine
+    # pass; both must equal the sums and products they replace
+    for n in [*range(1, 51), *HUGE_NS]:
+        for rank in (2, 3):
+            assert rep_variety_epoly_strata(rank, n) == sum(
+                (stratum_epoly(s, n) for s in admissible_strata(rank)), ZERO), (rank, n)
+        bracket = ((n // 2) * geom._R3_FLOOR
+                   + (n * n * geom._R3_N2 - n * geom._R3_N1).exact_div(2)
+                   + geom._R3_N0)
+        assert rep_variety_epoly_formula(3, n) == geom._R3_OUTER * bracket, n

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -244,3 +245,40 @@ def test_arithmetic_matches_naive_reference():
                 a.exact_div(d)
         else:
             assert a.exact_div(d).coeffs == _trim(c // d for c in ra)
+
+
+def test_combine_matches_naive_sum():
+    rng = random.Random(14)
+    big = 2 ** 200
+    for _ in range(300):
+        terms = []
+        for _ in range(rng.randint(0, 6)):
+            cs = _random_coeffs(rng)
+            if rng.random() < 0.2:
+                cs = [rng.randint(big, 2 * big) * rng.choice((1, -1)) for _ in cs]
+            s = rng.choice([0, 1, -1, rng.randint(-9, 9), rng.randint(-big, big)])
+            terms.append((s, Poly(cs)))
+        if terms and rng.random() < 0.3:
+            # a last term that cancels the leading coefficients of the others
+            p = sum((s * p for s, p in terms), ZERO)
+            terms.append((-1, p - Poly(p.coeffs[:rng.randint(0, max(p.degree, 0))])))
+        expected = sum((s * p for s, p in terms), ZERO)
+        got = Poly.combine(terms)
+        assert got == expected
+        assert got.coeffs == _trim(got.coeffs)
+        assert Poly.combine(iter(terms)) == expected
+    assert Poly.combine([]) == ZERO and Poly.combine([]).coeffs == ()
+    assert Poly.combine([(3, Q ** 2 + 1), (-3, Q ** 2)]).coeffs == (3,)
+    assert Poly.combine([(2, ZERO), (0, Q)]).coeffs == ()
+
+
+@pytest.mark.parametrize("bad", [1.5, Fraction(1, 2), "q"])
+def test_combine_rejects_non_int_scalars_and_non_poly_operands(bad):
+    with pytest.raises(TypeError):
+        Poly.combine([(1, Q), (bad, Q)])
+    with pytest.raises(TypeError):
+        Poly.combine([(1, Q), (2, bad)])
+    with pytest.raises(TypeError):
+        Poly.combine([(0, bad)])
+    with pytest.raises(TypeError):
+        Poly.combine([(0 * bad, Q)])  # a zero scalar is checked too
