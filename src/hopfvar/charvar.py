@@ -23,15 +23,9 @@ Pieces, by name:
 from __future__ import annotations
 
 from .poly import Poly, Q
-from .strata import check_twists
+from .strata import check_rank, check_twists
 
 __all__ = ["PIECES", "char_pieces", "char_piece_epoly", "char_variety_epoly_formula"]
-
-PIECES = {
-    2: ("red_total", "irr_total", "total"),
-    3: ("red_111", "red_21", "red_total",
-        "irr_repeated", "irr_distinct", "irr_total", "total"),
-}
 
 # The rank-3 (2,1) reducible locus is the irreducible GL2 locus: A' has
 # eigenvalues a, za with z^n = 1, z != 1.  A pair {z, 1/z} of distinct twist
@@ -70,11 +64,9 @@ def char_pieces(rank: int, n: int) -> dict[str, Poly]:
     PIECES order: each leaf is computed once, each aggregate is the sum of
     its leaves."""
     check_twists(n)
-    if rank == 2:
+    if check_rank(rank) == 2:
         red, irr = _R2_RED, (n - 1) * _R2_IRR_SLICE
         return {"red_total": red, "irr_total": irr, "total": red + irr}
-    if rank != 3:
-        raise ValueError(f"rank must be 2 or 3, got {rank}")
     # red_21: (n-1) twist classes, floor((n-1)/2) inverse pairs, plus the
     # self-inverse class when n is even
     half = (n - 1) // 2
@@ -88,12 +80,14 @@ def char_pieces(rank: int, n: int) -> dict[str, Poly]:
             "irr_total": irr, "total": red + irr}
 
 
+#: The piece names of each rank, in the order char_pieces returns them.
+PIECES = {rank: tuple(char_pieces(rank, 1)) for rank in (2, 3)}
+
+
 def char_piece_epoly(rank: int, piece: str, n: int) -> Poly:
     """E-polynomial of one character-variety piece at twist count n."""
     check_twists(n)
-    if rank not in PIECES:
-        raise ValueError(f"rank must be 2 or 3, got {rank}")
-    if piece not in PIECES[rank]:
+    if piece not in PIECES[check_rank(rank)]:
         raise ValueError(f"invalid piece {piece!r} for rank {rank}")
     return char_pieces(rank, n)[piece]
 
@@ -102,11 +96,9 @@ def char_variety_epoly_formula(rank: int, n: int) -> Poly:
     """Closed character-variety formula, with exact integer handling of the
     half-integer and floor terms and the corrected rank-3 red_21 terms."""
     check_twists(n)
-    if rank == 2:
+    if check_rank(rank) == 2:
         return _F_Q2_1 + (n - 1) * _F_Q2_Q_1
-    if rank == 3:
-        # (n-1)(n-2) is always even, so its half is exact
-        return Poly.combine([(1, _F_Q4_Q2_1), ((n - 1) * (n - 2) // 2, _F_Q6_2Q5),
-                             (-((n - 1) // 2), _F_QM1_2_Q2_Q_M1),
-                             (3 * (n - 1), _F_Q4_Q3), (n - 1, _F_Q_QM1_3)])
-    raise ValueError(f"rank must be 2 or 3, got {rank}")
+    # (n-1)(n-2) is always even, so its half is exact
+    return Poly.combine([(1, _F_Q4_Q2_1), ((n - 1) * (n - 2) // 2, _F_Q6_2Q5),
+                         (-((n - 1) // 2), _F_QM1_2_Q2_Q_M1),
+                         (3 * (n - 1), _F_Q4_Q3), (n - 1, _F_Q_QM1_3)])

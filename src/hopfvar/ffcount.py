@@ -37,15 +37,17 @@ starts with the indices of the other polynomials flagged.
 The orders of the centralizers C_GL(A_C) and C_SL(A_C^n) are closed forms in
 q, read from the factor pattern of the characteristic polynomial (its roots
 in F_q with multiplicity) and from whether the matrix is cyclic (see
-_centralizer_orders).  The sweep types A_C from its kind and its chi.  For
-A_C^n, the commutant has a closed-form basis (commutant_basis), and nothing
-is row-reduced: a scalar M has the r^2 matrix units; a non-scalar M is
-cyclic iff its minimal polynomial has degree r, read off M and M^2
-(_double_eigenvalue), and then has the basis I, M, ..., M^(r-1) of F_q[M];
-a non-cyclic M has rank 3 and a double eigenvalue a with M - aI = u v^T of
-rank 1, and its commutant is F_q I + (v-perp (x) u-perp).  Nothing is
-enumerated: at rank 3 about q^2 / 6 orbits (q^2 / 2 when 3 does not divide
-q - 1) replace the q^9 matrices of a direct enumeration.
+_centralizer_orders).  The sweep types A_C from its kind and its chi.  Any
+other matrix, A_C^n included, is typed by _orders, which class_size and
+count_commuting_det1 share: the length of its closed-form commutant basis
+(commutant_basis) tells whether it is cyclic, and nothing is row-reduced: a
+scalar M has the r^2 matrix units; a non-scalar M is cyclic iff its minimal
+polynomial has degree r, read off M and M^2 (_double_eigenvalue), and then
+has the basis I, M, ..., M^(r-1) of F_q[M]; a non-cyclic M has rank 3 and a
+double eigenvalue a with M - aI = u v^T of rank 1, and its commutant is
+F_q I + (v-perp (x) u-perp).  Nothing is enumerated: at rank 3 about q^2 / 6
+orbits (q^2 / 2 when 3 does not divide q - 1) replace the q^9 matrices of a
+direct enumeration.
 
 The count equals the closed-formula E-polynomial at q when rank*n | q-1
 (is_admissible).  The sweep is serial: the threads argument is accepted and
@@ -62,7 +64,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 from typing import Iterable, Iterator, Optional
 
-from .strata import admissibility_modulus, check_twists, is_admissible, is_prime
+from .strata import admissibility_modulus, check_rank, check_twists, is_admissible, is_prime
 
 __all__ = [
     "FqMatrix", "MAX_CLASSES",
@@ -176,7 +178,7 @@ class FqMatrix:
 
 # -- commutants in closed form ------------------------------------------------------
 
-def _double_eigenvalue(M: FqMatrix, M2: Optional[FqMatrix] = None) -> Optional[int]:
+def _double_eigenvalue(M: FqMatrix, M2: FqMatrix) -> Optional[int]:
     """None if a non-scalar M is cyclic, i.e. its minimal polynomial has
     degree r; otherwise the eigenvalue a with M - aI of rank 1.  At rank 2
     every non-scalar M is cyclic.  At rank 3 M is not iff
@@ -184,8 +186,7 @@ def _double_eigenvalue(M: FqMatrix, M2: Optional[FqMatrix] = None) -> Optional[i
     i != j, where I vanishes, and M^2 - alpha M must then be scalar.  The
     minimal polynomial is then (x - a)(x - b) with characteristic polynomial
     (x - a)^2 (x - b), so a = tr M - alpha.  A diagonal M is cyclic iff its
-    three entries are distinct, and a is the repeated one.  M2, when given,
-    is M * M."""
+    three entries are distinct, and a is the repeated one.  M2 is M * M."""
     if M.rank == 2:
         return None
     q, m = M.q, M.rows
@@ -195,7 +196,7 @@ def _double_eigenvalue(M: FqMatrix, M2: Optional[FqMatrix] = None) -> Optional[i
     else:
         d0, d1, d2 = m[0][0], m[1][1], m[2][2]
         return d0 if d0 in (d1, d2) else d1 if d1 == d2 else None
-    m2 = (M * M if M2 is None else M2).rows
+    m2 = M2.rows
     # M^2 - alpha M is scalar iff x M^2 - y M is, x = M[i][j], y = M^2[i][j]
     x, y = m[i][j], m2[i][j]
     rest = [(x * s - y * t) % q for row2, row in zip(m2, m) for s, t in zip(row2, row)]
@@ -327,16 +328,21 @@ def _centralizer_orders(chi: tuple[int, ...], q: int, cyclic: bool) -> tuple[int
     return gl, gl // (q - 1)
 
 
-def count_commuting_det1(M: FqMatrix) -> int:
-    """#{B in SL_r(F_q) : BM = MB} = |C_SL(M)|.
-
-    A scalar M short-circuits to |SL_r(F_q)|; otherwise the length of its
-    commutant basis tells whether M is cyclic, and the factor pattern of its
-    characteristic polynomial gives the order in closed form.
-    """
+def _orders(M: FqMatrix) -> tuple[int, int]:
+    """(|C_GL(M)|, |C_SL(M)|) for any M.  A scalar M is centralized by the
+    whole group; otherwise the length of its commutant basis tells whether M
+    is cyclic, and the factor pattern of its characteristic polynomial gives
+    the orders in closed form (_centralizer_orders)."""
+    r, q = M.rank, M.q
     if M.is_scalar():
-        return sl_order(M.rank, M.q)
-    return _centralizer_orders(M.char_poly(), M.q, len(commutant_basis(M)) == M.rank)[1]
+        gl = _gl_order(r, q)
+        return gl, gl // (q - 1)
+    return _centralizer_orders(M.char_poly(), q, len(commutant_basis(M)) == r)
+
+
+def count_commuting_det1(M: FqMatrix) -> int:
+    """#{B in SL_r(F_q) : BM = MB} = |C_SL(M)| (_orders)."""
+    return _orders(M)[1]
 
 
 # -- class-equation sweep ---------------------------------------------------------
@@ -391,11 +397,8 @@ def class_representatives(rank: int, q: int) -> Iterator[FqMatrix]:
 
 
 def class_size(A: FqMatrix) -> int:
-    """|GL_r(F_q)| / |C_GL(A)|: the number of conjugates of A."""
-    if A.is_scalar():
-        return 1
-    return _gl_order(A.rank, A.q) // _centralizer_orders(A.char_poly(), A.q,
-                                                           _double_eigenvalue(A) is None)[0]
+    """|GL_r(F_q)| / |C_GL(A)|: the number of conjugates of A (_orders)."""
+    return _gl_order(A.rank, A.q) // _orders(A)[0]
 
 
 def _flag_orbit(flags: bytearray, rank: int, q: int, key: int, roots: list[int]) -> int:
@@ -426,10 +429,8 @@ def count_rep_variety_points(rank: int, n: int, q: int,
     accepted for compatibility; the sweep is serial and its result does not
     depend on it.
     """
-    if rank not in (2, 3):
-        raise ValueError(f"rank must be 2 or 3, got {rank}")
+    classes = q ** (check_rank(rank) - 1)
     check_twists(n)
-    classes = q ** (rank - 1)
     if classes > MAX_CLASSES:
         raise ValueError(f"q^{rank - 1} = {classes} classes exceeds the class "
                          f"ceiling {MAX_CLASSES}")

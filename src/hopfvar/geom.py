@@ -30,7 +30,7 @@ from .poly import ONE, ZERO, Poly, Q, general_linear_epoly, special_linear_epoly
 from .repring import S2Elem, S3Elem
 from .strata import (
     P2_BOTH_EQUAL, P2_DISTINCT, P3_ALL_EQUAL, P3_DISTINCT, P3_TWO_EQUAL,
-    Partition, check_twists, config_rows, twist_basis,
+    Partition, check_rank, check_twists, config_rows, twist_basis,
 )
 # unused here, but perfbench traces them as geom attributes (strata.config_self_s)
 from .strata import config_epoly, config_equivariant_s2, config_equivariant_s3  # noqa: F401
@@ -68,10 +68,8 @@ _TYPES = {
 
 
 def _rows(table: dict[int, tuple], rank: int) -> tuple:
-    """The rows of a per-rank table (_TYPES or _STRATA)."""
-    if rank not in table:
-        raise ValueError(f"rank must be 2 or 3, got {rank}")
-    return table[rank]
+    """The rows of a per-rank table (_TYPES, _ADMISSIBLE or _RANK_ROWS)."""
+    return table[check_rank(rank)]
 
 
 @dataclass(frozen=True)
@@ -264,13 +262,11 @@ _R2_OUTER = Q ** 3 - Q
 def rep_variety_epoly_formula(rank: int, n: int) -> Poly:
     """E-polynomial of the representation variety by the closed formula."""
     check_twists(n)
-    if rank == 2:
+    if check_rank(rank) == 2:
         # ((n - 1) q^2 + n q + (5 - n)) (q^3 - q)
         return Poly([5 - n, n, n - 1]) * _R2_OUTER
-    if rank == 3:
-        # floor(n/2) FLOOR + (n^2 N2 - n N1) / 2 + N0 over 2: the n^2 and n
-        # terms combine to an even polynomial for every n, so halving is exact
-        bracket = Poly.combine([(n // 2 * 2, _R3_FLOOR), (n * n, _R3_N2),
-                                (-n, _R3_N1), (2, _R3_N0)]).exact_div(2)
-        return _R3_OUTER * bracket
-    raise ValueError(f"rank must be 2 or 3, got {rank}")
+    # floor(n/2) FLOOR + (n^2 N2 - n N1) / 2 + N0 over 2: the n^2 and n
+    # terms combine to an even polynomial for every n, so halving is exact
+    bracket = Poly.combine([(n // 2 * 2, _R3_FLOOR), (n * n, _R3_N2),
+                            (-n, _R3_N1), (2, _R3_N0)]).exact_div(2)
+    return _R3_OUTER * bracket

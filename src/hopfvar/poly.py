@@ -65,10 +65,11 @@ class Poly:
         return Poly([c])
 
     @staticmethod
-    def monomial(degree: int, coeff: int = 1) -> Poly:
+    def monomial(degree: int) -> Poly:
+        """q^degree."""
         if degree < 0:
             raise ValueError("degree must be >= 0")
-        return Poly([0] * degree + [coeff])
+        return Poly([0] * degree + [1])
 
     # -- basic queries -------------------------------------------------------
 
@@ -132,25 +133,17 @@ class Poly:
         a = self.coeffs
         if isinstance(other, Poly):
             b = other.coeffs
-            if len(b) == 1:
-                k = b[0]
-            elif len(a) == 1:
-                a, k = b, a[0]
-            elif not a or not b:
-                return Poly._make([])
-            else:
-                out = [0] * (len(a) + len(b) - 1)
-                for i, ai in enumerate(a):
-                    if ai == 0:
-                        continue
-                    for j, bj in enumerate(b):
-                        out[i + j] += ai * bj
-                return Poly._make(out)
-        elif isinstance(other, int):
-            k = other
-        else:
-            return NotImplemented
-        return Poly._make([c * k for c in a])
+            # an empty operand leaves out all zeros (or empty), hence ZERO
+            out = [0] * (len(a) + len(b) - 1)
+            for i, ai in enumerate(a):
+                if ai == 0:
+                    continue
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+            return Poly._make(out)
+        if isinstance(other, int):
+            return Poly._make([c * other for c in a])
+        return NotImplemented
 
     __rmul__ = __mul__
 

@@ -34,11 +34,16 @@ def _poly(x: IntoPoly) -> Poly:
 class _RepElem:
     """Body shared by S2Elem and S3Elem.  A subclass is a frozen dataclass
     (equality and hashing) with one Poly field per irreducible, in basis
-    order and named after it, the trivial representation t first; it brings
-    its own __init__ and __mul__ (its multiplication table)."""
+    order and named after it, the trivial representation t first and every
+    other field defaulting to 0; __post_init__ turns int fields into Poly.
+    A subclass brings its own __mul__ (its multiplication table)."""
 
     #: dimension of each irreducible, in field order
     DIMS: ClassVar[tuple[int, ...]]
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _poly(getattr(self, f.name)))
 
     @property
     def coeffs(self) -> tuple[Poly, ...]:
@@ -63,7 +68,7 @@ class _RepElem:
     def dim(self) -> Poly:
         """Plain E-polynomial of the underlying space: the coefficients
         weighted by the dimensions of their irreducibles."""
-        return sum(map(operator.mul, self.DIMS, self.coeffs), ZERO)
+        return Poly.combine(zip(self.DIMS, self.coeffs))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -96,11 +101,7 @@ class S2Elem(_RepElem):
 
     DIMS = (1, 1)
     t: Poly
-    n: Poly
-
-    def __init__(self, t: IntoPoly, n: IntoPoly = 0):
-        object.__setattr__(self, "t", _poly(t))
-        object.__setattr__(self, "n", _poly(n))
+    n: Poly = 0
 
     @staticmethod
     def from_quotients(e_x: IntoPoly, e_x_mod_s2: IntoPoly) -> S2Elem:
@@ -129,13 +130,8 @@ class S3Elem(_RepElem):
 
     DIMS = (1, 1, 2)
     t: Poly
-    s: Poly
-    d: Poly
-
-    def __init__(self, t: IntoPoly, s: IntoPoly = 0, d: IntoPoly = 0):
-        object.__setattr__(self, "t", _poly(t))
-        object.__setattr__(self, "s", _poly(s))
-        object.__setattr__(self, "d", _poly(d))
+    s: Poly = 0
+    d: Poly = 0
 
     @staticmethod
     def from_quotients(e_x: IntoPoly, e_x_mod_tau: IntoPoly,

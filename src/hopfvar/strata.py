@@ -29,13 +29,26 @@ __all__ = [
     "Partition",
     "P2_BOTH_EQUAL", "P2_DISTINCT",
     "P3_ALL_EQUAL", "P3_TWO_EQUAL", "P3_DISTINCT",
-    "refines", "check_twists",
+    "refines", "check_rank", "check_twists",
     "twist_basis", "config_rows",
     "config_epoly", "config_epoly_plain",
     "config_equivariant_s2", "config_equivariant_s3",
     "count_config_points", "refinement_pairs",
     "admissibility_modulus", "is_admissible", "smallest_admissible_prime",
 ]
+
+
+def check_rank(rank: int) -> int:
+    """The rank, if it is one this package covers (the int 2 or 3)."""
+    if not isinstance(rank, int) or rank not in (2, 3):
+        raise ValueError(f"rank must be 2 or 3, got {rank}")
+    return rank
+
+
+def check_twists(n: int) -> int:
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"twist count must be an integer >= 1, got {n!r}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -51,9 +64,7 @@ class Partition:
     index: int
 
     def __post_init__(self):
-        if self.rank not in (2, 3):
-            raise ValueError(f"rank must be 2 or 3, got {self.rank}")
-        if not 1 <= self.index <= self.rank:
+        if not 1 <= self.index <= check_rank(self.rank):
             raise ValueError(f"invalid partition index {self.index} for rank {self.rank}")
 
     @property
@@ -78,12 +89,6 @@ P2_DISTINCT = Partition(2, 2)
 P3_ALL_EQUAL = Partition(3, 1)
 P3_TWO_EQUAL = Partition(3, 2)
 P3_DISTINCT = Partition(3, 3)
-
-
-def check_twists(n: int) -> int:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"twist count must be an integer >= 1, got {n!r}")
-    return n
 
 
 def refines(src: Partition, tgt: Partition) -> bool:
@@ -216,9 +221,7 @@ def admissibility_modulus(rank: int, n: int) -> int:
     """rank*n.  When it divides q-1, F_q holds every root of unity the strata
     refer to, so an F_q point count equals its E-polynomial evaluated at q."""
     check_twists(n)
-    if rank not in (2, 3):
-        raise ValueError(f"rank must be 2 or 3, got {rank}")
-    return rank * n
+    return check_rank(rank) * n
 
 
 def is_admissible(rank: int, n: int, q: int) -> bool:
@@ -267,12 +270,12 @@ def count_config_points(src: Partition, tgt: Partition, n: int, q: int) -> int:
     return count
 
 
-def smallest_admissible_prime(rank: int, n: int, limit: int = 1000) -> int:
-    """Smallest admissible prime: q with rank*n | q-1."""
+def smallest_admissible_prime(rank: int, n: int) -> int:
+    """Smallest admissible prime: q with rank*n | q-1.  Dirichlet's theorem
+    puts a prime in every class 1 mod rank*n, so the search ends; each
+    candidate costs a trial division, so it is meant for small rank*n."""
     step = admissibility_modulus(rank, n)
     q = step + 1
-    while q <= limit:
-        if q > 2 and is_prime(q):
-            return q
+    while not is_prime(q):
         q += step
-    raise ValueError(f"no admissible prime below {limit} for rank={rank}, n={n}")
+    return q

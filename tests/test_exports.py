@@ -1,9 +1,14 @@
 import ast
+import doctest
 import importlib
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import hopfvar
+
+MODULES = ["hopfvar"] + [f"hopfvar.{info.name}" for info in pkgutil.iter_modules(hopfvar.__path__)]
 
 
 def test_every_exported_name_resolves():
@@ -34,3 +39,10 @@ def test_package_reexports_are_listed():
             if alias.name not in listed:
                 unlisted.append(f"{module.__name__}.{alias.name}")
     assert checked and not unlisted, unlisted
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_doctest_examples(name):
+    # the >>> examples of every module's docstrings run and hold
+    result = doctest.testmod(importlib.import_module(name))
+    assert result.failed == 0, result

@@ -307,6 +307,24 @@ def test_centralizer_orders_match_commutant_enumeration():
                     assert count_commuting_det1(m) == commutant_unit_counts(m.rows, q)[1], (a, n)
 
 
+def test_centralizer_orders_of_conjugates_match_commutant_enumeration():
+    # class_size and count_commuting_det1 type any matrix through the same
+    # commutant basis, not only the rational canonical forms of the sweep:
+    # a random GL_r(F_q) conjugate g A g^-1 of every class representative
+    rng = random.Random(29)
+    for rank, q in ((2, 5), (2, 7), (3, 5)):
+        gl_order, _ = commutant_unit_counts(FqMatrix.identity(rank, q).rows, q)
+        for a in class_representatives(rank, q):
+            while True:
+                g = FqMatrix(q, [[rng.randrange(q) for _ in range(rank)] for _ in range(rank)])
+                if g.det():
+                    break
+            b = g * a * g.pow(gl_order - 1)
+            units, det1 = commutant_unit_counts(b.rows, q)
+            assert class_size(b) == gl_order // units, (a, b)
+            assert count_commuting_det1(b) == det1, (a, b)
+
+
 def test_sweep_matches_bruteforce_oracle():
     points = [(2, n, q) for q in (3, 5, 7) for n in (1, 2, 3)]
     points += [(3, n, q) for q in (3, 5) for n in (1, 2, 3)]

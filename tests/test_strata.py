@@ -1,12 +1,17 @@
 import pytest
 
+from hopfvar.charvar import char_piece_epoly, char_pieces, char_variety_epoly_formula
+from hopfvar.ffcount import count_rep_variety_points
+from hopfvar.geom import (
+    JordanType, admissible_strata, rep_variety_epoly_formula, rep_variety_epoly_strata,
+)
 from hopfvar.poly import ONE, Poly, Q
 from hopfvar.repring import S2Elem, S3Elem
 from hopfvar.strata import (
     P2_BOTH_EQUAL, P2_DISTINCT, P3_ALL_EQUAL, P3_DISTINCT, P3_TWO_EQUAL,
-    Partition, config_epoly, config_epoly_plain, config_equivariant_s2,
-    config_equivariant_s3, count_config_points, refinement_pairs, refines,
-    smallest_admissible_prime,
+    Partition, admissibility_modulus, config_epoly, config_epoly_plain,
+    config_equivariant_s2, config_equivariant_s3, count_config_points,
+    refinement_pairs, refines, smallest_admissible_prime,
 )
 
 # twist counts at which the table is checked against the closed forms below
@@ -51,6 +56,30 @@ def closed_s3(tgt, n):
     nn, a, b = n * n, n // 2, (n - 1) // 2
     return S3Elem(Poly([nn + a, -1 - a, 1]), Poly([nn + b, -b]),
                   Poly([2 * nn + n + 1, -(n + 1)]))
+
+
+# every public function that takes a rank, called at that rank
+RANKED = {
+    "Partition": lambda r: Partition(r, 1),
+    "JordanType": lambda r: JordanType(r, 1),
+    "admissibility_modulus": lambda r: admissibility_modulus(r, 1),
+    "admissible_strata": admissible_strata,
+    "rep_variety_epoly_strata": lambda r: rep_variety_epoly_strata(r, 1),
+    "rep_variety_epoly_formula": lambda r: rep_variety_epoly_formula(r, 1),
+    "char_pieces": lambda r: char_pieces(r, 1),
+    "char_piece_epoly": lambda r: char_piece_epoly(r, "total", 1),
+    "char_variety_epoly_formula": lambda r: char_variety_epoly_formula(r, 1),
+    "count_rep_variety_points": lambda r: count_rep_variety_points(r, 1, 5),
+}
+
+
+@pytest.mark.parametrize("rank", (0, 1, 4, 2.0))
+@pytest.mark.parametrize("name", RANKED)
+def test_one_rank_policy(name, rank):
+    # one rule for every ranked entry point: the same error, word for word
+    with pytest.raises(ValueError) as err:
+        RANKED[name](rank)
+    assert str(err.value) == f"rank must be 2 or 3, got {rank}"
 
 
 def test_partition_validation():
