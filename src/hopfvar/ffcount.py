@@ -35,19 +35,21 @@ cyclic kind has a class at every index, and a non-cyclic or scalar kind
 starts with the indices of the other polynomials flagged.
 
 The orders of the centralizers C_GL(A_C) and C_SL(A_C^n) are closed forms in
-q, read from the factor pattern of the characteristic polynomial (its roots
-in F_q with multiplicity) and from whether the matrix is cyclic (see
-_centralizer_orders).  The sweep types A_C from its kind and its chi.  Any
-other matrix, A_C^n included, is typed by _orders, which class_size and
-count_commuting_det1 share: the length of its closed-form commutant basis
-(commutant_basis) tells whether it is cyclic, and nothing is row-reduced: a
-scalar M has the r^2 matrix units; a non-scalar M is cyclic iff its minimal
-polynomial has degree r, read off M and M^2 (_double_eigenvalue), and then
-has the basis I, M, ..., M^(r-1) of F_q[M]; a non-cyclic M has rank 3 and a
-double eigenvalue a with M - aI = u v^T of rank 1, and its commutant is
-F_q I + (v-perp (x) u-perp).  Nothing is enumerated: at rank 3 about q^2 / 6
-orbits (q^2 / 2 when 3 does not divide q - 1) replace the q^9 matrices of a
-direct enumeration.
+q, one row of _CENTRALIZERS per GL type of a non-scalar matrix: the factor
+pattern of its characteristic polynomial (its roots in F_q with multiplicity)
+and whether it is cyclic, eight cyclic types at ranks 2 and 3 and the
+non-cyclic diag(a, a, b) and J_2(a) + (a) at rank 3.  The sweep types A_C from
+its kind and its chi.  Any other matrix, A_C^n included, is typed by _orders,
+which class_size and count_commuting_det1 share: a scalar M is told by its
+entries first, and the length of the closed-form commutant basis
+(commutant_basis) of any other M tells whether it is cyclic.  Nothing is
+row-reduced, and each kernel is straight-line code over the entries: a
+non-scalar M is cyclic iff its minimal polynomial has degree r, read off M
+and M^2 (_double_eigenvalue), and then has the basis I, M, ..., M^(r-1) of
+F_q[M]; a non-cyclic M has rank 3 and a double eigenvalue a with M - aI =
+u v^T of rank 1, and its commutant is F_q I + (v-perp (x) u-perp).  Nothing
+is enumerated: at rank 3 about q^2 / 6 orbits (q^2 / 2 when 3 does not
+divide q - 1) replace the q^9 matrices of a direct enumeration.
 
 The count equals the closed-formula E-polynomial at q when rank*n | q-1
 (is_admissible).  The sweep is serial: the threads argument is accepted and
@@ -84,17 +86,24 @@ MAX_CLASSES = 400_000
 _IDENTITY = {r: tuple(tuple(int(i == j) for j in range(r)) for i in range(r)) for r in (2, 3)}
 
 
+#: Bound once for the constructors of FqMatrix, whose own __setattr__ refuses.
+_new, _setattr = object.__new__, object.__setattr__
+
+
 def _check_field(q: int) -> None:
     if q % 2 == 0 or not is_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
 
 
 def _is_scalar(rows: tuple[tuple[int, ...], ...]) -> bool:
-    d = rows[0][0]
-    return rows == (((d, 0), (0, d)) if len(rows) == 2 else ((d, 0, 0), (0, d, 0), (0, 0, d)))
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return not (b or c) and a == d
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return not (b or c or d or f or g or h) and a == e == i
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FqMatrix:
     """Immutable r x r matrix over the prime field F_q (entries reduced)."""
 
@@ -107,16 +116,16 @@ class FqMatrix:
         r = len(rs)
         if r not in (2, 3) or any(len(row) != r for row in rs):
             raise ValueError("matrix must be square of rank 2 or 3")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "rows", rs)
+        _setattr(self, "q", q)
+        _setattr(self, "rows", rs)
 
     @classmethod
     def _of(cls, q: int, rows: tuple[tuple[int, ...], ...]) -> FqMatrix:
         """Square matrix over a field that _check_field has already accepted,
         from a tuple of row tuples whose entries are already reduced."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "q", q)
-        object.__setattr__(m, "rows", rows)
+        m = _new(cls)
+        _setattr(m, "q", q)
+        _setattr(m, "rows", rows)
         return m
 
     @staticmethod
@@ -187,22 +196,23 @@ def _double_eigenvalue(M: FqMatrix, M2: FqMatrix) -> Optional[int]:
     minimal polynomial is then (x - a)(x - b) with characteristic polynomial
     (x - a)^2 (x - b), so a = tr M - alpha.  A diagonal M is cyclic iff its
     three entries are distinct, and a is the repeated one.  M2 is M * M."""
-    if M.rank == 2:
+    if len(M.rows) == 2:
         return None
-    q, m = M.q, M.rows
-    for i, j in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
-        if m[i][j]:
-            break
-    else:
-        d0, d1, d2 = m[0][0], m[1][1], m[2][2]
-        return d0 if d0 in (d1, d2) else d1 if d1 == d2 else None
-    m2 = M2.rows
+    q = M.q
+    (a, b, c), (d, e, f), (g, h, i) = M.rows
+    (a2, b2, c2), (d2, e2, f2), (g2, h2, i2) = M2.rows
     # M^2 - alpha M is scalar iff x M^2 - y M is, x = M[i][j], y = M^2[i][j]
-    x, y = m[i][j], m2[i][j]
-    rest = [(x * s - y * t) % q for row2, row in zip(m2, m) for s, t in zip(row2, row)]
-    if rest != [rest[0], 0, 0, 0, rest[0], 0, 0, 0, rest[0]]:
+    x, y = ((b, b2) if b else (c, c2) if c else (d, d2) if d else
+            (f, f2) if f else (g, g2) if g else (h, h2))
+    if not x:  # M is diagonal
+        return a if a == e or a == i else e if e == i else None
+    if ((x * b2 - y * b) % q or (x * c2 - y * c) % q or (x * d2 - y * d) % q
+            or (x * f2 - y * f) % q or (x * g2 - y * g) % q or (x * h2 - y * h) % q):
         return None
-    return (m[0][0] + m[1][1] + m[2][2] - y * pow(x, -1, q)) % q
+    s = (x * a2 - y * a) % q
+    if (x * e2 - y * e) % q != s or (x * i2 - y * i) % q != s:
+        return None
+    return (a + e + i - y * pow(x, -1, q)) % q
 
 
 def _perp(v: tuple[int, ...], q: int) -> list[tuple[int, ...]]:
@@ -225,11 +235,12 @@ def commutant_basis(M: FqMatrix) -> list[FqMatrix]:
     second.  So X - cI has its columns in v-perp and its rows in u-perp, and
     the basis is I and the four p c^T with v^T p = 0 and c^T u = 0 (_perp).
     At rank 3, M^2 is formed once, for both the cyclicity test and the basis."""
-    q, r, m = M.q, M.rank, M.rows
-    ident = FqMatrix._of(q, _IDENTITY[r])
+    q, m = M.q, M.rows
+    r = len(m)
     if _is_scalar(m):
         return [FqMatrix._of(q, tuple(tuple(int((i, j) == (k, l)) for l in range(r))
                                       for k in range(r))) for i in range(r) for j in range(r)]
+    ident = FqMatrix._of(q, _IDENTITY[r])
     if r == 2:
         return [ident, M]
     M2 = M * M
@@ -240,8 +251,10 @@ def commutant_basis(M: FqMatrix) -> list[FqMatrix]:
               for i, row in enumerate(m))
     v = next(row for row in n if any(row))
     u = next(col for col in zip(*n) if any(col))
-    return [ident] + [FqMatrix._of(q, tuple(tuple(pi * ci % q for ci in c) for pi in p))
-                      for p in _perp(v, q) for c in _perp(u, q)]
+    return [ident] + [FqMatrix._of(q, ((p0 * c0 % q, p0 * c1 % q, p0 * c2 % q),
+                                       (p1 * c0 % q, p1 * c1 % q, p1 * c2 % q),
+                                       (p2 * c0 % q, p2 * c1 % q, p2 * c2 % q)))
+                      for p0, p1, p2 in _perp(v, q) for c0, c1, c2 in _perp(u, q)]
 
 
 def commutant_dimension(M: FqMatrix) -> int:
@@ -262,7 +275,7 @@ def sl_order(rank: int, q: int) -> int:
     return _gl_order(rank, q) // (q - 1)
 
 
-def _factor_pattern(chi: tuple[int, ...], q: int) -> list[tuple[int, int]]:
+def _factor_pattern(chi: tuple[int, ...], q: int) -> tuple[tuple[int, int], ...]:
     """(deg f, e) for each irreducible factor f^e of a monic polynomial over
     F_q of degree 2 or 3, ascending coefficients; q is an odd prime.
 
@@ -285,15 +298,15 @@ def _factor_pattern(chi: tuple[int, ...], q: int) -> list[tuple[int, int]]:
         c, b, _ = chi
         disc = (b * b - 4 * c) % q
         if disc == 0:
-            return [(1, 2)]
-        return [(1, 1), (1, 1)] if pow(disc, (q - 1) // 2, q) == 1 else [(2, 1)]
+            return ((1, 2),)
+        return ((1, 1), (1, 1)) if pow(disc, (q - 1) // 2, q) == 1 else ((2, 1),)
     c0, c1, c2, _ = chi
     disc = (c2 * c2 * c1 * c1 - 4 * c1 ** 3 - 4 * c2 ** 3 * c0 - 27 * c0 * c0
             + 18 * c2 * c1 * c0) % q
     if disc == 0:
-        return [(1, 3)] if (c2 * c2 - 3 * c1) % q == 0 else [(1, 2), (1, 1)]
+        return ((1, 3),) if (c2 * c2 - 3 * c1) % q == 0 else ((1, 2), (1, 1))
     if pow(disc, (q - 1) // 2, q) != 1:
-        return [(1, 1), (2, 1)]
+        return ((1, 1), (2, 1))
     # u = x^k mod f as (u0, u1, u2), k running through the leading bits of q;
     # x^3 = -(c2 x^2 + c1 x + c0) reduces the x^4 and x^3 terms of u^2
     u0, u1, u2 = 0, 1, 0
@@ -304,28 +317,42 @@ def _factor_pattern(chi: tuple[int, ...], q: int) -> list[tuple[int, int]]:
         u0, u1, u2 = (u0 * u0 - p3 * c0) % q, (p1 - p3 * c1) % q, (p2 - p3 * c2) % q
         if bit == "1":
             u0, u1, u2 = -u2 * c0 % q, (u0 - u2 * c1) % q, (u1 - u2 * c2) % q
-    return [(1, 1)] * 3 if (u0, u1, u2) == (0, 1, 0) else [(3, 1)]
+    return ((1, 1), (1, 1), (1, 1)) if (u0, u1, u2) == (0, 1, 0) else ((3, 1),)
+
+
+#: (|C_GL(M)|, |C_GL(M)| / |C_SL(M)|) for a non-scalar M, closed forms in q
+#: keyed by the factor pattern of its characteristic polynomial
+#: (_factor_pattern) and whether M is cyclic.  A cyclic M has the commutant
+#: F_q[x]/(chi), whose units number prod q^(d(e-1)) (q^d - 1) over the factors
+#: f^e of chi, d = deg f; the determinant of a unit u is the product of
+#: N(u mod f)^e, so the determinants fill the subgroup of F_q^* of index
+#: gcd(q-1, e_1, e_2, ...): 2 for J_2(a) (q odd), gcd(q-1, 3) for J_3(a), 1
+#: otherwise.  A non-cyclic, non-scalar M has rank 3 and is diag(a, a, b),
+#: centralized by GL_2 x GL_1, or J_2(a) + (a); its centralizer meets every
+#: determinant.
+_CENTRALIZERS = {
+    # rank 2, cyclic: J_2(a), diag(a, b), chi irreducible
+    (((1, 2),), True): lambda q: (q * (q - 1), (q - 1) // 2),
+    (((1, 1), (1, 1)), True): lambda q: ((q - 1) ** 2, q - 1),
+    (((2, 1),), True): lambda q: (q * q - 1, q - 1),
+    # rank 3, cyclic: J_3(a), J_2(a) + (b), diag(a, b, c), (a) + an irreducible
+    # quadratic, chi irreducible
+    (((1, 3),), True): lambda q: (q * q * (q - 1), (q - 1) // gcd(q - 1, 3)),
+    (((1, 2), (1, 1)), True): lambda q: (q * (q - 1) ** 2, q - 1),
+    (((1, 1), (1, 1), (1, 1)), True): lambda q: ((q - 1) ** 3, q - 1),
+    (((1, 1), (2, 1)), True): lambda q: ((q - 1) * (q * q - 1), q - 1),
+    (((3, 1),), True): lambda q: (q ** 3 - 1, q - 1),
+    # rank 3, non-cyclic: diag(a, a, b), J_2(a) + (a)
+    (((1, 2), (1, 1)), False): lambda q: ((q * q - 1) * (q * q - q) * (q - 1), q - 1),
+    (((1, 3),), False): lambda q: (q ** 3 * (q - 1) ** 2, q - 1),
+}
 
 
 def _centralizer_orders(chi: tuple[int, ...], q: int, cyclic: bool) -> tuple[int, int]:
     """(|C_GL(M)|, |C_SL(M)|) for a non-scalar M with characteristic
-    polynomial chi.
-
-    A cyclic M has the commutant F_q[x]/(chi), whose units number
-    prod q^(d(e-1)) (q^d - 1) over the factors f^e of chi, d = deg f.  The
-    determinant of a unit u is the product of N(u mod f)^e, so the
-    determinants fill the subgroup of F_q^* of index gcd(q-1, e_1, e_2, ...).
-    A non-cyclic, non-scalar M has rank 3 and is diag(a, a, b) or
-    J_2(a) + (a); its centralizer meets every determinant."""
-    pattern = _factor_pattern(chi, q)
-    if cyclic:
-        gl = prod(q ** (d * (e - 1)) * (q ** d - 1) for d, e in pattern)
-        return gl, gl * gcd(q - 1, *(e for _, e in pattern)) // (q - 1)
-    if len(pattern) == 2:  # diag(a, a, b): GL_2 x GL_1
-        gl = _gl_order(2, q) * (q - 1)
-    else:                  # J_2(a) + (a)
-        gl = q ** 3 * (q - 1) ** 2
-    return gl, gl // (q - 1)
+    polynomial chi, from its row of _CENTRALIZERS."""
+    gl, index = _CENTRALIZERS[_factor_pattern(chi, q), cyclic](q)
+    return gl, gl // index
 
 
 def _orders(M: FqMatrix) -> tuple[int, int]:
@@ -333,11 +360,11 @@ def _orders(M: FqMatrix) -> tuple[int, int]:
     whole group; otherwise the length of its commutant basis tells whether M
     is cyclic, and the factor pattern of its characteristic polynomial gives
     the orders in closed form (_centralizer_orders)."""
-    r, q = M.rank, M.q
-    if M.is_scalar():
-        gl = _gl_order(r, q)
+    q, m = M.q, M.rows
+    if _is_scalar(m):
+        gl = _gl_order(len(m), q)
         return gl, gl // (q - 1)
-    return _centralizer_orders(M.char_poly(), q, len(commutant_basis(M)) == r)
+    return _centralizer_orders(M.char_poly(), q, len(commutant_basis(M)) == len(m))
 
 
 def count_commuting_det1(M: FqMatrix) -> int:

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import os
 import random
@@ -204,6 +205,19 @@ def test_product_matches_naive_product():
                 assert product.rows == tuple(map(tuple, naive))
 
 
+def test_matrix_is_slotted_and_frozen():
+    m = M(7, (1, 2, 3), (4, 5, 6), (0, 1, 8))
+    assert not hasattr(m, "__dict__")
+    for name, value in (("q", 11), ("rows", ((1, 0), (0, 1)))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(m, name, value)
+    assert m.q == 7 and m.rows == ((1, 2, 3), (4, 5, 6), (0, 1, 1))
+    for q, rows in ((7, m.rows), (5, ((2, 0), (3, 4)))):
+        built = FqMatrix._of(q, rows)
+        assert built == FqMatrix(q, rows) and hash(built) == hash(FqMatrix(q, rows))
+        assert not hasattr(built, "__dict__")
+
+
 def test_count_commuting_det1_examples():
     assert count_commuting_det1(FqMatrix.identity(2, 5)) == 120
     assert count_commuting_det1(M(5, (2, 0), (0, 3))) == 4
@@ -323,6 +337,66 @@ def test_centralizer_orders_of_conjugates_match_commutant_enumeration():
             units, det1 = commutant_unit_counts(b.rows, q)
             assert class_size(b) == gl_order // units, (a, b)
             assert count_commuting_det1(b) == det1, (a, b)
+
+
+def test_centralizer_table_has_one_row_per_type_met():
+    # the (factor pattern, cyclic) types of every non-scalar class and its
+    # powers n = 1, 2, 3 at ranks 2 and 3, q = 5, 7, 13 (3 | q - 1 at 7 and
+    # 13, not at 5): no row of the table is dead and no type is missing, and
+    # each row matches the oracle's enumeration of the commutant
+    met = set()
+    for rank in (2, 3):
+        for q in (5, 7, 13):
+            for a in class_representatives(rank, q):
+                for n in (1, 2, 3):
+                    m = a.pow(n)
+                    if m.is_scalar():
+                        continue
+                    cyclic = commutant_dimension_by_null_space(m.rows, q) == rank
+                    key = ffcount._factor_pattern(m.char_poly(), q), cyclic
+                    met.add(key)
+                    units, det1 = commutant_unit_counts(m.rows, q)
+                    assert ffcount._CENTRALIZERS[key](q) == (units, units // det1), (m, key)
+    assert met == set(ffcount._CENTRALIZERS)
+    assert len(met) == 10
+
+
+def test_count_commuting_det1_types_through_one_commutant_basis(monkeypatch):
+    # the call shape the benchmark's per-layer commutant metrics read:
+    # count_commuting_det1 looks commutant_basis up on the module and calls
+    # it once for a non-scalar M, and never for a scalar M, which it tests
+    # for first
+    basis, calls = ffcount.commutant_basis, []
+    monkeypatch.setattr(ffcount, "commutant_basis", lambda m: calls.append(m) or basis(m))
+    for rank in (2, 3):
+        for q in (5, 7):
+            for a in class_representatives(rank, q):
+                for n in (1, 2, 3):
+                    m = a.pow(n)
+                    calls.clear()
+                    count_commuting_det1(m)
+                    assert calls == ([] if m.is_scalar() else [m]), (a, n)
+
+
+def test_sweep_counts_each_visited_class_once_on_its_power(monkeypatch):
+    # the sweep looks count_commuting_det1 up on the module and calls it once
+    # per visited class (one per orbit), each time on A.pow(n) of that class
+    powers, calls = [], []
+    pow_, count = FqMatrix.pow, ffcount.count_commuting_det1
+    monkeypatch.setattr(FqMatrix, "pow",
+                        lambda a, n: powers.append((a, n, pow_(a, n))) or powers[-1][2])
+    monkeypatch.setattr(ffcount, "count_commuting_det1", lambda m: calls.append(m) or count(m))
+    for rank in (2, 3):
+        for q in (5, 7, 13):
+            reps = [a.rows for a in class_representatives(rank, q)]
+            for n in (1, 2, 3):
+                powers.clear()
+                calls.clear()
+                count_rep_variety_points(rank, n, q)
+                assert len(calls) == len(set_based_orbits(reps, q)), (rank, n, q)
+                assert len(powers) == len(calls), (rank, n, q)
+                assert all(m is power and e == n for m, (_, e, power) in zip(calls, powers))
+                assert len({a for a, _, _ in powers}) == len(powers), (rank, n, q)
 
 
 def test_sweep_matches_bruteforce_oracle():

@@ -1,6 +1,6 @@
 import pytest
 
-from hopfvar.poly import ONE, ZERO, Q, general_linear_epoly, special_linear_epoly
+from hopfvar.poly import ONE, ZERO, Poly, Q, general_linear_epoly, special_linear_epoly
 from hopfvar.repring import S2Elem, S3Elem
 from hopfvar import geom
 from hopfvar.geom import (
@@ -221,12 +221,16 @@ def test_formula_rejects_bad_input():
 
 def test_one_pass_assembly_matches_the_sum_of_strata():
     # rep_variety_epoly_strata and the rank-3 formula each take one combine
-    # pass; both must equal the sums and products they replace
+    # pass; both must equal the sums and products they replace: the formula
+    # is the outer factor times the bracket of its unfolded cofactors
+    n2 = Poly([0, 2, -3, -3, 1, 2, 2, 1])
+    n1 = Poly([0, 12, -1, -17, -3, 0, 6, 3])
+    n0 = Poly([0, 13, 2, -6, -2, -1, 2, 1])
+    floor = (Q ** 2 - Q) * (Q ** 2 - Q - 1)
+    outer = (Q ** 3 - 1) * (Q ** 2 - 1) * Q ** 2
     for n in [*range(1, 51), *HUGE_NS]:
         for rank in (2, 3):
             assert rep_variety_epoly_strata(rank, n) == sum(
                 (stratum_epoly(s, n) for s in admissible_strata(rank)), ZERO), (rank, n)
-        bracket = ((n // 2) * geom._R3_FLOOR
-                   + (n * n * geom._R3_N2 - n * geom._R3_N1).exact_div(2)
-                   + geom._R3_N0)
-        assert rep_variety_epoly_formula(3, n) == geom._R3_OUTER * bracket, n
+        bracket = (n // 2) * floor + (n * n * n2 - n * n1).exact_div(2) + n0
+        assert rep_variety_epoly_formula(3, n) == outer * bracket, n
