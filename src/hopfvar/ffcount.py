@@ -31,25 +31,28 @@ coefficients, and steps through the unflagged indices in ascending order with
 bytearray.find, so the first class of an orbit it meets is its least.  A
 class it visits flags its images and is weighted by the number of flags it
 sets; a flagged class is skipped without building its chi or its matrix.  The
-cyclic kind has a class at every index, and a non-cyclic or scalar kind
-starts with the indices of the other polynomials flagged.
+cyclic kind has a class at every index, and a non-cyclic or scalar kind keeps
+only the eigenvalue a of each class and starts with the indices of the other
+polynomials flagged.
 
 The orders of the centralizers C_GL(A_C) and C_SL(A_C^n) are closed forms in
 q, one row of _CENTRALIZERS per GL type of a non-scalar matrix: the factor
 pattern of its characteristic polynomial (its roots in F_q with multiplicity)
 and whether it is cyclic, eight cyclic types at ranks 2 and 3 and the
-non-cyclic diag(a, a, b) and J_2(a) + (a) at rank 3.  The sweep types A_C from
-its kind and its chi.  Any other matrix, A_C^n included, is typed by _orders,
-which class_size and count_commuting_det1 share: a scalar M is told by its
-entries first, and the length of the closed-form commutant basis
-(commutant_basis) of any other M tells whether it is cyclic.  Nothing is
-row-reduced, and each kernel is straight-line code over the entries: a
-non-scalar M is cyclic iff its minimal polynomial has degree r, read off M
-and M^2 (_double_eigenvalue), and then has the basis I, M, ..., M^(r-1) of
-F_q[M]; a non-cyclic M has rank 3 and a double eigenvalue a with M - aI =
-u v^T of rank 1, and its commutant is F_q I + (v-perp (x) u-perp).  Nothing
-is enumerated: at rank 3 about q^2 / 6 orbits (q^2 / 2 when 3 does not
-divide q - 1) replace the q^9 matrices of a direct enumeration.
+non-cyclic diag(a, a, b) and J_2(a) + (a) at rank 3.  The sweep types A_C once,
+from its kind and its chi, and hands A_C that factor pattern, which a matrix
+keeps (FqMatrix.factor_pattern): A_C^n is typed again only when it is a new
+matrix, not at n = 1.  _orders types any matrix, for class_size and
+count_commuting_det1: a scalar M is told by its entries first, and the length
+of the closed-form commutant basis (commutant_basis) of any other M tells
+whether it is cyclic.  Nothing is row-reduced, and each kernel is straight-line
+code over the entries: a non-scalar M is cyclic iff its minimal polynomial has
+degree r, read off M and M^2 (_double_eigenvalue), and then has the basis I,
+M, ..., M^(r-1) of F_q[M]; a non-cyclic M has rank 3 and a double eigenvalue a
+with M - aI = u v^T of rank 1, and its commutant is
+F_q I + (v-perp (x) u-perp).  Nothing is enumerated: at rank 3 about q^2 / 6
+orbits (q^2 / 2 when 3 does not divide q - 1) replace the q^9 matrices of a
+direct enumeration.
 
 The count equals the closed-formula E-polynomial at q when rank*n | q-1
 (is_admissible).  The sweep is serial: the threads argument is accepted and
@@ -62,7 +65,7 @@ by Lagrange's theorem, so the cost of a class does not grow with n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, prod
 from typing import Iterable, Iterator, Optional
 
@@ -86,10 +89,6 @@ MAX_CLASSES = 400_000
 _IDENTITY = {r: tuple(tuple(int(i == j) for j in range(r)) for i in range(r)) for r in (2, 3)}
 
 
-#: Bound once for the constructors of FqMatrix, whose own __setattr__ refuses.
-_new, _setattr = object.__new__, object.__setattr__
-
-
 def _check_field(q: int) -> None:
     if q % 2 == 0 or not is_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
@@ -109,6 +108,8 @@ class FqMatrix:
 
     q: int
     rows: tuple[tuple[int, ...], ...]
+    # factor pattern of the characteristic polynomial, None until first use
+    _pattern: Optional[tuple] = field(init=False, repr=False, compare=False)
 
     def __init__(self, q: int, rows: Iterable[Iterable[int]]):
         _check_field(q)
@@ -116,16 +117,20 @@ class FqMatrix:
         r = len(rs)
         if r not in (2, 3) or any(len(row) != r for row in rs):
             raise ValueError("matrix must be square of rank 2 or 3")
-        _setattr(self, "q", q)
-        _setattr(self, "rows", rs)
+        _set_q(self, q)
+        _set_rows(self, rs)
+        _set_pattern(self, None)
 
     @classmethod
-    def _of(cls, q: int, rows: tuple[tuple[int, ...], ...]) -> FqMatrix:
+    def _of(cls, q: int, rows: tuple[tuple[int, ...], ...],
+            pattern: Optional[tuple] = None) -> FqMatrix:
         """Square matrix over a field that _check_field has already accepted,
-        from a tuple of row tuples whose entries are already reduced."""
+        from a tuple of row tuples whose entries are already reduced, and the
+        factor pattern of its characteristic polynomial if known."""
         m = _new(cls)
-        _setattr(m, "q", q)
-        _setattr(m, "rows", rows)
+        _set_q(m, q)
+        _set_rows(m, rows)
+        _set_pattern(m, pattern)
         return m
 
     @staticmethod
@@ -173,6 +178,13 @@ class FqMatrix:
     def is_scalar(self) -> bool:
         return _is_scalar(self.rows)
 
+    def factor_pattern(self) -> tuple[tuple[int, int], ...]:
+        """Factor pattern of the characteristic polynomial (_factor_pattern),
+        computed on first use and kept with the matrix."""
+        if self._pattern is None:
+            _set_pattern(self, _factor_pattern(self.char_poly(), self.q))
+        return self._pattern
+
     def char_poly(self) -> tuple[int, ...]:
         """Monic characteristic polynomial, ascending coefficients."""
         q = self.q
@@ -183,6 +195,13 @@ class FqMatrix:
         ei_fh, di_fg, dh_eg = e * i - f * h, d * i - f * g, d * h - e * g
         return (-(a * ei_fh - b * di_fg + c * dh_eg) % q,
                 (a * e - b * d + a * i - c * g + ei_fh) % q, -(a + e + i) % q, 1)
+
+
+#: Bound once for the constructors of FqMatrix and factor_pattern: the slot
+#: setters bypass its __setattr__, which refuses, and beat object.__setattr__.
+_new = object.__new__
+_set_q, _set_rows, _set_pattern = (FqMatrix.__dict__[name].__set__
+                                   for name in ("q", "rows", "_pattern"))
 
 
 # -- commutants in closed form ------------------------------------------------------
@@ -215,12 +234,15 @@ def _double_eigenvalue(M: FqMatrix, M2: FqMatrix) -> Optional[int]:
     return (a + e + i - y * pow(x, -1, q)) % q
 
 
-def _perp(v: tuple[int, ...], q: int) -> list[tuple[int, ...]]:
+def _perp(v: tuple[int, ...], q: int) -> tuple[tuple[int, ...], ...]:
     """Basis of {p : v . p = 0} for a nonzero v in F_q^3: v_k e_j - v_j e_k
-    for j != k, where v_k != 0."""
-    k = next(k for k, x in enumerate(v) if x)
-    return [tuple(v[k] if l == j else -v[j] % q if l == k else 0 for l in range(3))
-            for j in range(3) if j != k]
+    for j != k, where v_k is the first nonzero entry."""
+    v0, v1, v2 = v
+    if v0:
+        return (-v1 % q, v0, 0), (-v2 % q, 0, v0)
+    if v1:
+        return (v1, 0, 0), (0, -v2 % q, v1)
+    return (v2, 0, 0), (0, v2, 0)
 
 
 def commutant_basis(M: FqMatrix) -> list[FqMatrix]:
@@ -348,23 +370,17 @@ _CENTRALIZERS = {
 }
 
 
-def _centralizer_orders(chi: tuple[int, ...], q: int, cyclic: bool) -> tuple[int, int]:
-    """(|C_GL(M)|, |C_SL(M)|) for a non-scalar M with characteristic
-    polynomial chi, from its row of _CENTRALIZERS."""
-    gl, index = _CENTRALIZERS[_factor_pattern(chi, q), cyclic](q)
-    return gl, gl // index
-
-
 def _orders(M: FqMatrix) -> tuple[int, int]:
     """(|C_GL(M)|, |C_SL(M)|) for any M.  A scalar M is centralized by the
     whole group; otherwise the length of its commutant basis tells whether M
-    is cyclic, and the factor pattern of its characteristic polynomial gives
-    the orders in closed form (_centralizer_orders)."""
+    is cyclic, and with the factor pattern of its characteristic polynomial
+    (FqMatrix.factor_pattern) that picks the row of _CENTRALIZERS."""
     q, m = M.q, M.rows
     if _is_scalar(m):
         gl = _gl_order(len(m), q)
         return gl, gl // (q - 1)
-    return _centralizer_orders(M.char_poly(), q, len(commutant_basis(M)) == len(m))
+    gl, index = _CENTRALIZERS[M.factor_pattern(), len(commutant_basis(M)) == len(m)](q)
+    return gl, gl // index
 
 
 def count_commuting_det1(M: FqMatrix) -> int:
@@ -378,39 +394,42 @@ def count_commuting_det1(M: FqMatrix) -> int:
 # its constant term being (-1)^r; they give chi's key, the index of its flag:
 # c_1 at rank 2, c_1 q + c_2 at rank 3.  Ascending key is ascending chi.
 
-def _chi(rank: int, q: int, key: int) -> tuple[int, ...]:
-    """The det-1 characteristic polynomial with this key, ascending
-    coefficients."""
-    return (1, key, 1) if rank == 2 else (q - 1, *divmod(key, q), 1)
-
-
-def _companion(q: int, chi: tuple[int, ...]) -> FqMatrix:
-    """Companion matrix of the monic chi, ascending reduced coefficients."""
-    if len(chi) == 3:
-        return FqMatrix._of(q, ((0, -chi[0] % q), (1, -chi[1] % q)))
-    return FqMatrix._of(q, ((0, 0, -chi[0] % q), (1, 0, -chi[1] % q), (0, 1, -chi[2] % q)))
-
-
-def _classes(rank: int, q: int) -> list[tuple[str, Optional[dict[int, tuple]]]]:
+def _classes(rank: int, q: int) -> list[tuple[str, Optional[dict[int, int]]]]:
     """(kind, members) for each kind of GL_rank(F_q)-conjugacy class inside
     SL_rank(F_q), by rational canonical form (see the module docstring).
-    members maps the key of each class of a non-cyclic or scalar kind to the
-    rows of its matrix, in ascending key; it is None for the cyclic kind,
-    which has one class at every key, the companion matrix of its chi.  q
-    must have passed _check_field."""
-    kinds: list[tuple[str, Optional[dict[int, tuple]]]] = [("cyclic", None)]
+    members maps the key of each class of a non-cyclic or scalar kind to its
+    eigenvalue a, in ascending key; it is None for the cyclic kind, which has
+    one class at every key.  _representative builds the matrices.  q must
+    have passed _check_field."""
+    kinds: list[tuple[str, Optional[dict[int, int]]]] = [("cyclic", None)]
     if rank == 3:
         # (x - a)^2 (x - b) = x^3 - (2a + b) x^2 + a(a + 2b) x - 1 with a^2 b = 1
         kinds.append(("non-cyclic", dict(sorted(
-            (a * (a + 2 * b) % q * q + -(2 * a + b) % q,
-             ((a, 0, 0), (0, 0, -a * b % q), (0, 1, (a + b) % q)))
+            (a * (a + 2 * b) % q * q + -(2 * a + b) % q, a)
             for a in range(1, q) for b in [pow(a, -2, q)]))))
     # (x - a)^2 = x^2 - 2a x + 1 and (x - a)^3 = x^3 - 3a x^2 + 3a^2 x - 1
     kinds.append(("scalar", dict(sorted(
-        (3 * a * a % q * q + -3 * a % q if rank == 3 else -2 * a % q,
-         tuple(tuple(a if i == j else 0 for j in range(rank)) for i in range(rank)))
+        (3 * a * a % q * q + -3 * a % q if rank == 3 else -2 * a % q, a)
         for a in range(1, q) if pow(a, rank, q) == 1))))
     return kinds
+
+
+def _representative(rank: int, q: int, kind: str, members: Optional[dict[int, int]],
+                    key: int, pattern: Optional[tuple] = None) -> FqMatrix:
+    """The matrix of the class with this key in a kind of _classes, with the
+    factor pattern of its chi if known: the companion matrix of chi for the
+    cyclic kind, a I for a scalar, and diag(a) + companion((x - a)(x - b)),
+    b = a^-2, for a non-cyclic class with eigenvalue a."""
+    if members is None:
+        if rank == 2:
+            return FqMatrix._of(q, ((0, q - 1), (1, -key % q)), pattern)
+        c1, c2 = divmod(key, q)
+        return FqMatrix._of(q, ((0, 0, 1), (1, 0, -c1 % q), (0, 1, -c2 % q)), pattern)
+    a = members[key]
+    if kind == "scalar":
+        return FqMatrix._of(q, tuple(tuple(a * x for x in row) for row in _IDENTITY[rank]))
+    b = pow(a, -2, q)
+    return FqMatrix._of(q, ((a, 0, 0), (0, 0, -a * b % q), (0, 1, (a + b) % q)), pattern)
 
 
 def class_representatives(rank: int, q: int) -> Iterator[FqMatrix]:
@@ -418,8 +437,8 @@ def class_representatives(rank: int, q: int) -> Iterator[FqMatrix]:
     by rational canonical form (see the module docstring).  Raises ValueError
     unless q is an odd prime."""
     _check_field(q)
-    return (_companion(q, _chi(rank, q, key)) if members is None else FqMatrix._of(q, members[key])
-            for _, members in _classes(rank, q)
+    return (_representative(rank, q, kind, members, key)
+            for kind, members in _classes(rank, q)
             for key in (range(q ** (rank - 1)) if members is None else members))
 
 
@@ -428,21 +447,26 @@ def class_size(A: FqMatrix) -> int:
     return _gl_order(A.rank, A.q) // _orders(A)[0]
 
 
-def _flag_orbit(flags: bytearray, rank: int, q: int, key: int, roots: list[int]) -> int:
+def _flag_orbit(flags: bytearray, rank: int, q: int, key: int, roots: list[tuple]) -> int:
     """Flag the keys of the orbit of the class with this key and return how
-    many were unflagged.  zA (z in roots, z^r = 1) multiplies c_i by
+    many were unflagged.  zA ((z^2, z) in roots, z^r = 1) multiplies c_i by
     z^(r-i); A^-1 maps (c_1, c_2) to (-c_2, -c_1) at rank 3 and fixes chi at
     rank 2."""
-    orbit, (c1, c2) = 0, divmod(key, q)
-    for z in roots:
-        if rank == 2:
-            images = (key * z % q,)
-        else:
-            a, b = c1 * z * z % q, c2 * z % q
-            images = (a * q + b, -b % q * q + -a % q)
-        for i in images:
+    orbit = 0
+    if rank == 2:
+        for _, z in roots:
+            i = key * z % q
             orbit += not flags[i]
             flags[i] = 1
+        return orbit
+    c1, c2 = divmod(key, q)
+    for z2, z in roots:
+        a, b = c1 * z2 % q, c2 * z % q
+        i, j = a * q + b, -b % q * q + -a % q
+        orbit += not flags[i]
+        flags[i] = 1
+        orbit += not flags[j]
+        flags[j] = 1
     return orbit
 
 
@@ -466,8 +490,9 @@ def count_rep_variety_points(rank: int, n: int, q: int,
     # remainder keeps the exponent at the order itself, since pow needs n >= 1
     order = _gl_order(rank, q)
     n = n % order or order
-    roots = [z for z in range(1, q) if pow(z, rank, q) == 1]
-    total = 0
+    roots = [(z * z % q, z) for z in range(1, q) if pow(z, rank, q) == 1]
+    # class size per (factor pattern, cyclic) type met, a scalar's pattern None
+    sizes, total = {(None, False): 1}, 0
     for kind, members in _classes(rank, q):
         # the keys of a sparse kind's non-members start flagged, so every
         # unflagged key is a class of this kind not yet in a visited orbit
@@ -477,10 +502,14 @@ def count_rep_variety_points(rank: int, n: int, q: int,
         key = flags.find(0)
         while key >= 0:
             orbit = _flag_orbit(flags, rank, q, key, roots)
-            chi = _chi(rank, q, key)
-            A = _companion(q, chi) if members is None else FqMatrix._of(q, members[key])
-            size = 1 if kind == "scalar" else order // _centralizer_orders(
-                chi, q, members is None)[0]
+            # chi from the key, its constant term (-1)^r; A keeps its factor
+            # pattern, so _orders reuses it when A^n is A
+            pattern = None if kind == "scalar" else _factor_pattern(
+                (1, key, 1) if rank == 2 else (q - 1, *divmod(key, q), 1), q)
+            gl_type = pattern, members is None
+            size = sizes.get(gl_type) or sizes.setdefault(
+                gl_type, order // _CENTRALIZERS[gl_type](q)[0])
+            A = _representative(rank, q, kind, members, key, pattern)
             total += orbit * size * count_commuting_det1(A.pow(n))
             key = flags.find(0, key + 1)
     return total

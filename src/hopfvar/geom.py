@@ -250,24 +250,24 @@ def rep_variety_epoly_strata(rank: int, n: int) -> Poly:
     return Poly.combine([(1, _at(row, basis)) for row in _rows(_RANK_ROWS, rank)])
 
 
-# Closed-formula route: fixed coefficient data, ascending in q.  Each rank-3
-# cofactor of n is folded with the outer factor (q^3 - 1)(q^2 - 1) q^2 at
-# import, so the formula at n is one combine pass.
+# Closed-formula route: fixed coefficient data, ascending in q.  Each cofactor
+# of a function of n is folded with the outer factor at import, so the formula
+# at n is one combine pass.  Rank 3 is the outer factor times
+# floor(n/2) FLOOR + (n^2 N2 - n N1) / 2 + N0; by n^2 = 2 C(n, 2) + n it is on
+# the basis (floor(n/2), C(n, 2), n, 1), with the even N2 - N1 halved here.
 _R3_OUTER = (Q ** 3 - 1) * (Q ** 2 - 1) * Q ** 2
-_R3_N2 = _R3_OUTER * Poly([0, 2, -3, -3, 1, 2, 2, 1])      # n^2 cofactor (before /2)
-_R3_N1 = _R3_OUTER * Poly([0, 12, -1, -17, -3, 0, 6, 3])   # n cofactor (before /2)
+_R3_N2 = _R3_OUTER * Poly([0, 2, -3, -3, 1, 2, 2, 1])      # C(n, 2) cofactor
+_R3_N = _R3_OUTER * Poly([0, -5, -1, 7, 2, 1, -2, -1])     # n cofactor, (N2 - N1) / 2
 _R3_N0 = _R3_OUTER * Poly([0, 13, 2, -6, -2, -1, 2, 1])    # constant-in-n cofactor
 _R3_FLOOR = _R3_OUTER * (Q ** 2 - Q) * (Q ** 2 - Q - 1)     # floor(n/2) cofactor
-_R2_OUTER = Q ** 3 - Q
+# rank 2: ((n - 1) q^2 + n q + (5 - n)) (q^3 - q) on the basis (1, n)
+_R2_N0, _R2_N = (5 - Q ** 2) * (Q ** 3 - Q), (Q ** 2 + Q - 1) * (Q ** 3 - Q)
 
 
 def rep_variety_epoly_formula(rank: int, n: int) -> Poly:
     """E-polynomial of the representation variety by the closed formula."""
     check_twists(n)
     if check_rank(rank) == 2:
-        # ((n - 1) q^2 + n q + (5 - n)) (q^3 - q)
-        return Poly([5 - n, n, n - 1]) * _R2_OUTER
-    # floor(n/2) FLOOR + (n^2 N2 - n N1) / 2 + N0 over 2: the n^2 and n
-    # terms combine to an even polynomial for every n, so halving is exact
-    return Poly.combine([(n // 2 * 2, _R3_FLOOR), (n * n, _R3_N2),
-                         (-n, _R3_N1), (2, _R3_N0)]).exact_div(2)
+        return Poly.combine([(1, _R2_N0), (n, _R2_N)])
+    return Poly.combine([(n // 2, _R3_FLOOR), (n * (n - 1) // 2, _R3_N2),
+                         (n, _R3_N), (1, _R3_N0)])

@@ -206,7 +206,10 @@ def test_product_matches_naive_product():
 
 
 def test_matrix_is_slotted_and_frozen():
+    # the factor pattern a matrix keeps once computed takes no part in
+    # equality, hashing or repr
     m = M(7, (1, 2, 3), (4, 5, 6), (0, 1, 8))
+    assert m.factor_pattern() == ffcount._factor_pattern(m.char_poly(), 7) == ((1, 1), (2, 1))
     assert not hasattr(m, "__dict__")
     for name, value in (("q", 11), ("rows", ((1, 0), (0, 1)))):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -214,7 +217,9 @@ def test_matrix_is_slotted_and_frozen():
     assert m.q == 7 and m.rows == ((1, 2, 3), (4, 5, 6), (0, 1, 1))
     for q, rows in ((7, m.rows), (5, ((2, 0), (3, 4)))):
         built = FqMatrix._of(q, rows)
-        assert built == FqMatrix(q, rows) and hash(built) == hash(FqMatrix(q, rows))
+        built.factor_pattern()
+        for other in (FqMatrix(q, rows), FqMatrix._of(q, rows)):
+            assert built == other and hash(built) == hash(other) and repr(built) == repr(other)
         assert not hasattr(built, "__dict__")
 
 
@@ -399,6 +404,53 @@ def test_sweep_counts_each_visited_class_once_on_its_power(monkeypatch):
                 assert len({a for a, _, _ in powers}) == len(powers), (rank, n, q)
 
 
+def test_sweep_types_each_visited_class_once(monkeypatch):
+    # the sweep factors chi once per visited non-scalar class and hands the
+    # pattern to A, so at n = 1, where A.pow(1) is A, count_commuting_det1
+    # reuses it; at n = 2 each non-scalar A^2 is typed once more
+    factor, patterns = ffcount._factor_pattern, []
+    monkeypatch.setattr(ffcount, "_factor_pattern",
+                        lambda chi, q: patterns.append(chi) or factor(chi, q))
+    powers, pow_ = [], FqMatrix.pow
+    monkeypatch.setattr(FqMatrix, "pow",
+                        lambda a, n: powers.append((a, pow_(a, n))) or powers[-1][1])
+    for rank in (2, 3):
+        for q in (5, 7, 13):
+            for n in (1, 2):
+                patterns.clear()
+                powers.clear()
+                count_rep_variety_points(rank, n, q)
+                classes = sum(not a.is_scalar() for a, _ in powers)
+                typed = sum(n > 1 and not m.is_scalar() for _, m in powers)
+                assert len(patterns) == classes + typed, (rank, q, n)
+                if n == 1:
+                    assert all(m is a for a, m in powers)
+
+
+def test_sweep_builds_only_visited_sparse_classes(monkeypatch):
+    # a non-cyclic or scalar class is kept as its eigenvalue until the sweep
+    # visits it; one matrix is built per visited class, the A whose power
+    # (at n = 1, A itself) is counted
+    build, built = ffcount._representative, []
+    monkeypatch.setattr(ffcount, "_representative",
+                        lambda *args: built.append((args[2], build(*args))) or built[-1][1])
+    count, calls = ffcount.count_commuting_det1, []
+    monkeypatch.setattr(ffcount, "count_commuting_det1", lambda m: calls.append(m) or count(m))
+    for rank in (2, 3):
+        for q in (5, 7, 13):
+            kinds = ffcount._classes(rank, q)
+            assert all(isinstance(a, int) for _, members in kinds if members
+                       for a in members.values())
+            sparse = sum(len(members) for _, members in kinds if members)
+            built.clear()
+            calls.clear()
+            count_rep_variety_points(rank, 1, q)
+            assert len(built) == len(calls), (rank, q)
+            assert all(m is a for (_, m), a in zip(built, calls)), (rank, q)
+            assert sum(kind != "cyclic" for kind, _ in built) == \
+                sum(commutant_dimension(a) > rank for a in calls) < sparse, (rank, q)
+
+
 def test_sweep_matches_bruteforce_oracle():
     points = [(2, n, q) for q in (3, 5, 7) for n in (1, 2, 3)]
     points += [(3, n, q) for q in (3, 5) for n in (1, 2, 3)]
@@ -500,6 +552,16 @@ def test_rank3_counts_beyond_q7():
     for n, q in ((1, 13), (2, 13), (3, 19), (1, 31), (5, 31), (20, 61)):
         assert count_rep_variety_points(3, n, q) == \
             rep_variety_epoly_formula(3, n).evaluate(q), (n, q)
+
+
+def test_rank3_count_at_n1_is_the_class_number_times_the_group_order():
+    # the commuting pairs of a finite group G number |G| k(G), and
+    # k(SL_3(F_q)) = q^2 + q + 8 [3 | q - 1] (Simpson-Frame 1973): an oracle
+    # for the n = 1 sweep that shares nothing with it but the counter
+    for q in (3, 5, 7, 11, 13, 17, 19, 31, 37, 61, 97):
+        order = q ** 3 * (q * q - 1) * (q ** 3 - 1)
+        classes = q * q + q + 8 * ((q - 1) % 3 == 0)
+        assert count_rep_variety_points(3, 1, q) == order * classes, q
 
 
 def test_admissibility():
