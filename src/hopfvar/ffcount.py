@@ -17,50 +17,60 @@ chi, so the representatives A_C are
   a^3 = 1 this is J_2(a) + (a), otherwise diag(a, a, a^-2));
 * scalar: a*I with a^r = 1, each a class of size 1.
 
-The sweep visits one class per orbit of the group generated by A -> zA
-(z^r = 1, so zI is in SL_r) and A -> A^-1, weighted by the orbit size.
-Both maps send GL-classes to GL-classes and keep the centralizer in GL_r,
-hence the class size; and (zA)^n = z^n A^n and (A^-1)^n = (A^n)^-1 have
-the centralizer of A^n, hence the same #{B}.  On chi = sum c_i x^i, zA
-multiplies c_i by z^(r-i), and A^-1 gives the reversed polynomial times
-(-1)^r (det A = 1): at rank 3 (c_1, c_2) -> (-c_2, -c_1), at rank 2 chi is
-unchanged.  An orbit is represented by its least chi; it has up to 6
-classes at rank 3 (when 3 | q - 1) and up to 2 at rank 2.  The sweep keeps
-one bytearray of q^(r-1) flags per kind, indexed by chi's middle
-coefficients, and steps through the unflagged indices in ascending order with
-bytearray.find, so the first class of an orbit it meets is its least.  A
-class it visits flags its images and is weighted by the number of flags it
-sets; a flagged class is skipped without building its chi or its matrix.  The
-cyclic kind has a class at every index, and a non-cyclic or scalar kind keeps
-only the eigenvalue a of each class and starts with the indices of the other
-polynomials flagged.
+The count runs in two passes.  The per-visit pass (_orbit_visits) visits
+one class per orbit of the group generated by A -> zA (z^r = 1, so zI is in
+SL_r) and A -> A^-1, weighted by the orbit size.  Both maps send GL-classes
+to GL-classes and keep the centralizer in GL_r, hence the class size; and
+(zA)^n = z^n A^n and (A^-1)^n = (A^n)^-1 have the centralizer of A^n, hence
+the same #{B}.  On chi = sum c_i x^i, zA multiplies c_i by z^(r-i), and A^-1
+gives the reversed polynomial times (-1)^r (det A = 1): at rank 3
+(c_1, c_2) -> (-c_2, -c_1), at rank 2 chi is unchanged.  An orbit is
+represented by its least chi; it has up to 6 classes at rank 3 (when
+3 | q - 1) and up to 2 at rank 2.  The pass keeps one bytearray of q^(r-1)
+flags per kind, indexed by chi's middle coefficients, and steps through the
+unflagged indices in ascending order with bytearray.find, so the first class
+of an orbit it meets is its least.  A class it visits flags its images and is
+weighted by the number of flags it sets; a flagged class is skipped unseen.
+The cyclic kind has a class at every index, and a non-cyclic or scalar kind
+keeps only the eigenvalue a of each class and starts with the indices of the
+other polynomials flagged.
 
-The orders of the centralizers C_GL(A_C) and C_SL(A_C^n) are closed forms in
-q, one row of _CENTRALIZERS per GL type of a non-scalar matrix: the factor
-pattern of its characteristic polynomial (its roots in F_q with multiplicity)
-and whether it is cyclic, eight cyclic types at ranks 2 and 3 and the
-non-cyclic diag(a, a, b) and J_2(a) + (a) at rank 3.  The sweep types A_C once,
-from its kind and its chi, and hands A_C that factor pattern, which a matrix
-keeps (FqMatrix.factor_pattern): A_C^n is typed again only when it is a new
-matrix, not at n = 1.  _orders types any matrix, for class_size and
-count_commuting_det1: a scalar M is told by its entries first, and the length
-of the closed-form commutant basis (commutant_basis) of any other M tells
-whether it is cyclic.  Nothing is row-reduced, and each kernel is straight-line
-code over the entries: a non-scalar M is cyclic iff its minimal polynomial has
+Each visited class is typed twice, without a matrix: A from its kind and chi,
+and A^n (_power_type) from a^n for the non-cyclic and scalar kinds and from
+the residue x^n mod chi for the cyclic kind (_x_power, the square-and-multiply
+kernel that also decides _factor_pattern's cubics).  A GL type is the factor
+pattern of the characteristic polynomial (its roots in F_q with multiplicity)
+and whether the matrix is cyclic; a scalar has its own type.  The orbit weights
+go into a histogram keyed by (type of A, type of A^n).  The fold then builds
+one matrix per type of A^n, the power A^n of the first class visited with it,
+and asks count_commuting_det1 for its #{B} = |C_SL(A^n)|, which depends only
+on that type; the count is the sum over the histogram of weight x
+|GL_r(F_q)| / |C_GL(A)| x that value.  At rank 3 there are at most 8 types of
+A^n, against about q^2 / 6 visited classes (q^2 / 2 when 3 does not divide
+q - 1), and nothing is enumerated: a direct enumeration would step through q^9
+matrices.
+
+The orders of the centralizers C_GL(M) and C_SL(M) are closed forms in q, one
+row of _CENTRALIZERS per GL type of a non-scalar M: eight cyclic types at
+ranks 2 and 3 and the non-cyclic diag(a, a, b) and J_2(a) + (a) at rank 3.
+_orders types any matrix, for class_size and count_commuting_det1: a scalar M
+is told by its entries first, the factor pattern of its characteristic
+polynomial is kept with the matrix (FqMatrix.factor_pattern), so the class
+matrix the fold builds at n = 1, where A^n is A, is not factored again, and
+the length of the closed-form commutant basis (commutant_basis) tells whether
+M is cyclic.  Nothing is row-reduced, and each kernel is straight-line code
+over the entries: a non-scalar M is cyclic iff its minimal polynomial has
 degree r, read off M and M^2 (_double_eigenvalue), and then has the basis I,
 M, ..., M^(r-1) of F_q[M]; a non-cyclic M has rank 3 and a double eigenvalue a
-with M - aI = u v^T of rank 1, and its commutant is
-F_q I + (v-perp (x) u-perp).  Nothing is enumerated: at rank 3 about q^2 / 6
-orbits (q^2 / 2 when 3 does not divide q - 1) replace the q^9 matrices of a
-direct enumeration.
+with M - aI = u v^T of rank 1, and its commutant is F_q I + (v-perp (x) u-perp).
 
 The count equals the closed-formula E-polynomial at q when rank*n | q-1
 (is_admissible).  The sweep is serial: the threads argument is accepted and
 has no effect on the result.  Its flags cover about q^(r-1) classes (q^2 + q
 at rank 3, q + 2 at rank 2), and it refuses a field whose q^(r-1) exceeds
 MAX_CLASSES; that check is O(1) and runs before the primality test of q, which
-would not end for a huge q.  A^n is computed as A^(n mod |GL_r(F_q)|), exact
-by Lagrange's theorem, so the cost of a class does not grow with n.
+would not end for a huge q.  n is reduced mod |GL_r(F_q)|, exact by Lagrange's
+theorem, so the cost of a class grows only with the bits of that remainder.
 """
 
 from __future__ import annotations
@@ -245,6 +255,15 @@ def _perp(v: tuple[int, ...], q: int) -> tuple[tuple[int, ...], ...]:
     return (v2, 0, 0), (0, v2, 0)
 
 
+def _outer(p: tuple[int, ...], c: tuple[int, ...], q: int) -> FqMatrix:
+    """The rank-3 matrix p c^T."""
+    p0, p1, p2 = p
+    c0, c1, c2 = c
+    return FqMatrix._of(q, ((p0 * c0 % q, p0 * c1 % q, p0 * c2 % q),
+                            (p1 * c0 % q, p1 * c1 % q, p1 * c2 % q),
+                            (p2 * c0 % q, p2 * c1 % q, p2 * c2 % q)))
+
+
 def commutant_basis(M: FqMatrix) -> list[FqMatrix]:
     """Basis of the algebra of matrices commuting with M, in closed form.
 
@@ -269,14 +288,17 @@ def commutant_basis(M: FqMatrix) -> list[FqMatrix]:
     a = _double_eigenvalue(M, M2)
     if a is None:
         return [ident, M, M2]
-    n = tuple(tuple((x - a) % q if i == j else x for j, x in enumerate(row))
-              for i, row in enumerate(m))
-    v = next(row for row in n if any(row))
-    u = next(col for col in zip(*n) if any(col))
-    return [ident] + [FqMatrix._of(q, ((p0 * c0 % q, p0 * c1 % q, p0 * c2 % q),
-                                       (p1 * c0 % q, p1 * c1 % q, p1 * c2 % q),
-                                       (p2 * c0 % q, p2 * c1 % q, p2 * c2 % q)))
-                      for p0, p1, p2 in _perp(v, q) for c0, c1, c2 in _perp(u, q)]
+    (m0, m1, m2), (m3, m4, m5), (m6, m7, m8) = m
+    d0, d4, d8 = (m0 - a) % q, (m4 - a) % q, (m8 - a) % q
+    # the first nonzero row of M - aI is v^T up to a scalar, its first
+    # nonzero column u
+    v = ((d0, m1, m2) if d0 or m1 or m2 else (m3, d4, m5) if m3 or d4 or m5
+         else (m6, m7, d8))
+    u = ((d0, m3, m6) if d0 or m3 or m6 else (m1, d4, m7) if m1 or d4 or m7
+         else (m2, m5, d8))
+    p1, p2 = _perp(v, q)
+    c1, c2 = _perp(u, q)
+    return [ident, _outer(p1, c1, q), _outer(p1, c2, q), _outer(p2, c1, q), _outer(p2, c2, q)]
 
 
 def commutant_dimension(M: FqMatrix) -> int:
@@ -314,7 +336,7 @@ def _factor_pattern(chi: tuple[int, ...], q: int) -> tuple[tuple[int, int], ...]
       of irreducible factors of the parity of deg f iff D is a square, so f
       is a linear times an irreducible quadratic factor;
     * D a nonzero square: f has three roots or none in F_q, and it has three
-      iff x^q = x mod f, found by square-and-multiply in O(log q) products.
+      iff x^q = x mod f (_x_power, O(log q) products).
     """
     if len(chi) == 3:
         c, b, _ = chi
@@ -329,17 +351,34 @@ def _factor_pattern(chi: tuple[int, ...], q: int) -> tuple[tuple[int, int], ...]
         return ((1, 3),) if (c2 * c2 - 3 * c1) % q == 0 else ((1, 2), (1, 1))
     if pow(disc, (q - 1) // 2, q) != 1:
         return ((1, 1), (2, 1))
-    # u = x^k mod f as (u0, u1, u2), k running through the leading bits of q;
-    # x^3 = -(c2 x^2 + c1 x + c0) reduces the x^4 and x^3 terms of u^2
+    return ((1, 1), (1, 1), (1, 1)) if _x_power(chi, q, q) == (0, 1, 0) else ((3, 1),)
+
+
+def _x_power(chi: tuple[int, ...], e: int, q: int) -> tuple[int, ...]:
+    """x^e mod chi, e >= 1, as ascending coefficients of degree < deg chi,
+    for a monic chi of degree 2 or 3 (ascending coefficients), by
+    square-and-multiply on residues: u = x^k mod chi runs through the leading
+    bits k of e, and x^2 = -(c1 x + c0) resp. x^3 = -(c2 x^2 + c1 x + c0)
+    reduces the top terms of u^2 and x u."""
+    if len(chi) == 3:
+        c0, c1, _ = chi
+        u0, u1 = 0, 1
+        for bit in bin(e)[3:]:
+            p2 = u1 * u1 % q
+            u0, u1 = (u0 * u0 - p2 * c0) % q, (2 * u0 * u1 - p2 * c1) % q
+            if bit == "1":
+                u0, u1 = -u1 * c0 % q, (u0 - u1 * c1) % q
+        return u0, u1
+    c0, c1, c2, _ = chi
     u0, u1, u2 = 0, 1, 0
-    for bit in bin(q)[3:]:
+    for bit in bin(e)[3:]:
         p4 = u2 * u2 % q
         p3 = (2 * u1 * u2 - p4 * c2) % q
         p2, p1 = 2 * u0 * u2 + u1 * u1 - p4 * c1, 2 * u0 * u1 - p4 * c0
         u0, u1, u2 = (u0 * u0 - p3 * c0) % q, (p1 - p3 * c1) % q, (p2 - p3 * c2) % q
         if bit == "1":
             u0, u1, u2 = -u2 * c0 % q, (u0 - u2 * c1) % q, (u1 - u2 * c2) % q
-    return ((1, 1), (1, 1), (1, 1)) if (u0, u1, u2) == (0, 1, 0) else ((3, 1),)
+    return u0, u1, u2
 
 
 #: (|C_GL(M)|, |C_GL(M)| / |C_SL(M)|) for a non-scalar M, closed forms in q
@@ -470,6 +509,79 @@ def _flag_orbit(flags: bytearray, rank: int, q: int, key: int, roots: list[tuple
     return orbit
 
 
+#: The GL type of a scalar matrix, which has no row in _CENTRALIZERS.
+_SCALAR = (None, False)
+
+
+def _power_type(q: int, chi: tuple[int, ...], a_type: tuple, a: Optional[int],
+                n: int) -> tuple:
+    """The GL type (factor pattern, cyclic) of A^n, _SCALAR for a scalar, for
+    the non-scalar class A of _classes with characteristic polynomial chi, GL
+    type a_type and, for the non-cyclic kind, eigenvalue a; no matrix is
+    formed.  n >= 1.
+
+    A non-cyclic A is diag(a, a, b), b = a^-2, whose n-th power is scalar iff
+    a^n = b^n, i.e. a^(3n) = 1, or J_2(a) + (a) (a^3 = 1), whose n-th power
+    a^n I + n a^(n-1) N is scalar iff q | n; otherwise A^n has A's type.  A
+    cyclic A is x acting on F_q[x]/(chi), so A^n is p(A) for the residue
+    p = x^n mod chi (_x_power).  p(A) is scalar iff p is constant, is A iff
+    p = x, and is cyclic iff 1, p, p^2 are independent mod chi; its
+    characteristic polynomial is that of multiplication by p, read off the
+    traces t_k of p^k through the power sums s_k of chi's roots, and its
+    determinant is 1."""
+    if a is not None:
+        if a_type[0] == ((1, 3),):
+            return a_type if n % q else _SCALAR
+        return a_type if pow(a, 3 * n, q) != 1 else _SCALAR
+    p = _x_power(chi, n, q)
+    if len(chi) == 3:
+        p0, p1 = p
+        if not p1:
+            return _SCALAR
+        if p == (0, 1):
+            return a_type
+        # s_1 = -c_1: y^2 - t_1 y + 1
+        t1 = (2 * p0 - p1 * chi[1]) % q
+        return _factor_pattern((1, -t1 % q, 1), q), True
+    p0, p1, p2 = p
+    if not (p1 or p2):
+        return _SCALAR
+    if p == (0, 1, 0):
+        return a_type
+    c0, c1, c2, _ = chi
+    # u = p^2 mod chi, reduced as in _x_power
+    p4 = p2 * p2 % q
+    p3 = (2 * p1 * p2 - p4 * c2) % q
+    u0 = (p0 * p0 - p3 * c0) % q
+    u1 = (2 * p0 * p1 - p4 * c0 - p3 * c1) % q
+    u2 = (2 * p0 * p2 + p1 * p1 - p4 * c1 - p3 * c2) % q
+    # s_0 = 3, s_1 = -c_2, s_2 = c_2^2 - 2 c_1; y^3 - t_1 y^2 + e_2 y - 1 with
+    # 2 e_2 = t_1^2 - t_2
+    s2 = c2 * c2 - 2 * c1
+    t1 = (3 * p0 - p1 * c2 + p2 * s2) % q
+    t2 = 3 * u0 - u1 * c2 + u2 * s2
+    e2 = (t1 * t1 - t2) * ((q + 1) // 2) % q
+    return _factor_pattern((q - 1, e2, -t1 % q, 1), q), (p1 * u2 - p2 * u1) % q != 0
+
+
+def _orbit_visits(rank: int, q: int) -> Iterator[tuple[str, Optional[dict[int, int]], int, int]]:
+    """(kind, members, key, orbit) for the least class of each orbit, kind
+    by kind of _classes in ascending key, with the number of classes in its
+    orbit (see the module docstring).  q must have passed _check_field."""
+    classes = q ** (rank - 1)
+    roots = [(z * z % q, z) for z in range(1, q) if pow(z, rank, q) == 1]
+    for kind, members in _classes(rank, q):
+        # the keys of a sparse kind's non-members start flagged, so every
+        # unflagged key is a class of this kind not yet in a visited orbit
+        flags = bytearray(classes) if members is None else bytearray(b"\x01") * classes
+        for key in members or ():
+            flags[key] = 0
+        key = flags.find(0)
+        while key >= 0:
+            yield kind, members, key, _flag_orbit(flags, rank, q, key, roots)
+            key = flags.find(0, key + 1)
+
+
 def count_rep_variety_points(rank: int, n: int, q: int,
                              threads: Optional[int] = None) -> int:
     """Exact #{(A, B) in SL_rank(F_q)^2 : A^n B = B A^n}.
@@ -490,26 +602,25 @@ def count_rep_variety_points(rank: int, n: int, q: int,
     # remainder keeps the exponent at the order itself, since pow needs n >= 1
     order = _gl_order(rank, q)
     n = n % order or order
-    roots = [(z * z % q, z) for z in range(1, q) if pow(z, rank, q) == 1]
-    # class size per (factor pattern, cyclic) type met, a scalar's pattern None
-    sizes, total = {(None, False): 1}, 0
-    for kind, members in _classes(rank, q):
-        # the keys of a sparse kind's non-members start flagged, so every
-        # unflagged key is a class of this kind not yet in a visited orbit
-        flags = bytearray(classes) if members is None else bytearray(b"\x01") * classes
-        for key in members or ():
-            flags[key] = 0
-        key = flags.find(0)
-        while key >= 0:
-            orbit = _flag_orbit(flags, rank, q, key, roots)
-            # chi from the key, its constant term (-1)^r; A keeps its factor
-            # pattern, so _orders reuses it when A^n is A
-            pattern = None if kind == "scalar" else _factor_pattern(
-                (1, key, 1) if rank == 2 else (q - 1, *divmod(key, q), 1), q)
-            gl_type = pattern, members is None
-            size = sizes.get(gl_type) or sizes.setdefault(
-                gl_type, order // _CENTRALIZERS[gl_type](q)[0])
-            A = _representative(rank, q, kind, members, key, pattern)
-            total += orbit * size * count_commuting_det1(A.pow(n))
-            key = flags.find(0, key + 1)
-    return total
+    # orbit weight per (type of A, type of A^n), and the first class met of
+    # each type of A^n with the factor pattern of its chi
+    weights: dict[tuple, int] = {}
+    first: dict[tuple, tuple] = {}
+    for kind, members, key, orbit in _orbit_visits(rank, q):
+        if kind == "scalar":
+            a_type = power_type = _SCALAR
+        else:
+            # chi from the key, its constant term (-1)^r
+            chi = (1, key, 1) if rank == 2 else (q - 1, *divmod(key, q), 1)
+            a_type = _factor_pattern(chi, q), members is None
+            power_type = _power_type(q, chi, a_type, members[key] if members else None, n)
+        types = a_type, power_type
+        weights[types] = weights.get(types, 0) + orbit
+        if power_type not in first:
+            first[power_type] = kind, members, key, a_type[0]
+    # |C_SL(A^n)| depends only on the type of A^n: one matrix per type, which
+    # keeps its factor pattern when A^n is A
+    commuting = {power_type: count_commuting_det1(_representative(rank, q, *cls).pow(n))
+                 for power_type, cls in first.items()}
+    return sum(weight * (1 if a_type == _SCALAR else order // _CENTRALIZERS[a_type](q)[0])
+               * commuting[power_type] for (a_type, power_type), weight in weights.items())

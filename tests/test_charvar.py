@@ -151,3 +151,34 @@ def test_one_pass_red21_and_formula_match_their_expansions():
             + ((n - 1) * (n - 2) * charvar._F_Q6_2Q5).exact_div(2)
             - ((n - 1) // 2) * charvar._F_QM1_2_Q2_Q_M1
             + (n - 1) * (3 * charvar._F_Q4_Q3 + charvar._F_Q_QM1_3)), n
+
+
+def test_pieces_equal_formula_for_all_n():
+    """Pieces = formula for every n >= 1, not just for the n sampled above.
+
+    With m = n - 1, both char_piece_epoly(r, "total", n) and
+    char_variety_epoly_formula(r, n) are visibly integer combinations, with
+    fixed polynomial coefficients, of b(n) = (1, m, floor(m/2), C(m, 2)).
+    These four functions are independent on n = 1..4 (that 4x4 system has
+    determinant 2), so each route's coefficients on the basis are read off
+    its values there, and the two routes agree for every n exactly when
+    their coefficients agree.  Values at further n, huge ones included,
+    confirm that each route is the combination read off.
+    """
+    def coefficients(route):
+        v1, v2, v3, v4 = (route(n) for n in (1, 2, 3, 4))
+        # inverse of b(1..4) = (1,0,0,0), (1,1,0,0), (1,2,1,1), (1,3,1,3)
+        c1 = v2 - v1
+        c3 = (v4 - v3 - c1).exact_div(2)
+        return [v1, c1, v3 - v1 - 2 * c1 - c3, c3]
+
+    for rank in (2, 3):
+        pieces = coefficients(lambda n: char_piece_epoly(rank, "total", n))
+        formula = coefficients(lambda n: char_variety_epoly_formula(rank, n))
+        assert pieces == formula, rank
+        for n in (1, 2, 3, 4, 5, 8, 11, *HUGE_NS):
+            m = n - 1
+            b = (1, m, m // 2, m * (m - 1) // 2)
+            value = sum((bk * c for bk, c in zip(b, pieces)), ZERO)
+            assert value == char_piece_epoly(rank, "total", n), (rank, n)
+            assert value == char_variety_epoly_formula(rank, n), (rank, n)

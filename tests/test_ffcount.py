@@ -20,7 +20,7 @@ from hopfvar.geom import rep_variety_epoly_formula
 
 from _oracles import (
     class_key, commutant_dimension_by_null_space, commutant_null_space,
-    commutant_unit_counts, count_commuting_pairs_sl2,
+    commutant_unit_counts, conjugacy_class_count_sl2, count_commuting_pairs_sl2,
     count_rep_variety_points_bruteforce, factor_pattern_by_trial_division,
     linearly_independent, matrix_rank, set_based_orbits, sl_matrices,
 )
@@ -383,9 +383,27 @@ def test_count_commuting_det1_types_through_one_commutant_basis(monkeypatch):
                     assert calls == ([] if m.is_scalar() else [m]), (a, n)
 
 
-def test_sweep_counts_each_visited_class_once_on_its_power(monkeypatch):
+def _matrix_type(m):
+    # the GL type of a matrix by the package's matrix typing: None for a
+    # scalar, else its factor pattern and whether it is cyclic
+    if m.is_scalar():
+        return None
+    return ffcount._factor_pattern(m.char_poly(), m.q), commutant_dimension(m) == m.rank
+
+
+def _recording_visits(monkeypatch):
+    # the per-visit pass, looked up on the module by the sweep, recording
+    # each (kind, members, key, orbit) it yields
+    visits, visit = [], ffcount._orbit_visits
+    monkeypatch.setattr(ffcount, "_orbit_visits",
+                        lambda rank, q: (v for v in visit(rank, q) if not visits.append(v)))
+    return visits
+
+
+def test_sweep_counts_each_type_of_the_power_once(monkeypatch):
     # the sweep looks count_commuting_det1 up on the module and calls it once
-    # per visited class (one per orbit), each time on A.pow(n) of that class
+    # per GL type of A^n met over all classes (the orbit maps keep it), each
+    # time on A.pow(n) of a different class
     powers, calls = [], []
     pow_, count = FqMatrix.pow, ffcount.count_commuting_det1
     monkeypatch.setattr(FqMatrix, "pow",
@@ -393,62 +411,103 @@ def test_sweep_counts_each_visited_class_once_on_its_power(monkeypatch):
     monkeypatch.setattr(ffcount, "count_commuting_det1", lambda m: calls.append(m) or count(m))
     for rank in (2, 3):
         for q in (5, 7, 13):
-            reps = [a.rows for a in class_representatives(rank, q)]
+            reps = list(class_representatives(rank, q))
             for n in (1, 2, 3):
+                types = {_matrix_type(pow_(a, n)) for a in reps}
                 powers.clear()
                 calls.clear()
                 count_rep_variety_points(rank, n, q)
-                assert len(calls) == len(set_based_orbits(reps, q)), (rank, n, q)
-                assert len(powers) == len(calls), (rank, n, q)
+                assert len(calls) == len(powers) == len(types), (rank, n, q)
                 assert all(m is power and e == n for m, (_, e, power) in zip(calls, powers))
+                assert {_matrix_type(m) for m in calls} == types, (rank, n, q)
                 assert len({a for a, _, _ in powers}) == len(powers), (rank, n, q)
 
 
 def test_sweep_types_each_visited_class_once(monkeypatch):
-    # the sweep factors chi once per visited non-scalar class and hands the
-    # pattern to A, so at n = 1, where A.pow(1) is A, count_commuting_det1
-    # reuses it; at n = 2 each non-scalar A^2 is typed once more
+    # the sweep factors the chi of each visited non-scalar class once, and
+    # the chi of its power read off x^n mod chi once more for the cyclic kind
+    # unless A^n is scalar or A itself (always at n = 1); of the matrices it
+    # counts, one per type of A^n, only those that are not A are factored
+    # again, so nothing more is factored at n = 1
     factor, patterns = ffcount._factor_pattern, []
     monkeypatch.setattr(ffcount, "_factor_pattern",
                         lambda chi, q: patterns.append(chi) or factor(chi, q))
-    powers, pow_ = [], FqMatrix.pow
-    monkeypatch.setattr(FqMatrix, "pow",
-                        lambda a, n: powers.append((a, pow_(a, n))) or powers[-1][1])
+    count, counted = ffcount.count_commuting_det1, []
+    monkeypatch.setattr(ffcount, "count_commuting_det1", lambda m: counted.append(m) or count(m))
+    visits = _recording_visits(monkeypatch)
     for rank in (2, 3):
         for q in (5, 7, 13):
-            for n in (1, 2):
+            for n in (1, 2, 3):
                 patterns.clear()
-                powers.clear()
+                counted.clear()
+                visits.clear()
                 count_rep_variety_points(rank, n, q)
-                classes = sum(not a.is_scalar() for a, _ in powers)
-                typed = sum(n > 1 and not m.is_scalar() for _, m in powers)
-                assert len(patterns) == classes + typed, (rank, q, n)
-                if n == 1:
-                    assert all(m is a for a, m in powers)
+                expected = []
+                for kind, members, key, _ in visits:
+                    a = ffcount._representative(rank, q, kind, members, key)
+                    power = a.pow(n)
+                    if kind != "scalar":
+                        expected.append(a.char_poly())
+                    if kind == "cyclic" and not power.is_scalar() and power != a:
+                        expected.append(power.char_poly())
+                expected += [m.char_poly() for m in counted if n > 1 and not m.is_scalar()]
+                assert patterns == expected, (rank, q, n)
 
 
 def test_sweep_builds_only_visited_sparse_classes(monkeypatch):
-    # a non-cyclic or scalar class is kept as its eigenvalue until the sweep
-    # visits it; one matrix is built per visited class, the A whose power
-    # (at n = 1, A itself) is counted
+    # a non-cyclic or scalar class is kept as its eigenvalue; the sweep
+    # builds one matrix per type of A^n, a visited class whose power it
+    # counts (at n = 1, A itself), so far fewer than there are sparse classes
     build, built = ffcount._representative, []
     monkeypatch.setattr(ffcount, "_representative",
                         lambda *args: built.append((args[2], build(*args))) or built[-1][1])
     count, calls = ffcount.count_commuting_det1, []
     monkeypatch.setattr(ffcount, "count_commuting_det1", lambda m: calls.append(m) or count(m))
+    visits = _recording_visits(monkeypatch)
     for rank in (2, 3):
         for q in (5, 7, 13):
             kinds = ffcount._classes(rank, q)
             assert all(isinstance(a, int) for _, members in kinds if members
                        for a in members.values())
             sparse = sum(len(members) for _, members in kinds if members)
-            built.clear()
-            calls.clear()
-            count_rep_variety_points(rank, 1, q)
-            assert len(built) == len(calls), (rank, q)
-            assert all(m is a for (_, m), a in zip(built, calls)), (rank, q)
-            assert sum(kind != "cyclic" for kind, _ in built) == \
-                sum(commutant_dimension(a) > rank for a in calls) < sparse, (rank, q)
+            for n in (1, 2):
+                built.clear()
+                calls.clear()
+                visits.clear()
+                count_rep_variety_points(rank, n, q)
+                visited = {(kind, build(rank, q, kind, members, key))
+                           for kind, members, key, _ in visits}
+                assert len(built) == len(calls) == len({_matrix_type(m) for m in calls})
+                assert set(built) <= visited, (rank, q, n)
+                assert all(m == a.pow(n) for (_, a), m in zip(built, calls)), (rank, q, n)
+                if n == 1:
+                    assert all(m is a for (_, a), m in zip(built, calls)), (rank, q)
+                    assert sum(kind != "cyclic" for kind, _ in built) == \
+                        sum(commutant_dimension(a) > rank for a in calls) < sparse, (rank, q)
+
+
+def test_power_types_match_matrix_typing_exhaustive():
+    # every non-scalar class A at q = 5, 7, 13 (J_2(a) + (a) at q | n among
+    # them) and n = 1..6: the type of A^n that the sweep reads off
+    # x^n mod chi, or off a for the non-cyclic kind, without a matrix, equals
+    # the type of the matrix A.pow(n) by the oracle's null space and trial
+    # division
+    for rank in (2, 3):
+        for q in (5, 7, 13):
+            for kind, members in ffcount._classes(rank, q):
+                if kind == "scalar":  # the sweep types A^n = a^n I as scalar
+                    continue
+                for key in range(q ** (rank - 1)) if members is None else members:
+                    a = ffcount._representative(rank, q, kind, members, key)
+                    dim, chi = class_key(a.rows, q)
+                    a_type = ffcount._factor_pattern(chi, q), dim == rank
+                    for n in range(1, 7):
+                        got = ffcount._power_type(q, chi, a_type,
+                                                  members[key] if members else None, n)
+                        dim, chi_n = class_key(a.pow(n).rows, q)
+                        expected = ((None, False) if dim == rank * rank else
+                                    (factor_pattern_by_trial_division(chi_n, q), dim == rank))
+                        assert (got[0] and sorted(got[0]), got[1]) == expected, (a, n)
 
 
 def test_sweep_matches_bruteforce_oracle():
@@ -483,37 +542,37 @@ def test_orbit_sweep_matches_plain_class_sum():
 
 
 def test_orbit_sweep_visits_one_class_per_orbit(monkeypatch):
-    # (3, 1, 7): 58 classes fall into 15 orbits of A -> zA (z^3 = 1), A -> A^-1
+    # (3, 1, 7): 58 classes fall into 15 orbits of A -> zA (z^3 = 1), A -> A^-1,
+    # and count_commuting_det1 runs once per type of A^n met, fewer still
     count, calls = ffcount.count_commuting_det1, []
     monkeypatch.setattr(ffcount, "count_commuting_det1",
                         lambda m: calls.append(m) or count(m))
+    visits = _recording_visits(monkeypatch)
     assert count_rep_variety_points(3, 1, 7) == rep_variety_epoly_formula(3, 1).evaluate(7)
     assert len(list(class_representatives(3, 7))) == 58
+    assert len(visits) == 15
     assert len(calls) <= 15
 
 
 def test_orbit_representatives_match_set_based_orbits(monkeypatch):
-    # The k-th class the sweep visits gets the commutant count BASE^k, so at
-    # n = 1 the count holds, digit by digit in base BASE, the orbit size times
-    # the class size of each visited class.  The visited classes and their
-    # orbit sizes must be the least class and the size of each set-based orbit.
-    base = 10 ** 12  # above 6 |GL_3(F_13)|
+    # The per-visit pass of the sweep yields one class per orbit with the
+    # number of classes in it: they must be the least class and the size of
+    # each set-based orbit, and at n = 1 the count must be the sum of orbit
+    # size x class size x commutant count over them.
+    visits = _recording_visits(monkeypatch)
     for rank in (2, 3):
         for q in (5, 7, 13):
-            visited = []
-            with monkeypatch.context() as patch:
-                patch.setattr(ffcount, "count_commuting_det1",
-                              lambda m: visited.append(m) or base ** (len(visited) - 1))
-                total = count_rep_variety_points(rank, 1, q)
-            orbits = {}
-            for a in visited:
-                total, digit = divmod(total, base)
-                size, rem = divmod(digit, class_size(a))
-                assert rem == 0, (rank, q, a)
-                orbits[class_key(a.rows, q)] = size
-            assert total == 0
+            visits.clear()
+            total = count_rep_variety_points(rank, 1, q)
+            orbits, expected_total = {}, 0
+            for kind, members, key, orbit in visits:
+                a = ffcount._representative(rank, q, kind, members, key)
+                orbits[class_key(a.rows, q)] = orbit
+                expected_total += orbit * class_size(a) * count_commuting_det1(a)
+            assert len(orbits) == len(visits), (rank, q)
             expected = set_based_orbits([a.rows for a in class_representatives(rank, q)], q)
             assert orbits == expected, (rank, q)
+            assert total == expected_total, (rank, q)
 
 
 def test_orbit_flags_keep_count_memory_small():
@@ -562,6 +621,15 @@ def test_rank3_count_at_n1_is_the_class_number_times_the_group_order():
         order = q ** 3 * (q * q - 1) * (q ** 3 - 1)
         classes = q * q + q + 8 * ((q - 1) % 3 == 0)
         assert count_rep_variety_points(3, 1, q) == order * classes, q
+
+
+def test_rank2_count_at_n1_is_the_class_number_times_the_group_order():
+    # k(SL_2(F_q)) = q + 4 for odd q: the commuting pairs of SL_2(F_q) number
+    # q(q^2 - 1)(q + 4), an oracle that shares nothing with the sweep
+    for q in (3, 5, 7, 11, 13, 17, 19, 31, 37, 61, 97, 1009, 10007):
+        assert count_rep_variety_points(2, 1, q) == q * (q * q - 1) * (q + 4), q
+    for q in (3, 5, 7):
+        assert conjugacy_class_count_sl2(q) == q + 4, q
 
 
 def test_admissibility():
