@@ -8,7 +8,8 @@ Subcommands:
              reducible/irreducible pieces.
 * ``count``  exact finite-field point count, optionally asserted against the
              closed-formula polynomial.
-* ``table``  one row per twist count, as CSV, JSON or LaTeX.
+* ``table``  one row per twist count, as CSV, JSON or LaTeX; a JSON ``rep``
+             table checks each row's stratum sum against the formula.
 
 Exit codes: 0 success/match, 1 verified mismatch (a finding), 2 usage or
 precondition error.  A refusal (bad n, bad q, a field over the class budget,
@@ -130,7 +131,10 @@ def _cmd_table(args) -> int:
 
     if args.format == "json":
         print(json.dumps([row for _, row in rows], indent=2))
-        return 0
+        bad = [row["n"] for _, row in rows if "strata" in row and row["strata"] != row["formula"]]
+        for n in bad:
+            print(f"MISMATCH at n={n}", file=sys.stderr)
+        return 1 if bad else 0
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)

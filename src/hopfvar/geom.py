@@ -15,8 +15,8 @@ orbit, stabilizer) and ``_STRATA`` one row per admissible stratum.  Each
 stratum is built once, at import, on the twist basis of ``strata``
 (1, n, n(n-1)/2, floor(n/2)): one fixed polynomial per basis function, so
 ``stratum_epoly`` at a given n is one ``Poly.combine`` pass over them, with no
-ring product, and the strata route one such pass per stratum and one over the
-strata.  These constants are pinned by the test suite (dimension checks,
+ring product, and the strata route one pass over every stratum term of the
+rank.  These constants are pinned by the test suite (dimension checks,
 fibration identity, closed formulas for all n, F_q counts), not re-derived.
 """
 
@@ -244,10 +244,11 @@ def stratum_epoly(stratum: Stratum, n: int) -> Poly:
 
 def rep_variety_epoly_strata(rank: int, n: int) -> Poly:
     """E-polynomial of the representation variety as the sum over all
-    admissible strata (the stratification route)."""
+    admissible strata (the stratification route): one pass over every
+    stratum term of the rank."""
     check_twists(n)
     basis = twist_basis(n)
-    return Poly.combine([(1, _at(row, basis)) for row in _rows(_RANK_ROWS, rank)])
+    return Poly.combine([(basis[k], p) for row in _rows(_RANK_ROWS, rank) for k, p in row])
 
 
 # Closed-formula route: fixed coefficient data, ascending in q.  Each cofactor

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -437,3 +438,79 @@ def set_based_orbits(matrices, q):
                  for z in range(1, q) if pow(z, r, q) == 1 for m in (rows, adjugate)}
         out[min(orbit)] = len(orbit)
     return out
+
+
+# -- twisted Frobenius counts ------------------------------------------------------
+#
+# A point of the norm-one torus (product 1) twisted by a permutation w is a
+# tuple with x_(w(i)) = F(x_i), F the q-th power.  Its coordinates lie in the
+# cyclic group F_(q^k)^*, k the order of w, so it is a tuple of exponents mod
+# q^k - 1: Frobenius multiplies by q, the n-th power by n, and two
+# coordinates coincide iff their exponents do.  For a stratum of Tate type
+# with a W-action, the count twisted by w is sum_chi chi(w) e_chi(q), so the
+# counts over the classes of W give the components of its equivariant class.
+# It checks the package's S2/S3 configuration rows and reducible loci.
+
+_CYCLE_TYPES = {"1": (0, 1, 2), "12": (1, 0, 2), "123": (1, 2, 0)}
+# coincidence pattern by (rank, index), each position labelled by the first
+# position holding the same value: index 1 all equal, the last all distinct,
+# rank-3 index 2 the first two equal
+_PATTERNS = {(2, 1): (0, 0), (2, 2): (0, 1),
+             (3, 1): (0, 0, 0), (3, 2): (0, 0, 2), (3, 3): (0, 1, 2)}
+
+
+@functools.lru_cache(maxsize=None)
+def twisted_torus_points(w: tuple[int, ...], q: int) -> tuple[int, tuple]:
+    """(m, points): the exponent tuples mod m = q^k - 1 of the points of the
+    norm-one torus of rank len(w) with x_(w(i)) = F(x_i)."""
+    cycles, seen = [], set()
+    for i in range(len(w)):
+        if i not in seen:
+            cycle = [i]
+            while w[cycle[-1]] != i:
+                cycle.append(w[cycle[-1]])
+            seen.update(cycle)
+            cycles.append(cycle)
+    m = q ** math.lcm(*map(len, cycles)) - 1
+    # the start of a cycle of length l is fixed by F^l: a multiple of m / (q^l - 1)
+    starts = [range(0, m, m // (q ** len(cycle) - 1)) for cycle in cycles]
+    points = []
+    for choice in itertools.product(*starts):
+        e = [0] * len(w)
+        for cycle, a in zip(cycles, choice):
+            for j, i in enumerate(cycle):
+                e[i] = a * q ** j % m
+        if sum(e) % m == 0:
+            points.append(tuple(e))
+    return m, tuple(points)
+
+
+def twisted_config_count(rank, cycle_type, src, tgt, n, q) -> int:
+    """Points of the configuration stratum (src, tgt) twisted by the
+    permutation of the given cycle type ("1", "12", or at rank 3 "123"):
+    exponent tuples whose coincidence pattern is exactly src and whose n-th
+    powers' pattern is exactly tgt (no power condition when tgt is None).
+    src and tgt are pattern indices: 1 all equal, rank 3's 2 the first two
+    equal, the last all distinct."""
+    m, points = twisted_torus_points(_CYCLE_TYPES[cycle_type][:rank], q)
+    want_src = _PATTERNS[rank, src]
+    want_tgt = None if tgt is None else _PATTERNS[rank, tgt]
+    count = 0
+    for e in points:
+        if tuple(map(e.index, e)) != want_src:
+            continue
+        if want_tgt is not None:
+            power = tuple(n * x % m for x in e)
+            if tuple(map(power.index, power)) != want_tgt:
+                continue
+        count += 1
+    return count
+
+
+def reducible_locus_count(rank: int, q: int) -> int:
+    """#((T x T)/W)(F_q) = (1/|W|) sum_w #T^(wF)(F_q)^2, with T the norm-one
+    torus of SL_rank and W = S_rank permuting its coordinates."""
+    perms = list(itertools.permutations(range(rank)))
+    total = sum(len(twisted_torus_points(w, q)[1]) ** 2 for w in perms)
+    assert total % len(perms) == 0
+    return total // len(perms)

@@ -8,7 +8,7 @@ from hopfvar.poly import ZERO, Q
 
 from _oracles import (
     irreducible_char_points_gl2, irreducible_char_points_gl2_by_classes,
-    irreducible_char_points_sl2,
+    irreducible_char_points_sl2, reducible_locus_count,
 )
 
 HUGE_NS = (10 ** 18, 10 ** 18 + 1)
@@ -69,6 +69,16 @@ def test_red21_matches_gl2_class_sum(n, q, expected):
 def test_rank2_irr_total_matches_sl2_point_count(n, q, expected):
     assert irreducible_char_points_sl2(q, n) == expected
     assert char_piece_epoly(2, "irr_total", n).evaluate(q) == expected
+
+
+@pytest.mark.parametrize("q", (5, 7, 13, 19, 31))
+def test_reducible_loci_match_twisted_torus_counts(q):
+    # the diagonal pairs up to W are (T x T)/W, counted by twisted tori
+    # enumerated point by point, independent of n
+    for rank, piece in ((2, "red_total"), (3, "red_111")):
+        expected = reducible_locus_count(rank, q)
+        for n in (1, 2, 3, 6, 10 ** 18):
+            assert char_piece_epoly(rank, piece, n).evaluate(q) == expected, (rank, n)
 
 
 def test_piece_sums_match_formula():

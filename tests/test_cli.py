@@ -291,3 +291,16 @@ def test_char_pieces_reports_mismatch(capsys, monkeypatch):
         code, out, _ = run_cli(["char", "--rank", rank, "--n", "3", "--pieces"], capsys)
         assert code == 1, rank
         assert out.splitlines()[-1].startswith("MISMATCH"), rank
+
+
+def test_table_json_reports_mismatch(capsys, monkeypatch):
+    strata = geom.rep_variety_epoly_strata
+    monkeypatch.setattr(geom, "rep_variety_epoly_strata",
+                        lambda rank, n: strata(rank, n) + (n == 3))
+    code, out, err = run_cli(
+        ["table", "--rank", "3", "--n", "1..5", "--target", "rep", "--format", "json"], capsys)
+    assert code == 1
+    assert [line for line in err.splitlines() if "MISMATCH" in line] == ["MISMATCH at n=3"]
+    # stdout still holds every row, the wrong one as computed
+    rows = json.loads(out)
+    assert [row["n"] for row in rows if row["strata"] != row["formula"]] == [3]

@@ -46,3 +46,14 @@ def test_doctest_examples(name):
     # the >>> examples of every module's docstrings run and hold
     result = doctest.testmod(importlib.import_module(name))
     assert result.failed == 0, result
+
+
+def test_oracles_import_nothing_from_the_package():
+    # an oracle that shared code or constants with the package could not
+    # catch the package's mistakes
+    tree = ast.parse((Path(__file__).parent / "_oracles.py").read_text())
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    assert imported and "hopfvar" not in imported, imported

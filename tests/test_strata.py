@@ -1,5 +1,6 @@
 import pytest
 
+from hopfvar import strata
 from hopfvar.charvar import char_piece_epoly, char_pieces, char_variety_epoly_formula
 from hopfvar.ffcount import count_rep_variety_points
 from hopfvar.geom import (
@@ -13,6 +14,8 @@ from hopfvar.strata import (
     config_equivariant_s2, config_equivariant_s3, count_config_points,
     refinement_pairs, refines, smallest_admissible_prime,
 )
+
+from _oracles import twisted_config_count
 
 # twist counts at which the table is checked against the closed forms below
 NS = [*range(1, 301), 10 ** 18, 10 ** 18 + 1]
@@ -255,3 +258,30 @@ def test_smallest_admissible_prime():
     for rank in (2, 3):
         for n in range(1, 7):
             assert smallest_admissible_prime(rank, n) <= 97
+
+
+def test_equivariant_rows_match_twisted_frobenius_counts():
+    # the counts twisted by w = 1, (12), (123) give each irreducible
+    # component through the inverted character table; a dim() check cannot
+    # see mass moved between components.  Every S2/S3 row is checked at
+    # n <= 6 and the primes q <= 43 with rank*n | q - 1 for its own rank.
+    primes = [q for q in range(3, 44) if all(q % d for d in range(2, q))]
+    rows = [key for key in strata._CONFIG if key[0] is not None]
+    checked = set()
+    for group, src, tgt in rows:
+        tgt_index = None if tgt is None else tgt.index
+        for n in range(1, 7):
+            for q in (q for q in primes if (q - 1) % (src.rank * n) == 0):
+                c = {w: twisted_config_count(src.rank, w, src.index, tgt_index, n, q)
+                     for w in (("1", "12") if group == "s2" else ("1", "12", "123"))}
+                if group == "s2":
+                    t, sgn = (x.evaluate(q) for x in config_equivariant_s2(src, tgt, n).coeffs)
+                    assert (2 * t, 2 * sgn) == (c["1"] + c["12"], c["1"] - c["12"]), \
+                        (src, tgt, n, q)
+                else:
+                    t, sgn, d = (x.evaluate(q) for x in config_equivariant_s3(tgt, n).coeffs)
+                    assert (6 * t, 6 * sgn, 3 * d) == (c["1"] + 3 * c["12"] + 2 * c["123"],
+                                                       c["1"] - 3 * c["12"] + 2 * c["123"],
+                                                       c["1"] - c["123"]), (tgt, n, q)
+                checked.add((group, src, tgt))
+    assert len(rows) == 7 and checked == set(rows)
