@@ -79,12 +79,12 @@ from dataclasses import dataclass, field
 from math import gcd, prod
 from typing import Iterable, Iterator, Optional
 
-from .strata import admissibility_modulus, check_rank, check_twists, is_admissible, is_prime
+from .strata import admissibility_modulus, check_rank, check_twists, is_admissible
 
 __all__ = [
     "FqMatrix", "MAX_CLASSES",
     "sl_order", "is_admissible", "admissibility_modulus",
-    "commutant_dimension", "commutant_basis",
+    "commutant_basis",
     "count_commuting_det1", "class_representatives", "class_size",
     "count_rep_variety_points",
 ]
@@ -97,6 +97,17 @@ MAX_CLASSES = 400_000
 
 #: Rows of the identity matrix of each rank.
 _IDENTITY = {r: tuple(tuple(int(i == j) for j in range(r)) for i in range(r)) for r in (2, 3)}
+
+
+def is_prime(q: int) -> bool:
+    if q < 2:
+        return False
+    d = 2
+    while d * d <= q:
+        if q % d == 0:
+            return False
+        d += 1
+    return True
 
 
 def _check_field(q: int) -> None:
@@ -145,7 +156,7 @@ class FqMatrix:
 
     @staticmethod
     def identity(rank: int, q: int) -> FqMatrix:
-        return FqMatrix(q, _IDENTITY[rank])
+        return FqMatrix(q, _IDENTITY[check_rank(rank)])
 
     @property
     def rank(self) -> int:
@@ -299,12 +310,6 @@ def commutant_basis(M: FqMatrix) -> list[FqMatrix]:
     p1, p2 = _perp(v, q)
     c1, c2 = _perp(u, q)
     return [ident, _outer(p1, c1, q), _outer(p1, c2, q), _outer(p2, c1, q), _outer(p2, c2, q)]
-
-
-def commutant_dimension(M: FqMatrix) -> int:
-    """F_q-dimension of the commutant of M: in {2, 4} for rank 2 and
-    {3, 5, 9} for rank 3."""
-    return len(commutant_basis(M))
 
 
 def _gl_order(rank: int, q: int) -> int:
@@ -474,7 +479,8 @@ def _representative(rank: int, q: int, kind: str, members: Optional[dict[int, in
 def class_representatives(rank: int, q: int) -> Iterator[FqMatrix]:
     """One matrix of each GL_rank(F_q)-conjugacy class inside SL_rank(F_q),
     by rational canonical form (see the module docstring).  Raises ValueError
-    unless q is an odd prime."""
+    unless rank is 2 or 3 and q is an odd prime."""
+    check_rank(rank)
     _check_field(q)
     return (_representative(rank, q, kind, members, key)
             for kind, members in _classes(rank, q)

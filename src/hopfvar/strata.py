@@ -6,8 +6,7 @@ equivalence with a fixed canonical representative per shape).  Raising a
 tuple to the n-th power can merge eigenvalues, so each pattern splits further
 by the pattern of the powered tuple.  This module hard-codes the exact
 E-polynomials of these strata, together with their S2/S3-equivariant
-refinements, and provides a brute-force finite-field point count that
-independently re-derives every formula.
+refinements.
 
 Every coefficient of every stratum is an integer combination of the same four
 functions of the twist count, twist_basis(n) = (1, n, n(n-1)/2, floor(n/2)).
@@ -18,8 +17,6 @@ functions evaluate its row at a given integer n >= 1.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 from .poly import ZERO, Poly, Q
@@ -33,8 +30,7 @@ __all__ = [
     "twist_basis", "config_rows",
     "config_epoly", "config_epoly_plain",
     "config_equivariant_s2", "config_equivariant_s3",
-    "count_config_points", "refinement_pairs",
-    "admissibility_modulus", "is_admissible", "smallest_admissible_prime",
+    "refinement_pairs", "admissibility_modulus", "is_admissible",
 ]
 
 
@@ -67,22 +63,9 @@ class Partition:
         if not 1 <= self.index <= check_rank(self.rank):
             raise ValueError(f"invalid partition index {self.index} for rank {self.rank}")
 
-    @property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        """Canonical representative as blocks of 0-based positions."""
-        return _BLOCKS[(self.rank, self.index)]
-
     def __str__(self) -> str:
         return f"sigma{self.index}(rank {self.rank})"
 
-
-_BLOCKS = {
-    (2, 1): ((0, 1),),
-    (2, 2): ((0,), (1,)),
-    (3, 1): ((0, 1, 2),),
-    (3, 2): ((0, 1), (2,)),
-    (3, 3): ((0,), (1,), (2,)),
-}
 
 P2_BOTH_EQUAL = Partition(2, 1)
 P2_DISTINCT = Partition(2, 2)
@@ -204,18 +187,7 @@ def config_equivariant_s3(tgt: Partition | None, n: int) -> S3Elem:
     return S3Elem(*_at("s3", P3_DISTINCT, tgt, n))
 
 
-# -- finite-field oracle ------------------------------------------------------
-
-def is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 1
-    return True
-
+# -- admissible fields -------------------------------------------------------
 
 def admissibility_modulus(rank: int, n: int) -> int:
     """rank*n.  When it divides q-1, F_q holds every root of unity the strata
@@ -226,56 +198,3 @@ def admissibility_modulus(rank: int, n: int) -> int:
 
 def is_admissible(rank: int, n: int, q: int) -> bool:
     return (q - 1) % admissibility_modulus(rank, n) == 0
-
-
-def _coincidence_pattern(values: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    groups: dict[int, list[int]] = {}
-    for pos, v in enumerate(values):
-        groups.setdefault(v, []).append(pos)
-    return tuple(sorted(tuple(g) for g in groups.values()))
-
-
-def count_config_points(src: Partition, tgt: Partition, n: int, q: int) -> int:
-    """Exact number of F_q points of the stratum, by enumeration.
-
-    Enumerates all tuples in the norm-one torus (F_q*)^r / (product = 1) and
-    keeps those whose coincidence pattern is exactly the canonical src and
-    whose n-th-power pattern is exactly the canonical tgt.  Requires q prime
-    with rank*n dividing q-1 so F_q contains every root of unity the stratum
-    formulas refer to.
-    """
-    check_twists(n)
-    _require_refines(src, tgt)
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
-    r = src.rank
-    if not is_admissible(r, n, q):
-        raise ValueError(f"need {admissibility_modulus(r, n)} | q-1 for F_{q} "
-                         "to contain the relevant roots of unity")
-
-    src_pattern = tuple(sorted(src.blocks))
-    tgt_pattern = tuple(sorted(tgt.blocks))
-    units = range(1, q)
-    inverse = [0] + [pow(x, q - 2, q) for x in units]
-    power = [0] + [pow(x, n, q) for x in units]
-
-    count = 0
-    for free in itertools.product(units, repeat=r - 1):
-        tup = (*free, inverse[math.prod(free) % q])
-        if _coincidence_pattern(tup) != src_pattern:
-            continue
-        if _coincidence_pattern(tuple(power[x] for x in tup)) != tgt_pattern:
-            continue
-        count += 1
-    return count
-
-
-def smallest_admissible_prime(rank: int, n: int) -> int:
-    """Smallest admissible prime: q with rank*n | q-1.  Dirichlet's theorem
-    puts a prime in every class 1 mod rank*n, so the search ends; each
-    candidate costs a trial division, so it is meant for small rank*n."""
-    step = admissibility_modulus(rank, n)
-    q = step + 1
-    while not is_prime(q):
-        q += step
-    return q

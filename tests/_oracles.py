@@ -449,7 +449,8 @@ def set_based_orbits(matrices, q):
 # coordinates coincide iff their exponents do.  For a stratum of Tate type
 # with a W-action, the count twisted by w is sum_chi chi(w) e_chi(q), so the
 # counts over the classes of W give the components of its equivariant class.
-# It checks the package's S2/S3 configuration rows and reducible loci.
+# It checks the package's configuration rows, plain (w = 1) and S2/S3, and
+# its reducible loci.
 
 _CYCLE_TYPES = {"1": (0, 1, 2), "12": (1, 0, 2), "123": (1, 2, 0)}
 # coincidence pattern by (rank, index), each position labelled by the first
@@ -505,6 +506,18 @@ def twisted_config_count(rank, cycle_type, src, tgt, n, q) -> int:
                 continue
         count += 1
     return count
+
+
+def smallest_admissible_prime(rank: int, n: int) -> int:
+    """The least prime q with rank*n | q - 1, where F_q holds every root of
+    unity a stratum refers to.  Dirichlet's theorem puts a prime in every
+    class 1 mod rank*n, so the search ends; each candidate costs a trial
+    division, so it is meant for small rank*n."""
+    step = rank * n
+    q = step + 1
+    while not all(q % d for d in range(2, math.isqrt(q) + 1)):
+        q += step
+    return q
 
 
 def reducible_locus_count(rank: int, q: int) -> int:

@@ -18,11 +18,12 @@ from hopfvar.repring import S3Elem
 from hopfvar.strata import (
     P2_BOTH_EQUAL, P2_DISTINCT, P3_ALL_EQUAL, P3_DISTINCT, P3_TWO_EQUAL,
     config_epoly, config_epoly_plain, config_equivariant_s2,
-    config_equivariant_s3, count_config_points, refinement_pairs,
-    smallest_admissible_prime,
+    config_equivariant_s3, refinement_pairs,
 )
 
-from _oracles import conjugacy_class_count_sl2
+from _oracles import (
+    conjugacy_class_count_sl2, smallest_admissible_prime, twisted_config_count,
+)
 
 
 def _report(num: int, name: str, ok: bool, elapsed: float) -> None:
@@ -158,7 +159,7 @@ def test_criterion_8_configuration_space_oracle():
             q = smallest_admissible_prime(rank, n)
             assert q <= 97
             for src, tgt in refinement_pairs(rank):
-                counted = count_config_points(src, tgt, n, q)
+                counted = twisted_config_count(rank, "1", src.index, tgt.index, n, q)
                 predicted = config_epoly(src, tgt, n).evaluate(q)
                 if counted != predicted:
                     ok = False

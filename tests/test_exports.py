@@ -57,3 +57,30 @@ def test_oracles_import_nothing_from_the_package():
     imported |= {node.module.split(".")[0] for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) and node.module}
     assert imported and "hopfvar" not in imported, imported
+
+
+def test_ffcount_imports_only_the_field_policy_from_the_package():
+    # the F_q count checks the symbolic routes, so it may share the rank,
+    # twist and field policy of strata and nothing else
+    tree = ast.parse(Path(importlib.import_module("hopfvar.ffcount").__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.name, None) for alias in node.names
+                         if alias.name.split(".")[0] == "hopfvar"}
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "hopfvar"):
+            module = (node.module or "").removeprefix("hopfvar").lstrip(".")
+            imported |= {(module, alias.name) for alias in node.names}
+    assert imported == {("strata", name) for name in (
+        "check_rank", "check_twists", "admissibility_modulus", "is_admissible")}, imported
+
+
+@pytest.mark.parametrize("module", ["hopfvar", "hopfvar.strata"])
+def test_oracle_names_left_the_package(module):
+    # the configuration-space point counter and its helpers live with the
+    # test oracles, and commutant_dimension was len(commutant_basis(M))
+    gone = ("count_config_points", "smallest_admissible_prime", "is_prime",
+            "commutant_dimension")
+    present = [name for name in gone if hasattr(importlib.import_module(module), name)]
+    assert not present, present

@@ -2,7 +2,7 @@ import pytest
 
 from hopfvar import strata
 from hopfvar.charvar import char_piece_epoly, char_pieces, char_variety_epoly_formula
-from hopfvar.ffcount import count_rep_variety_points
+from hopfvar.ffcount import FqMatrix, class_representatives, count_rep_variety_points
 from hopfvar.geom import (
     JordanType, admissible_strata, rep_variety_epoly_formula, rep_variety_epoly_strata,
 )
@@ -11,11 +11,10 @@ from hopfvar.repring import S2Elem, S3Elem
 from hopfvar.strata import (
     P2_BOTH_EQUAL, P2_DISTINCT, P3_ALL_EQUAL, P3_DISTINCT, P3_TWO_EQUAL,
     Partition, admissibility_modulus, config_epoly, config_epoly_plain,
-    config_equivariant_s2, config_equivariant_s3, count_config_points,
-    refinement_pairs, refines, smallest_admissible_prime,
+    config_equivariant_s2, config_equivariant_s3, refinement_pairs, refines,
 )
 
-from _oracles import twisted_config_count
+from _oracles import _PATTERNS, smallest_admissible_prime, twisted_config_count
 
 # twist counts at which the table is checked against the closed forms below
 NS = [*range(1, 301), 10 ** 18, 10 ** 18 + 1]
@@ -73,13 +72,16 @@ RANKED = {
     "char_piece_epoly": lambda r: char_piece_epoly(r, "total", 1),
     "char_variety_epoly_formula": lambda r: char_variety_epoly_formula(r, 1),
     "count_rep_variety_points": lambda r: count_rep_variety_points(r, 1, 5),
+    "class_representatives": lambda r: class_representatives(r, 5),
+    "FqMatrix.identity": lambda r: FqMatrix.identity(r, 5),
 }
 
 
-@pytest.mark.parametrize("rank", (0, 1, 4, 2.0))
+@pytest.mark.parametrize("rank", (0, 1, 4, 2.0, 3.0, "3", True))
 @pytest.mark.parametrize("name", RANKED)
 def test_one_rank_policy(name, rank):
-    # one rule for every ranked entry point: the same error, word for word
+    # one rule for every ranked entry point: the same error, word for word,
+    # raised by the call itself (class_representatives before it yields)
     with pytest.raises(ValueError) as err:
         RANKED[name](rank)
     assert str(err.value) == f"rank must be 2 or 3, got {rank}"
@@ -105,12 +107,15 @@ def test_refines():
         assert refines(p, p)
     with pytest.raises(ValueError):
         refines(P2_DISTINCT, P3_DISTINCT)
-    # refines compares indices; block inclusion is the definition
+    # refines compares indices; block inclusion is the definition: positions
+    # equal under the oracle's src pattern are equal under its tgt pattern
     for rank in (2, 3):
         parts = [Partition(rank, i) for i in range(1, rank + 1)]
         for src in parts:
             for tgt in parts:
-                inside = all(any(set(b) <= set(t) for t in tgt.blocks) for b in src.blocks)
+                s, t = _PATTERNS[rank, src.index], _PATTERNS[rank, tgt.index]
+                inside = all(t[i] == t[j] for i in range(rank) for j in range(rank)
+                             if s[i] == s[j])
                 assert refines(src, tgt) == inside, (src, tgt)
 
 
@@ -218,10 +223,15 @@ def test_equivariant_dims_match_plain():
     assert config_equivariant_s3(None, 3).dim() == config_epoly_plain(P3_DISTINCT)
 
 
+def _count(src, tgt, n, q):
+    # F_q points of the plain stratum (src, tgt), counted from exponents
+    return twisted_config_count(src.rank, "1", src.index, tgt.index, n, q)
+
+
 def test_count_frozen_values():
-    assert count_config_points(P2_DISTINCT, P2_BOTH_EQUAL, 2, 5) == 2
-    assert count_config_points(P2_DISTINCT, P2_DISTINCT, 2, 5) == 0
-    assert count_config_points(P3_DISTINCT, P3_ALL_EQUAL, 1, 7) == 0
+    assert _count(P2_DISTINCT, P2_BOTH_EQUAL, 2, 5) == 2
+    assert _count(P2_DISTINCT, P2_DISTINCT, 2, 5) == 0
+    assert _count(P3_DISTINCT, P3_ALL_EQUAL, 1, 7) == 0
 
 
 def test_count_matches_epoly_sample():
@@ -236,17 +246,8 @@ def test_count_matches_epoly_sample():
         (P3_ALL_EQUAL, P3_ALL_EQUAL, 4, 13),
     ]
     for src, tgt, n, q in cases:
-        assert count_config_points(src, tgt, n, q) == \
-            config_epoly(src, tgt, n).evaluate(q), (src, tgt, n, q)
-
-
-def test_count_preconditions():
-    with pytest.raises(ValueError):
-        count_config_points(P2_DISTINCT, P2_BOTH_EQUAL, 2, 9)  # not prime
-    with pytest.raises(ValueError):
-        count_config_points(P2_DISTINCT, P2_BOTH_EQUAL, 2, 7)  # 4 does not divide 6
-    with pytest.raises(ValueError):
-        count_config_points(P2_BOTH_EQUAL, P2_DISTINCT, 2, 5)  # not a refinement
+        assert _count(src, tgt, n, q) == config_epoly(src, tgt, n).evaluate(q), \
+            (src, tgt, n, q)
 
 
 def test_smallest_admissible_prime():
