@@ -10,14 +10,17 @@ of the locus (tests/_oracles.py), and so does the rank-3 closed formula in
 ``char_variety_epoly_formula``.  The piece sums must equal the closed
 formulas, which the test suite enforces for both ranks.
 
-Pieces, by name:
+``_TABLE`` gives each leaf piece as its row of (index, Poly) terms on the twist
+basis b(n) = (1, m, floor(m/2), C(m, 2)), m = n - 1, and each aggregate as the
+names of its parts, whose rows are summed once at import; so each piece at n,
+a total too, is one ``Poly.combine``.  The pieces, in table order:
 
 * rank 2: ``red_total`` (diagonal pairs up to swap), ``irr_total``
   (eigenvalue swap classes x non-commuting second generator), ``total``.
 * rank 3: ``red_111`` (sums of three characters), ``red_21`` (irreducible
-  2-dimensional plus a character), ``irr_distinct`` (A with three distinct
-  eigenvalues), ``irr_repeated`` (A with a repeated eigenvalue), plus
-  ``red_total``, ``irr_total`` and ``total``.
+  2-dimensional plus a character), ``red_total``, ``irr_repeated`` (A with a
+  repeated eigenvalue), ``irr_distinct`` (A with three distinct eigenvalues),
+  ``irr_total`` and ``total``.
 """
 
 from __future__ import annotations
@@ -27,25 +30,41 @@ from .strata import check_rank, check_twists
 
 __all__ = ["PIECES", "char_pieces", "char_piece_epoly", "char_variety_epoly_formula"]
 
-# The rank-3 (2,1) reducible locus is the irreducible GL2 locus: A' has
-# eigenvalues a, za with z^n = 1, z != 1.  A pair {z, 1/z} of distinct twist
-# classes contributes the first value; the self-inverse class z = -1 (even n
-# only) the second, its split and non-split A' together.
-_RED21_PAIRED = (Q - 1) ** 2 * (Q ** 2 - Q + 1)
-_RED21_SELF = Q * (Q - 1) ** 3
+_TABLE = {
+    # diagonal pairs up to swap; m twist classes of irreducibles
+    2: {"red_total": ((0, Q ** 2 + 1),), "irr_total": ((1, Q ** 2 - Q + 1),),
+        "total": ("red_total", "irr_total")},
+    # red_21, the irreducible GL2 locus: A' has eigenvalues a, za, z^n = 1 != z.
+    # Each of the m classes z counts q(q-1)^3, as z = -1 does (split and
+    # non-split A'); each of the floor(m/2) pairs {z, 1/z} counts (q-1)^2(q^2-q+1)
+    # in place of two.  irr_repeated: 3m classes, B's second block diagonalizable
+    # or not.  irr_distinct: C(m, 2) classes, over B's three position patterns.
+    3: {"red_111": ((0, Q ** 4 + Q ** 2 + 1),),
+        "red_21": ((1, Q * (Q - 1) ** 3),
+                   (2, (Q - 1) ** 2 * (Q ** 2 - Q + 1) - 2 * Q * (Q - 1) ** 3)),
+        "red_total": ("red_111", "red_21"),
+        "irr_repeated": ((1, 3 * Poly([1, -1, 1, -1, 1])),),
+        "irr_distinct": ((3, Poly([2, -3, 3, 1, -4, 2, 1])),),
+        "irr_total": ("irr_repeated", "irr_distinct"),
+        "total": ("red_total", "irr_total")},
+}
 
-# Sum over the three position patterns of the second generator for a
-# distinct-eigenvalue A: q^6 - 4q^4 + 5q^3 - 3q^2 + q, plus twice
-# q^5 - 2q^3 + 3q^2 - 2q + 1.
-_IRR_DISTINCT_SLICE = Poly([2, -3, 3, 1, -4, 2, 1])
-# Diagonalizable + non-diagonalizable second-block cases for a repeated
-# eigenvalue: q^4 - q^3 + q^2 - q + 1.
-_IRR_REPEATED_SLICE = Poly([1, -1, 1, -1, 1])
-# Rank-2 diagonal pairs up to swap, and the slice of one twist class of
-# irreducibles; rank-3 sums of three characters.
-_R2_RED = Q ** 2 + 1
-_R2_IRR_SLICE = Q ** 2 - Q + 1
-_R3_RED111 = Q ** 4 + Q ** 2 + 1
+
+def _rows(table: dict) -> dict[str, tuple[tuple[int, Poly], ...]]:
+    """Each piece's row; an aggregate's sums its parts' terms per index."""
+    rows = {}
+    for name, entry in table.items():
+        if isinstance(entry[0], str):
+            terms = [term for part in entry for term in rows[part]]
+            entry = tuple((k, Poly.combine([(1, p) for j, p in terms if j == k]))
+                          for k in sorted(dict(terms)))
+        rows[name] = entry
+    return rows
+
+
+_ROWS = {rank: _rows(table) for rank, table in _TABLE.items()}
+#: The piece names of each rank, in the order char_pieces returns them.
+PIECES = {rank: tuple(rows) for rank, rows in _ROWS.items()}
 
 # n-independent terms of the closed formulas.  They repeat some of the
 # pieces' polynomials on purpose: a slip in one copy then shows as a mismatch
@@ -59,37 +78,28 @@ _F_Q6_2Q5 = Q ** 6 + 2 * Q ** 5 - 4 * Q ** 4 + Q ** 3 + 3 * Q ** 2 - 3 * Q + 2
 _F_Q4_Q3 = Q ** 4 - Q ** 3 + Q ** 2 - Q + 1
 
 
+def _twist_basis(n: int) -> tuple[int, int, int, int]:
+    m = n - 1
+    return 1, m, m // 2, m * (m - 1) // 2
+
+
 def char_pieces(rank: int, n: int) -> dict[str, Poly]:
     """E-polynomial of every character-variety piece at twist count n, in
-    PIECES order: each leaf is computed once, each aggregate is the sum of
-    its leaves."""
+    PIECES order."""
     check_twists(n)
-    if check_rank(rank) == 2:
-        red, irr = _R2_RED, (n - 1) * _R2_IRR_SLICE
-        return {"red_total": red, "irr_total": irr, "total": red + irr}
-    # red_21: (n-1) twist classes, floor((n-1)/2) inverse pairs, plus the
-    # self-inverse class when n is even
-    half = (n - 1) // 2
-    red_21 = Poly.combine([(half, _RED21_PAIRED), (n - 1 - 2 * half, _RED21_SELF)])
-    irr_repeated = (3 * n - 3) * _IRR_REPEATED_SLICE
-    # (n-1)(n-2) is always even
-    irr_distinct = ((n - 1) * (n - 2) * _IRR_DISTINCT_SLICE).exact_div(2)
-    red, irr = _R3_RED111 + red_21, irr_repeated + irr_distinct
-    return {"red_111": _R3_RED111, "red_21": red_21, "red_total": red,
-            "irr_repeated": irr_repeated, "irr_distinct": irr_distinct,
-            "irr_total": irr, "total": red + irr}
-
-
-#: The piece names of each rank, in the order char_pieces returns them.
-PIECES = {rank: tuple(char_pieces(rank, 1)) for rank in (2, 3)}
+    b = _twist_basis(n)
+    return {name: Poly.combine([(b[k], p) for k, p in row])
+            for name, row in _ROWS[check_rank(rank)].items()}
 
 
 def char_piece_epoly(rank: int, piece: str, n: int) -> Poly:
     """E-polynomial of one character-variety piece at twist count n."""
     check_twists(n)
-    if piece not in PIECES[check_rank(rank)]:
+    row = _ROWS[check_rank(rank)].get(piece)
+    if row is None:
         raise ValueError(f"invalid piece {piece!r} for rank {rank}")
-    return char_pieces(rank, n)[piece]
+    b = _twist_basis(n)
+    return Poly.combine([(b[k], p) for k, p in row])
 
 
 def char_variety_epoly_formula(rank: int, n: int) -> Poly:

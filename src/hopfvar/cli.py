@@ -8,8 +8,9 @@ Subcommands:
              reducible/irreducible pieces.
 * ``count``  exact finite-field point count, optionally asserted against the
              closed-formula polynomial.
-* ``table``  one row per twist count, as CSV, JSON or LaTeX; a JSON ``rep``
-             table checks each row's stratum sum against the formula.
+* ``table``  one row per twist count, as CSV, JSON or LaTeX; a JSON table
+             checks each row's formula against the stratum sum (``rep``)
+             or the piece total (``char``).
 
 Exit codes: 0 success/match, 1 verified mismatch (a finding), 2 usage or
 precondition error.  A refusal (bad n, bad q, a field over the class budget,
@@ -131,7 +132,12 @@ def _cmd_table(args) -> int:
 
     if args.format == "json":
         print(json.dumps([row for _, row in rows], indent=2))
-        bad = [row["n"] for _, row in rows if "strata" in row and row["strata"] != row["formula"]]
+        # each row against its second route: the stratum sum, or the piece total
+        if args.target == "rep":
+            bad = [row["n"] for _, row in rows if row["strata"] != row["formula"]]
+        else:
+            bad = [row["n"] for p, row in rows
+                   if charvar.char_piece_epoly(args.rank, "total", row["n"]) != p]
         for n in bad:
             print(f"MISMATCH at n={n}", file=sys.stderr)
         return 1 if bad else 0

@@ -99,14 +99,38 @@ MAX_CLASSES = 400_000
 _IDENTITY = {r: tuple(tuple(int(i == j) for j in range(r)) for i in range(r)) for r in (2, 3)}
 
 
+#: The first 13 primes.  As Miller-Rabin bases they decide primality exactly
+#: below _PRIME_LIMIT (Sorenson and Webster, Math. Comp. 86, 2017), so a field
+#: size at or above it is refused before any work.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(q: int) -> bool:
+    """Exact primality of q < _PRIME_LIMIT by deterministic Miller-Rabin:
+    q is prime iff it is a strong probable prime to every base in
+    _PRIME_BASES.  Raises ValueError for q >= _PRIME_LIMIT."""
+    if q >= _PRIME_LIMIT:
+        raise ValueError(f"q = {q} is not below {_PRIME_LIMIT}, the bound up to "
+                         "which primality is decided exactly")
     if q < 2:
         return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
+    for a in _PRIME_BASES:
+        if q % a == 0:
+            return q == a
+    # q - 1 = d * 2^s with d odd
+    s = ((q - 1) & (1 - q)).bit_length() - 1
+    d = (q - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -42,7 +42,7 @@ class Poly:
         for c in cs:
             if not isinstance(c, int):
                 raise TypeError(f"coefficients must be ints, got {type(c).__name__}")
-        object.__setattr__(self, "coeffs", tuple(cs))
+        _set_coeffs(self, tuple(cs))
 
     @staticmethod
     def _make(cs: list[int]) -> Poly:
@@ -51,8 +51,8 @@ class Poly:
         coefficient type check.  Takes ownership of cs."""
         while cs and cs[-1] == 0:
             cs.pop()
-        p = object.__new__(Poly)
-        object.__setattr__(p, "coeffs", tuple(cs))
+        p = _new(Poly)
+        _set_coeffs(p, tuple(cs))
         return p
 
     def __setattr__(self, name, value):
@@ -252,6 +252,11 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly('{self.to_ascii()}')"
 
+
+#: Bound once for the constructors of Poly: the slot setter bypasses its
+#: __setattr__, which refuses, and beats object.__setattr__.
+_new = object.__new__
+_set_coeffs = Poly.__dict__["coeffs"].__set__
 
 #: The variable q itself.
 Q = Poly([0, 1])

@@ -139,28 +139,75 @@ def test_char_pieces_in_pieces_order():
 
 
 def test_formula_shares_no_constant_with_pieces():
-    # the closed formula checks the piece sum only if it does not read the
-    # pieces' module constants
+    # the closed formula checks the piece sums only if it reads none of the
+    # module names the pieces are built from: follow every name each side
+    # reads through the module-level assignments and functions that define it
     tree = ast.parse(open(charvar.__file__, encoding="utf-8").read())
-    names = {node.name: {n.id for n in ast.walk(node)
-                         if isinstance(n, ast.Name) and n.id.startswith("_")}
-             for node in tree.body if isinstance(node, ast.FunctionDef)}
-    assert names["char_variety_epoly_formula"]
-    assert not names["char_variety_epoly_formula"] & names["char_pieces"]
+    definitions = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            definitions[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        definitions[name.id] = node
+
+    def reads(roots):
+        seen, todo = set(), list(roots)
+        while todo:
+            name = todo.pop()
+            if name in definitions and name not in seen:
+                seen.add(name)
+                todo += [n.id for n in ast.walk(definitions[name]) if isinstance(n, ast.Name)]
+        return seen
+
+    formula = reads(["char_variety_epoly_formula"]) - {"char_variety_epoly_formula"}
+    pieces = reads(["char_pieces", "char_piece_epoly", "PIECES"])
+    assert formula and pieces - {"char_pieces", "char_piece_epoly", "PIECES"}
+    assert not formula & pieces, formula & pieces
 
 
 def test_one_pass_red21_and_formula_match_their_expansions():
     # red_21 and the rank-3 closed formula are each one combine pass; both
-    # must equal the scalar products and sums they replace
+    # must equal the scalar products and sums they replace, red_21 as a sum
+    # over the inverse pairs {z, 1/z} and the self-inverse class
     for n in [*range(1, 51), *HUGE_NS]:
         half = (n - 1) // 2
-        assert char_piece_epoly(3, "red_21", n) == \
-            half * charvar._RED21_PAIRED + (n - 1 - 2 * half) * charvar._RED21_SELF, n
+        assert char_piece_epoly(3, "red_21", n) == half * (Q - 1) ** 2 * (Q ** 2 - Q + 1) \
+            + (n - 1 - 2 * half) * Q * (Q - 1) ** 3, n
         assert char_variety_epoly_formula(3, n) == (
             charvar._F_Q4_Q2_1
             + ((n - 1) * (n - 2) * charvar._F_Q6_2Q5).exact_div(2)
             - ((n - 1) // 2) * charvar._F_QM1_2_Q2_Q_M1
             + (n - 1) * (3 * charvar._F_Q4_Q3 + charvar._F_Q_QM1_3)), n
+
+
+def expected_pieces(rank, n):
+    """Every piece at n from literal polynomials, as products and sums."""
+    m = n - 1
+    if rank == 2:
+        red, irr = Q ** 2 + 1, m * (Q ** 2 - Q + 1)
+        return {"red_total": red, "irr_total": irr, "total": red + irr}
+    red_111 = Q ** 4 + Q ** 2 + 1
+    red_21 = (m // 2) * (Q - 1) ** 2 * (Q ** 2 - Q + 1) + (m % 2) * Q * (Q - 1) ** 3
+    irr_repeated = 3 * m * (Q ** 4 - Q ** 3 + Q ** 2 - Q + 1)
+    irr_distinct = (m * (m - 1) // 2) * (Q ** 6 - 4 * Q ** 4 + 5 * Q ** 3 - 3 * Q ** 2 + Q
+                                         + 2 * (Q ** 5 - 2 * Q ** 3 + 3 * Q ** 2 - 2 * Q + 1))
+    red, irr = red_111 + red_21, irr_repeated + irr_distinct
+    return {"red_111": red_111, "red_21": red_21, "red_total": red,
+            "irr_repeated": irr_repeated, "irr_distinct": irr_distinct,
+            "irr_total": irr, "total": red + irr}
+
+
+@pytest.mark.parametrize("rank", (2, 3))
+def test_every_piece_equals_its_closed_expression(rank):
+    for n in [*range(1, 201), *HUGE_NS]:
+        expected = expected_pieces(rank, n)
+        assert char_pieces(rank, n) == expected, n
+        for piece, value in expected.items():
+            assert char_piece_epoly(rank, piece, n) == value, (piece, n)
 
 
 def test_pieces_equal_formula_for_all_n():

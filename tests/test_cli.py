@@ -304,3 +304,20 @@ def test_table_json_reports_mismatch(capsys, monkeypatch):
     # stdout still holds every row, the wrong one as computed
     rows = json.loads(out)
     assert [row["n"] for row in rows if row["strata"] != row["formula"]] == [3]
+
+
+
+def test_char_table_json_reports_mismatch(capsys, monkeypatch):
+    commands = {rank: ["table", "--rank", rank, "--n", "1..5", "--target", "char",
+                       "--format", "json"] for rank in ("2", "3")}
+    clean = {rank: run_cli(args, capsys) for rank, args in commands.items()}
+    piece = charvar.char_piece_epoly
+    monkeypatch.setattr(charvar, "char_piece_epoly",
+                        lambda rank, name, n: piece(rank, name, n) + (n in (2, 4)))
+    for rank, args in commands.items():
+        code, out, err = run_cli(args, capsys)
+        assert (clean[rank][0], code) == (0, 1), rank
+        assert [line for line in err.splitlines() if "MISMATCH" in line] == \
+            ["MISMATCH at n=2", "MISMATCH at n=4"], rank
+        # stdout holds the formula rows, as without the fault
+        assert out == clean[rank][1], rank

@@ -684,6 +684,47 @@ def test_field_checked_once_per_count(monkeypatch):
         FqMatrix(9, [(1, 0), (0, 1)])
 
 
+def test_is_prime_matches_a_sieve():
+    limit = 10 ** 5
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
+    for p in range(2, 317):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    assert [q for q in range(limit) if ffcount.is_prime(q)] == \
+        [q for q in range(limit) if sieve[q]]
+
+
+@pytest.mark.parametrize("q, factors", [
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the first nine primes
+    (3215031751, (151, 751, 28351)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+])
+def test_is_prime_rejects_strong_pseudoprimes(q, factors):
+    assert prod(factors) == q
+    assert not ffcount.is_prime(q)
+
+
+def test_large_field_answered_in_bounded_time():
+    # 10^20 + 39 is prime, 3 divides 10^20 + 41, and 10^30 + 57 lies above
+    # the bound of exact primality, so it is refused; trial division of the
+    # first would not end within the timeout
+    proc = run_python(
+        "import time\n"
+        "from hopfvar.ffcount import FqMatrix, class_representatives\n"
+        "started = time.perf_counter()\n"
+        "print(FqMatrix(10 ** 20 + 39, [[1, 0], [0, 1]]).q == 10 ** 20 + 39)\n"
+        "for q in (10 ** 20 + 41, 10 ** 30 + 57):\n"
+        "    try:\n"
+        "        class_representatives(2, q)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+        "print(time.perf_counter() - started < 1)\n", timeout=30)
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4, proc.stderr
+    assert lines[0] == lines[3] == "True"
+    assert "odd prime" in lines[1] and "not below" in lines[2], lines
+
+
 def test_commutant_basis_closed_form_matches_null_space():
     # the closed forms for scalar (matrix units) and non-cyclic rank-3 M
     # (I and v-perp (x) u-perp for M - aI = u v^T): every scalar and
@@ -743,8 +784,7 @@ def test_class_representatives_have_reduced_entries():
 
 
 def test_huge_q_refused_before_primality():
-    # trial division of an 18-digit prime would not end; the class ceiling
-    # refuses it first
+    # the class ceiling refuses an 18-digit prime before any primality test
     proc = run_python(
         "from hopfvar.ffcount import count_rep_variety_points\n"
         "try:\n"
