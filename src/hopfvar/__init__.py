@@ -3,8 +3,8 @@ twisted Hopf links, computed three independent ways: stratum assembly,
 closed formulas, and finite-field point counts."""
 
 from .poly import (
-    ONE, Poly, Q, ZERO, general_linear_epoly, projective_epoly,
-    special_linear_epoly, sym_projective_epoly,
+    ONE, Poly, Q, ZERO, general_linear_epoly, special_linear_epoly,
+    sym_projective_epoly,
 )
 from .repring import S2Elem, S3Elem
 from .strata import (

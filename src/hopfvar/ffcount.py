@@ -67,9 +67,9 @@ with M - aI = u v^T of rank 1, and its commutant is F_q I + (v-perp (x) u-perp).
 The count equals the closed-formula E-polynomial at q when rank*n | q-1
 (is_admissible).  The sweep is serial: the threads argument is accepted and
 has no effect on the result.  Its flags cover about q^(r-1) classes (q^2 + q
-at rank 3, q + 2 at rank 2), and it refuses a field whose q^(r-1) exceeds
-MAX_CLASSES; that check is O(1) and runs before the primality test of q, which
-would not end for a huge q.  n is reduced mod |GL_r(F_q)|, exact by Lagrange's
+at rank 3, q + 2 at rank 2), and it and class_representatives refuse a field
+whose q^(r-1) exceeds MAX_CLASSES; in the count that O(1) check runs before
+the primality test of q.  n is reduced mod |GL_r(F_q)|, exact by Lagrange's
 theorem, so the cost of a class grows only with the bits of that remainder.
 """
 
@@ -90,8 +90,8 @@ __all__ = [
 ]
 
 #: Largest q^(rank-1), about the number of classes the sweep steps through,
-#: that count_rep_variety_points accepts: rank 3 up to q = 631, rank 2 up to
-#: q = 399989.
+#: that count_rep_variety_points and class_representatives accept: rank 3 up
+#: to q = 631, rank 2 up to q = 399989.
 MAX_CLASSES = 400_000
 
 
@@ -135,7 +135,8 @@ def is_prime(q: int) -> bool:
 
 
 def _check_field(q: int) -> None:
-    if q % 2 == 0 or not is_prime(q):
+    # the type first: is_prime would take 7.0 for 7, and a bool is an int
+    if type(q) is not int or q % 2 == 0 or not is_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
 
 
@@ -159,6 +160,9 @@ class FqMatrix:
     def __init__(self, q: int, rows: Iterable[Iterable[int]]):
         _check_field(q)
         rs = tuple(tuple(x % q for x in row) for row in rows)
+        bad = [type(x).__name__ for row in rs for x in row if not isinstance(x, int)]
+        if bad:
+            raise TypeError(f"matrix entries must be ints, got {bad[0]}")
         r = len(rs)
         if r not in (2, 3) or any(len(row) != r for row in rs):
             raise ValueError("matrix must be square of rank 2 or 3")
@@ -503,12 +507,17 @@ def _representative(rank: int, q: int, kind: str, members: Optional[dict[int, in
 def class_representatives(rank: int, q: int) -> Iterator[FqMatrix]:
     """One matrix of each GL_rank(F_q)-conjugacy class inside SL_rank(F_q),
     by rational canonical form (see the module docstring).  Raises ValueError
-    unless rank is 2 or 3 and q is an odd prime."""
+    unless rank is 2 or 3 and q is an odd prime, and when q^(rank-1) exceeds
+    MAX_CLASSES, before any class is built."""
     check_rank(rank)
     _check_field(q)
+    classes = q ** (rank - 1)
+    if classes > MAX_CLASSES:
+        raise ValueError(f"q^{rank - 1} = {classes} classes exceeds the class "
+                         f"ceiling {MAX_CLASSES}")
     return (_representative(rank, q, kind, members, key)
             for kind, members in _classes(rank, q)
-            for key in (range(q ** (rank - 1)) if members is None else members))
+            for key in (range(classes) if members is None else members))
 
 
 def class_size(A: FqMatrix) -> int:

@@ -58,19 +58,6 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def const(c: int) -> Poly:
-        return Poly([c])
-
-    @staticmethod
-    def monomial(degree: int) -> Poly:
-        """q^degree."""
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        return Poly([0] * degree + [1])
-
     # -- basic queries -------------------------------------------------------
 
     @property
@@ -80,9 +67,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def leading_coefficient(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
 
     # -- ring arithmetic -----------------------------------------------------
     #
@@ -280,17 +264,10 @@ def sym_projective_epoly(m: int, r: int) -> Poly:
     # cumulative recurrence new[k] = old[k] + q^i * new[k-1].
     series: list[Poly] = [ONE] + [ZERO] * r
     for i in range(m + 1):
-        qi = Poly.monomial(i) if i else ONE
+        qi = Q ** i
         for k in range(1, r + 1):
             series[k] = series[k] + qi * series[k - 1]
     return series[r]
-
-
-def projective_epoly(m: int) -> Poly:
-    """E-polynomial of projective m-space: 1 + q + ... + q^m."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return Poly([1] * (m + 1))
 
 
 def special_linear_epoly(r: int) -> Poly:
@@ -301,10 +278,10 @@ def special_linear_epoly(r: int) -> Poly:
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    out = Poly.monomial(r - 1)
-    qr = Poly.monomial(r)
+    out = Q ** (r - 1)
+    qr = Q ** r
     for i in range(r - 1):
-        out = out * (qr - Poly.monomial(i))
+        out = out * (qr - Q ** i)
     return out
 
 
@@ -313,8 +290,8 @@ def general_linear_epoly(r: int) -> Poly:
     if r < 1:
         raise ValueError("r must be >= 1")
     out = ONE
-    qr = Poly.monomial(r)
+    qr = Q ** r
     for i in range(r):
-        out = out * (qr - Poly.monomial(i))
+        out = out * (qr - Q ** i)
     return out
 

@@ -117,7 +117,7 @@ def test_leading_coefficients_positive():
             for piece in PIECES[rank]:
                 p = char_piece_epoly(rank, piece, n)
                 if not p.is_zero():
-                    assert p.leading_coefficient() > 0, (rank, piece, n)
+                    assert p.coeffs[-1] > 0, (rank, piece, n)
 
 
 def test_char_pieces_in_pieces_order():

@@ -658,15 +658,21 @@ def test_input_validation():
 
 def test_class_budget_boundary(monkeypatch):
     # the sweep visits q^(rank-1) classes; 641^2 and 400009 exceed the budget
-    # of 400000, and the refusal comes before any class is visited
+    # of 400000, and the refusal comes before any class is visited; the same
+    # budget bounds class_representatives
     for rank, q in ((3, 641), (2, 400009)):
         with pytest.raises(ValueError, match="ceiling"):
             count_rep_variety_points(rank, 1, q)
+        with pytest.raises(ValueError, match="ceiling"):
+            class_representatives(rank, q)
     # q^2 = 49 fits a budget of 49, 121 does not
     monkeypatch.setattr(ffcount, "MAX_CLASSES", 49)
     assert count_rep_variety_points(3, 1, 7) == rep_variety_epoly_formula(3, 1).evaluate(7)
+    assert sum(1 for _ in class_representatives(3, 7)) == 58
     with pytest.raises(ValueError, match="ceiling"):
         count_rep_variety_points(3, 1, 11)
+    with pytest.raises(ValueError, match="ceiling"):
+        class_representatives(3, 11)
 
 
 def test_field_checked_once_per_count(monkeypatch):
@@ -682,6 +688,43 @@ def test_field_checked_once_per_count(monkeypatch):
     assert calls == [7]
     with pytest.raises(ValueError):
         FqMatrix(9, [(1, 0), (0, 1)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda q: FqMatrix(q, [[1, 0], [0, 1]]),
+    lambda q: count_rep_variety_points(2, 1, q),
+    lambda q: class_representatives(2, q),
+], ids=["FqMatrix", "count_rep_variety_points", "class_representatives"])
+@pytest.mark.parametrize("q", (7.0, True))
+def test_field_size_must_be_an_int(monkeypatch, call, q):
+    # refused before is_prime, which would take 7.0 for the prime 7
+    monkeypatch.setattr(ffcount, "is_prime", None)
+    with pytest.raises(ValueError) as err:
+        call(q)
+    assert str(err.value) == f"q must be an odd prime, got {q}"
+
+
+def test_matrix_entries_must_be_ints():
+    # as Poly does for its coefficients; x % q keeps a float entry a float
+    for entry in (1.5, 1.0):
+        with pytest.raises(TypeError, match="matrix entries must be ints, got float"):
+            FqMatrix(7, [[entry, 0], [0, 1]])
+
+
+def test_class_representatives_refused_before_the_class_pass():
+    # refused at call time, before the O(q) pass over the class members;
+    # the field check accepts 10^20 + 39 at once
+    proc = run_python(
+        "import time\n"
+        "from hopfvar.ffcount import class_representatives\n"
+        "for rank, q in ((2, 10 ** 20 + 39), (3, 1000003)):\n"
+        "    started = time.perf_counter()\n"
+        "    try:\n"
+        "        class_representatives(rank, q)\n"
+        "    except ValueError as exc:\n"
+        "        print('ceiling' in str(exc), time.perf_counter() - started < 1)\n",
+        timeout=30)
+    assert proc.stdout.splitlines() == ["True True"] * 2, proc.stderr
 
 
 def test_is_prime_matches_a_sieve():

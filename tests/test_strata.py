@@ -5,13 +5,14 @@ from hopfvar.charvar import char_piece_epoly, char_pieces, char_variety_epoly_fo
 from hopfvar.ffcount import FqMatrix, class_representatives, count_rep_variety_points
 from hopfvar.geom import (
     JordanType, admissible_strata, rep_variety_epoly_formula, rep_variety_epoly_strata,
+    stratum_epoly,
 )
 from hopfvar.poly import ONE, Poly, Q
 from hopfvar.repring import S2Elem, S3Elem
 from hopfvar.strata import (
     P2_BOTH_EQUAL, P2_DISTINCT, P3_ALL_EQUAL, P3_DISTINCT, P3_TWO_EQUAL,
-    Partition, admissibility_modulus, config_epoly, config_epoly_plain,
-    config_equivariant_s2, config_equivariant_s3, refinement_pairs, refines,
+    Partition, admissibility_modulus, check_twists, config_epoly, config_epoly_plain,
+    config_equivariant_s2, config_equivariant_s3, is_admissible, refinement_pairs, refines,
 )
 
 from _oracles import _PATTERNS, smallest_admissible_prime, twisted_config_count
@@ -25,12 +26,12 @@ NS = [*range(1, 301), 10 ** 18, 10 ** 18 + 1]
 def closed_config(src, tgt, n):
     key = (src.rank, src.index, tgt.index)
     return {
-        (2, 1, 1): Poly.const(2),
-        (2, 2, 1): Poly.const(2 * n - 2),
+        (2, 1, 1): Poly([2]),
+        (2, 2, 1): Poly([2 * n - 2]),
         (2, 2, 2): Q - (2 * n + 1),
-        (3, 1, 1): Poly.const(3),
-        (3, 2, 1): Poly.const(3 * n - 3),
-        (3, 3, 1): Poly.const(3 * n * n - 9 * n + 6),
+        (3, 1, 1): Poly([3]),
+        (3, 2, 1): Poly([3 * n - 3]),
+        (3, 3, 1): Poly([3 * n * n - 9 * n + 6]),
         (3, 2, 2): Q - (3 * n + 1),
         (3, 3, 2): (n - 1) * (Q - (3 * n + 1)),
         (3, 3, 3): Poly([6 * n * n + 3 * n + 1, -(3 * n + 2), 1]),
@@ -39,11 +40,11 @@ def closed_config(src, tgt, n):
 
 def closed_s2(src, tgt, n):
     if tgt is None:
-        return S2Elem(Q - 2, Poly.const(-1))
+        return S2Elem(Q - 2, Poly([-1]))
     if tgt == P2_BOTH_EQUAL:
-        return S2Elem(Poly.const(n - 1), Poly.const(n - 1))
+        return S2Elem(Poly([n - 1]), Poly([n - 1]))
     if tgt == P2_DISTINCT:
-        return S2Elem(Q - (n + 1), Poly.const(-n))
+        return S2Elem(Q - (n + 1), Poly([-n]))
     swap = 3 * n * (n - 1) // 2
     return S2Elem((n // 2) * (Q - 1) - swap, ((n - 1) // 2) * (Q - 1) - swap)
 
@@ -54,7 +55,7 @@ def closed_s3(tgt, n):
     if tgt == P3_ALL_EQUAL:
         m = (n - 1) * (n - 2)
         assert m % 2 == 0
-        return S3Elem(Poly.const(m // 2), Poly.const(m // 2), Poly.const(m))
+        return S3Elem(Poly([m // 2]), Poly([m // 2]), Poly([m]))
     nn, a, b = n * n, n // 2, (n - 1) // 2
     return S3Elem(Poly([nn + a, -1 - a, 1]), Poly([nn + b, -b]),
                   Poly([2 * nn + n + 1, -(n + 1)]))
@@ -85,6 +86,34 @@ def test_one_rank_policy(name, rank):
     with pytest.raises(ValueError) as err:
         RANKED[name](rank)
     assert str(err.value) == f"rank must be 2 or 3, got {rank}"
+
+
+# every public function that takes a twist count, called at that count
+TWISTED = {
+    "check_twists": check_twists,
+    "config_epoly": lambda n: config_epoly(P2_DISTINCT, P2_DISTINCT, n),
+    "config_equivariant_s2": lambda n: config_equivariant_s2(P2_DISTINCT, None, n),
+    "config_equivariant_s3": lambda n: config_equivariant_s3(None, n),
+    "admissibility_modulus": lambda n: admissibility_modulus(2, n),
+    "is_admissible": lambda n: is_admissible(2, n, 5),
+    "stratum_epoly": lambda n: stratum_epoly(admissible_strata(2)[0], n),
+    "rep_variety_epoly_strata": lambda n: rep_variety_epoly_strata(2, n),
+    "rep_variety_epoly_formula": lambda n: rep_variety_epoly_formula(2, n),
+    "char_pieces": lambda n: char_pieces(2, n),
+    "char_piece_epoly": lambda n: char_piece_epoly(2, "total", n),
+    "char_variety_epoly_formula": lambda n: char_variety_epoly_formula(2, n),
+    "count_rep_variety_points": lambda n: count_rep_variety_points(2, n, 5),
+}
+
+
+@pytest.mark.parametrize("n", (0, -1, 2.0, "2", True, False))
+@pytest.mark.parametrize("name", TWISTED)
+def test_one_twist_policy(name, n):
+    # one rule for every entry point that takes n: an int >= 1, and a bool
+    # is not one, although isinstance(True, int) holds
+    with pytest.raises(ValueError) as err:
+        TWISTED[name](n)
+    assert str(err.value) == f"twist count must be an integer >= 1, got {n!r}"
 
 
 def test_partition_validation():
@@ -149,6 +178,21 @@ def test_config_epoly_requires_refinement():
         config_epoly(P2_BOTH_EQUAL, P2_DISTINCT, 2)
     with pytest.raises(ValueError):
         config_epoly(P3_TWO_EQUAL, P3_DISTINCT, 2)
+    parts = [Partition(r, i) for r in (2, 3) for i in range(1, r + 1)]
+    for src in parts:
+        for tgt in parts:
+            if src.rank != tgt.rank or not refines(src, tgt):
+                with pytest.raises(ValueError, match="no plain configuration data"):
+                    config_epoly(src, tgt, 2)
+
+
+def test_plain_rows_with_a_target_are_the_refinement_pairs():
+    # config_epoly refuses a pair by its absence from the table, so the plain
+    # rows with a target must be exactly the refining pairs of each rank
+    for rank in (2, 3):
+        plain = [(src, tgt) for group, src, tgt in strata._CONFIG
+                 if group is None and tgt is not None and src.rank == rank]
+        assert sorted(plain, key=str) == sorted(refinement_pairs(rank), key=str), rank
 
 
 def test_config_epoly_requires_valid_twists():
