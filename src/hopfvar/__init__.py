@@ -9,8 +9,8 @@ from .poly import (
 from .repring import S2Elem, S3Elem
 from .strata import (
     P2_BOTH_EQUAL, P2_DISTINCT, P3_ALL_EQUAL, P3_DISTINCT, P3_TWO_EQUAL,
-    Partition, config_epoly, config_epoly_plain, config_equivariant_s2,
-    config_equivariant_s3, refinement_pairs, refines,
+    Partition, config_epoly, config_equivariant_s2, config_equivariant_s3,
+    refinement_pairs, refines,
 )
 from .geom import (
     J2_BLOCK, J2_DISTINCT, J2_SCALAR, J3_DISTINCT, J3_EQUAL_B21, J3_EQUAL_B3,
@@ -19,7 +19,7 @@ from .geom import (
     rep_variety_epoly_formula, rep_variety_epoly_strata, stabilizer_epoly,
     stratum_epoly,
 )
-from .charvar import char_piece_epoly, char_pieces, char_variety_epoly_formula
+from .charvar import char_piece_epoly, char_variety_epoly_formula
 from .ffcount import (
     FqMatrix, commutant_basis, count_commuting_det1,
     count_rep_variety_points, is_admissible, sl_order,

@@ -28,7 +28,7 @@ from __future__ import annotations
 from .poly import Poly, Q
 from .strata import check_rank, check_twists
 
-__all__ = ["PIECES", "char_pieces", "char_piece_epoly", "char_variety_epoly_formula"]
+__all__ = ["PIECES", "char_piece_epoly", "char_variety_epoly_formula"]
 
 _TABLE = {
     # diagonal pairs up to swap; m twist classes of irreducibles
@@ -63,7 +63,7 @@ def _rows(table: dict) -> dict[str, tuple[tuple[int, Poly], ...]]:
 
 
 _ROWS = {rank: _rows(table) for rank, table in _TABLE.items()}
-#: The piece names of each rank, in the order char_pieces returns them.
+#: The piece names of each rank, in table order, "total" last.
 PIECES = {rank: tuple(rows) for rank, rows in _ROWS.items()}
 
 # n-independent terms of the closed formulas.  They repeat some of the
@@ -81,15 +81,6 @@ _F_Q4_Q3 = Q ** 4 - Q ** 3 + Q ** 2 - Q + 1
 def _twist_basis(n: int) -> tuple[int, int, int, int]:
     m = n - 1
     return 1, m, m // 2, m * (m - 1) // 2
-
-
-def char_pieces(rank: int, n: int) -> dict[str, Poly]:
-    """E-polynomial of every character-variety piece at twist count n, in
-    PIECES order."""
-    check_twists(n)
-    b = _twist_basis(n)
-    return {name: Poly.combine([(b[k], p) for k, p in row])
-            for name, row in _ROWS[check_rank(rank)].items()}
 
 
 def char_piece_epoly(rank: int, piece: str, n: int) -> Poly:

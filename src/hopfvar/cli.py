@@ -66,7 +66,8 @@ def _cmd_char(args) -> int:
         print(_render(total, args.latex))
         return 0
     # the last piece, "total", is the piece sum checked against the formula
-    for piece, value in charvar.char_pieces(args.rank, args.n).items():
+    for piece in charvar.PIECES[args.rank]:
+        value = charvar.char_piece_epoly(args.rank, piece, args.n)
         print(f"{piece.removesuffix('_total')}: {_render(value, args.latex)}")
     if value != total:
         print("MISMATCH (piece sum differs from closed formula)")

@@ -140,6 +140,15 @@ def _check_field(q: int) -> None:
         raise ValueError(f"q must be an odd prime, got {q}")
 
 
+def _class_budget(rank: int, q: int) -> int:
+    # q^(rank-1), the classes a sweep steps through, if within MAX_CLASSES
+    classes = q ** (rank - 1)
+    if classes > MAX_CLASSES:
+        raise ValueError(f"q^{rank - 1} = {classes} classes exceeds the class "
+                         f"ceiling {MAX_CLASSES}")
+    return classes
+
+
 def _is_scalar(rows: tuple[tuple[int, ...], ...]) -> bool:
     if len(rows) == 2:
         (a, b), (c, d) = rows
@@ -346,9 +355,10 @@ def _gl_order(rank: int, q: int) -> int:
 
 
 def sl_order(rank: int, q: int) -> int:
-    """|SL_rank(F_q)|: det maps GL_rank(F_q) onto F_q^* with kernel SL_rank."""
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
+    """|SL_rank(F_q)|: det maps GL_rank(F_q) onto F_q^* with kernel SL_rank.
+    Raises ValueError unless rank is 2 or 3 and q is an odd prime."""
+    check_rank(rank)
+    _check_field(q)
     return _gl_order(rank, q) // (q - 1)
 
 
@@ -511,10 +521,7 @@ def class_representatives(rank: int, q: int) -> Iterator[FqMatrix]:
     MAX_CLASSES, before any class is built."""
     check_rank(rank)
     _check_field(q)
-    classes = q ** (rank - 1)
-    if classes > MAX_CLASSES:
-        raise ValueError(f"q^{rank - 1} = {classes} classes exceeds the class "
-                         f"ceiling {MAX_CLASSES}")
+    classes = _class_budget(rank, q)
     return (_representative(rank, q, kind, members, key)
             for kind, members in _classes(rank, q)
             for key in (range(classes) if members is None else members))
@@ -631,11 +638,9 @@ def count_rep_variety_points(rank: int, n: int, q: int,
     accepted for compatibility; the sweep is serial and its result does not
     depend on it.
     """
-    classes = q ** (check_rank(rank) - 1)
+    check_rank(rank)
     check_twists(n)
-    if classes > MAX_CLASSES:
-        raise ValueError(f"q^{rank - 1} = {classes} classes exceeds the class "
-                         f"ceiling {MAX_CLASSES}")
+    _class_budget(rank, q)
     _check_field(q)
     # A^|GL_r(F_q)| = I, so n may be reduced mod the group order; a zero
     # remainder keeps the exponent at the order itself, since pow needs n >= 1

@@ -42,7 +42,7 @@ __all__ = [
     "J3_PAIR_DIAG", "J3_PAIR_B2", "J3_DISTINCT",
     "admissible_strata",
     "stabilizer_epoly", "pgl_mod_stab_epoly",
-    "equivariant_pgl_piece", "equivariant_stab_piece", "equivariant_pieces",
+    "equivariant_pieces",
     "stratum_epoly", "rep_variety_epoly_strata", "rep_variety_epoly_formula",
 ]
 
@@ -160,45 +160,32 @@ def pgl_mod_stab_epoly(xi: JordanType) -> Poly:
 # -- equivariant data ----------------------------------------------------------
 
 # (Jordan type, group) -> (orbit piece, stabilizer piece) under the
-# block-permutation action, None where a type has no orbit data.  Connected
+# block-permutation action, None for an orbit no stratum uses.  Connected
 # stabilizers are acted on by inner automorphisms, so their class is
-# trivial-action; the norm-one diagonal torus carries genuine S2/S3 classes
-# computed from its quotients.
+# trivial-action, e * T; the norm-one diagonal torus carries genuine S2/S3
+# classes computed from its quotients.
 _EQUIVARIANT = {
     (J2_DISTINCT, "s2"): (S2Elem(Q ** 2, Q), S2Elem(Q, -1)),
     (J3_DISTINCT, "s3"): (S3Elem(Q ** 6, Q ** 3, Q ** 5 + Q ** 4), S3Elem(Q ** 2, 1, -Q)),
     (J3_DISTINCT, "s2"): (S2Elem(Q ** 6 + Q ** 5 + Q ** 4, Q ** 5 + Q ** 4 + Q ** 3),
                           S2Elem.from_quotients((Q - 1) ** 2, Q ** 2 - Q)),
-    (J3_PAIR_DIAG, "s2"): (None, S2Elem.trivial(general_linear_epoly(2))),
+    (J3_PAIR_DIAG, "s2"): (None, S2Elem(general_linear_epoly(2))),
     # scalar types, under either group: a point orbit and the whole group
-    **{(xi, group): (cls.trivial(ONE), cls.trivial(stabilizer_epoly(xi)))
+    **{(xi, group): (cls(ONE), cls(stabilizer_epoly(xi)))
        for xi in (J2_SCALAR, J3_SCALAR) for group, cls in (("s2", S2Elem), ("s3", S3Elem))},
 }
 
 
-def _equivariant(xi: JordanType, group: str, piece: str):
-    if group not in ("s2", "s3"):
-        raise ValueError(f"group must be 's2' or 's3', got {group!r}")
-    found = _EQUIVARIANT.get((xi, group), (None, None))[piece == "stabilizer"]
-    if found is None:
-        raise ValueError(f"no equivariant {piece} data for {xi} under {group}")
-    return found
-
-
-def equivariant_pgl_piece(xi: JordanType, group: str) -> S2Elem | S3Elem:
-    """Equivariant E-polynomial of PGL_r/Stab(xi) for the block-permutation
-    action of the given group ('s2' or 's3')."""
-    return _equivariant(xi, group, "orbit")
-
-
-def equivariant_stab_piece(xi: JordanType, group: str) -> S2Elem | S3Elem:
-    """Equivariant E-polynomial of Stab~(xi) for the given group action."""
-    return _equivariant(xi, group, "stabilizer")
-
-
-def equivariant_pieces(xi: JordanType, group: str) -> tuple[S2Elem | S3Elem, S2Elem | S3Elem]:
-    """(orbit piece, stabilizer piece) for types carrying both."""
-    return equivariant_pgl_piece(xi, group), equivariant_stab_piece(xi, group)
+def equivariant_pieces(xi: JordanType, group: str) -> tuple[S2Elem | S3Elem | None,
+                                                          S2Elem | S3Elem]:
+    """Equivariant E-polynomials (orbit PGL_r/Stab(xi), stabilizer Stab~(xi))
+    of a Jordan type under the block-permutation action of group ('s2' or
+    's3'); the orbit is None where no stratum uses it.  Raises ValueError
+    when the type has no data under the group."""
+    pieces = _EQUIVARIANT.get((xi, group))
+    if pieces is None:
+        raise ValueError(f"no equivariant data for {xi} under {group!r}")
+    return pieces
 
 
 # -- stratum assembly ----------------------------------------------------------
@@ -214,7 +201,7 @@ def _stratum_row(rank: int, i: int, j: int, group: str | None):
     if group is None:
         factor = (pgl_mod_stab_epoly(src) * stabilizer_epoly(tgt),)
     else:
-        factor = (equivariant_pgl_piece(src, group) * equivariant_stab_piece(tgt, group)).coeffs
+        factor = (equivariant_pieces(src, group)[0] * equivariant_pieces(tgt, group)[1]).coeffs
     terms = [sum(map(operator.mul, element, factor), ZERO) for element in zip(*config)]
     return (src, tgt), tuple((k, p) for k, p in enumerate(terms) if p)
 

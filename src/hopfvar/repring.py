@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
-from .poly import ONE, ZERO, IntoPoly, Poly
+from .poly import IntoPoly, Poly
 
 
 def _poly(x: IntoPoly) -> Poly:
@@ -50,20 +50,10 @@ class _RepElem:
         """The coefficients, one per irreducible, in basis order."""
         return tuple(getattr(self, f.name) for f in fields(self))
 
-    @classmethod
-    def trivial(cls, e: IntoPoly):
-        """Equivariant class of a connected group acted on by inner
-        automorphisms: the action on cohomology is trivial, so e_F = e * T."""
-        return cls(e)
-
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         return type(self)(*map(operator.add, self.coeffs, other.coeffs))
-
-    def t_component(self) -> Poly:
-        """E-polynomial of the quotient by the full group action."""
-        return self.t
 
     def dim(self) -> Poly:
         """Plain E-polynomial of the underlying space: the coefficients
@@ -117,9 +107,6 @@ class S2Elem(_RepElem):
         return S2Elem(a * c + b * d, a * d + b * c)
 
 
-S2_ONE = S2Elem(ONE, ZERO)
-
-
 @dataclass(frozen=True, repr=False)
 class S3Elem(_RepElem):
     """Element a*T + b*S + c*D of the S3 representation ring over Poly.
@@ -157,6 +144,3 @@ class S3Elem(_RepElem):
     def tau_quotient(self) -> Poly:
         """E-polynomial of the quotient by a transposition: t + d."""
         return self.t + self.d
-
-
-S3_ONE = S3Elem(ONE, ZERO, ZERO)

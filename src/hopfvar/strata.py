@@ -27,8 +27,7 @@ __all__ = [
     "P2_BOTH_EQUAL", "P2_DISTINCT",
     "P3_ALL_EQUAL", "P3_TWO_EQUAL", "P3_DISTINCT",
     "refines", "check_rank", "check_twists",
-    "twist_basis", "config_rows",
-    "config_epoly", "config_epoly_plain",
+    "twist_basis", "config_rows", "config_epoly",
     "config_equivariant_s2", "config_equivariant_s3",
     "refinement_pairs", "admissibility_modulus", "is_admissible",
 ]
@@ -153,14 +152,10 @@ def _at(group: str | None, src: Partition, tgt: Partition | None, n: int) -> lis
             for row in config_rows(group, src, tgt)]
 
 
-def config_epoly_plain(sigma: Partition) -> Poly:
-    """E-polynomial of the whole configuration stratum, no power condition."""
-    return _at(None, sigma, None, 1)[0]  # its row is constant in n
-
-
-def config_epoly(src: Partition, tgt: Partition, n: int) -> Poly:
+def config_epoly(src: Partition, tgt: Partition | None, n: int) -> Poly:
     """E-polynomial of the stratum: tuples of pattern src whose n-th powers
-    have pattern tgt.  Requires src to refine tgt."""
+    have pattern tgt, which src must refine.  tgt=None means the whole
+    stratum of pattern src (no power condition), the same at every n."""
     check_twists(n)
     return _at(None, src, tgt, n)[0]
 

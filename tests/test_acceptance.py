@@ -17,8 +17,8 @@ from hopfvar.poly import Poly, Q, special_linear_epoly, sym_projective_epoly
 from hopfvar.repring import S3Elem
 from hopfvar.strata import (
     P2_BOTH_EQUAL, P2_DISTINCT, P3_ALL_EQUAL, P3_DISTINCT, P3_TWO_EQUAL,
-    config_epoly, config_epoly_plain, config_equivariant_s2,
-    config_equivariant_s3, refinement_pairs,
+    config_epoly, config_equivariant_s2, config_equivariant_s3,
+    refinement_pairs,
 )
 
 from _oracles import (
@@ -124,7 +124,7 @@ def test_criterion_7_equivariant_consistency():
             (config_equivariant_s2(P2_DISTINCT, P2_DISTINCT, n),
              config_epoly(P2_DISTINCT, P2_DISTINCT, n)),
             (config_equivariant_s2(P2_DISTINCT, None, n),
-             config_epoly_plain(P2_DISTINCT)),
+             config_epoly(P2_DISTINCT, None, n)),
             (config_equivariant_s2(P3_DISTINCT, P3_TWO_EQUAL, n),
              config_epoly(P3_DISTINCT, P3_TWO_EQUAL, n)),
         ]
@@ -133,17 +133,17 @@ def test_criterion_7_equivariant_consistency():
              config_epoly(P3_DISTINCT, P3_ALL_EQUAL, n)),
             (config_equivariant_s3(P3_DISTINCT, n),
              config_epoly(P3_DISTINCT, P3_DISTINCT, n)),
-            (config_equivariant_s3(None, n), config_epoly_plain(P3_DISTINCT)),
+            (config_equivariant_s3(None, n), config_epoly(P3_DISTINCT, None, n)),
         ]
         ok &= all(elem.dim() == plain for elem, plain in pairs_s2 + pairs_s3)
         # distinct-triple stratum decomposes by power pattern (3 equivalent
         # coincident-pair strata)
-        ok &= config_epoly_plain(P3_DISTINCT) == (
+        ok &= config_epoly(P3_DISTINCT, None, n) == (
             config_epoly(P3_DISTINCT, P3_DISTINCT, n)
             + 3 * config_epoly(P3_DISTINCT, P3_TWO_EQUAL, n)
             + config_epoly(P3_DISTINCT, P3_ALL_EQUAL, n))
     orbit, stab = equivariant_pieces(J3_DISTINCT, "s3")
-    ok &= (stab * orbit) == S3Elem.trivial(special_linear_epoly(3))
+    ok &= (stab * orbit) == S3Elem(special_linear_epoly(3))
     elapsed = time.perf_counter() - started
     _report(7, "equivariant dims, power-pattern decomposition, fibration identity",
             ok, elapsed)

@@ -3,7 +3,7 @@ import ast
 import pytest
 
 from hopfvar import charvar
-from hopfvar.charvar import PIECES, char_piece_epoly, char_pieces, char_variety_epoly_formula
+from hopfvar.charvar import PIECES, char_piece_epoly, char_variety_epoly_formula
 from hopfvar.poly import ZERO, Q
 
 from _oracles import (
@@ -121,21 +121,16 @@ def test_leading_coefficients_positive():
 
 
 def test_char_pieces_in_pieces_order():
+    # `char --pieces` prints PIECES in order and checks the last, "total"
     for rank in (2, 3):
+        assert PIECES[rank][-1] == "total"
         for n in (1, 2, 3, 8, 15, 200):
-            pieces = char_pieces(rank, n)
-            assert tuple(pieces) == PIECES[rank], (rank, n)
-            for piece, value in pieces.items():
-                assert value == char_piece_epoly(rank, piece, n), (rank, piece, n)
+            pieces = {piece: char_piece_epoly(rank, piece, n) for piece in PIECES[rank]}
             assert pieces["total"] == pieces["red_total"] + pieces["irr_total"]
-        with pytest.raises(ValueError):
-            char_pieces(rank, 0)
     for n in (1, 4, 9):
-        pieces = char_pieces(3, n)
+        pieces = {piece: char_piece_epoly(3, piece, n) for piece in PIECES[3]}
         assert pieces["red_total"] == pieces["red_111"] + pieces["red_21"]
         assert pieces["irr_total"] == pieces["irr_repeated"] + pieces["irr_distinct"]
-    with pytest.raises(ValueError):
-        char_pieces(4, 1)
 
 
 def test_formula_shares_no_constant_with_pieces():
@@ -164,8 +159,8 @@ def test_formula_shares_no_constant_with_pieces():
         return seen
 
     formula = reads(["char_variety_epoly_formula"]) - {"char_variety_epoly_formula"}
-    pieces = reads(["char_pieces", "char_piece_epoly", "PIECES"])
-    assert formula and pieces - {"char_pieces", "char_piece_epoly", "PIECES"}
+    pieces = reads(["char_piece_epoly", "PIECES"])
+    assert formula and pieces - {"char_piece_epoly", "PIECES"}
     assert not formula & pieces, formula & pieces
 
 
@@ -203,10 +198,9 @@ def expected_pieces(rank, n):
 
 @pytest.mark.parametrize("rank", (2, 3))
 def test_every_piece_equals_its_closed_expression(rank):
+    assert tuple(expected_pieces(rank, 1)) == PIECES[rank]
     for n in [*range(1, 201), *HUGE_NS]:
-        expected = expected_pieces(rank, n)
-        assert char_pieces(rank, n) == expected, n
-        for piece, value in expected.items():
+        for piece, value in expected_pieces(rank, n).items():
             assert char_piece_epoly(rank, piece, n) == value, (piece, n)
 
 

@@ -84,13 +84,12 @@ def test_char_pieces(capsys):
 
 def test_char_pieces_computes_each_piece_once(capsys, monkeypatch):
     # the aggregates are sums of the leaves, not recomputations of them
-    pieces, calls = charvar.char_pieces, []
-    monkeypatch.setattr(charvar, "char_pieces",
-                        lambda rank, n: calls.append((rank, n)) or pieces(rank, n))
-    monkeypatch.setattr(charvar, "char_piece_epoly", None)
+    piece_epoly, calls = charvar.char_piece_epoly, []
+    monkeypatch.setattr(charvar, "char_piece_epoly",
+                        lambda *args: calls.append(args) or piece_epoly(*args))
     code, out, _ = run_cli(["char", "--rank", "3", "--n", "7", "--pieces"], capsys)
     assert code == 0
-    assert calls == [(3, 7)]
+    assert calls == [(3, piece, 7) for piece in charvar.PIECES[3]]
     assert [l.split(":")[0] for l in out.splitlines()] == \
         [p.removesuffix("_total") for p in charvar.PIECES[3]]
 
@@ -284,9 +283,9 @@ def test_count_assert_reports_mismatch(capsys, monkeypatch):
 
 
 def test_char_pieces_reports_mismatch(capsys, monkeypatch):
-    pieces = charvar.char_pieces
-    monkeypatch.setattr(charvar, "char_pieces",
-                        lambda rank, n: {k: v + 1 for k, v in pieces(rank, n).items()})
+    piece_epoly = charvar.char_piece_epoly
+    monkeypatch.setattr(charvar, "char_piece_epoly",
+                        lambda rank, piece, n: piece_epoly(rank, piece, n) + (piece == "total"))
     for rank in ("2", "3"):
         code, out, _ = run_cli(["char", "--rank", rank, "--n", "3", "--pieces"], capsys)
         assert code == 1, rank

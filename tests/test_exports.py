@@ -84,3 +84,15 @@ def test_oracle_names_left_the_package(module):
             "commutant_dimension")
     present = [name for name in gone if hasattr(importlib.import_module(module), name)]
     assert not present, present
+
+
+@pytest.mark.parametrize("name", [
+    "config_epoly_plain", "equivariant_pgl_piece", "equivariant_stab_piece", "char_pieces",
+    "trivial", "t_component", "S2_ONE", "S3_ONE"])
+def test_second_spellings_left_the_package(name):
+    # each table has one reader: config_epoly(sigma, None, n), equivariant_pieces,
+    # char_piece_epoly over PIECES, S2Elem(e) / S3Elem(e), .t, S2Elem(1) / S3Elem(1)
+    holders = [importlib.import_module(module) for module in MODULES]
+    holders += [hopfvar.S2Elem, hopfvar.S3Elem]
+    present = [getattr(h, "__name__", h) for h in holders if hasattr(h, name)]
+    assert not present, present

@@ -694,13 +694,22 @@ def test_field_checked_once_per_count(monkeypatch):
     lambda q: FqMatrix(q, [[1, 0], [0, 1]]),
     lambda q: count_rep_variety_points(2, 1, q),
     lambda q: class_representatives(2, q),
-], ids=["FqMatrix", "count_rep_variety_points", "class_representatives"])
+    lambda q: sl_order(2, q),
+], ids=["FqMatrix", "count_rep_variety_points", "class_representatives", "sl_order"])
 @pytest.mark.parametrize("q", (7.0, True))
 def test_field_size_must_be_an_int(monkeypatch, call, q):
     # refused before is_prime, which would take 7.0 for the prime 7
     monkeypatch.setattr(ffcount, "is_prime", None)
     with pytest.raises(ValueError) as err:
         call(q)
+    assert str(err.value) == f"q must be an odd prime, got {q}"
+
+
+@pytest.mark.parametrize("q", (1, 0, -3, 9))
+def test_sl_order_needs_an_odd_prime_field(q):
+    # q - 1 would divide by zero at q = 1, and 0, -3 and 9 give no field
+    with pytest.raises(ValueError) as err:
+        sl_order(2, q)
     assert str(err.value) == f"q must be an odd prime, got {q}"
 
 

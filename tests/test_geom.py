@@ -6,8 +6,7 @@ from hopfvar import geom
 from hopfvar.geom import (
     J2_BLOCK, J2_DISTINCT, J2_SCALAR, J3_DISTINCT, J3_EQUAL_B21, J3_EQUAL_B3,
     J3_PAIR_B2, J3_PAIR_DIAG, J3_SCALAR, JordanType, Stratum,
-    admissible_strata, equivariant_pgl_piece, equivariant_pieces,
-    equivariant_stab_piece, pgl_mod_stab_epoly, rep_variety_epoly_formula,
+    admissible_strata, equivariant_pieces, pgl_mod_stab_epoly, rep_variety_epoly_formula,
     rep_variety_epoly_strata, stabilizer_epoly, stratum_epoly,
 )
 
@@ -76,30 +75,28 @@ def test_equivariant_pieces():
     orbit3, stab3 = equivariant_pieces(J2_DISTINCT, "s2")
     assert orbit3 == S2Elem(Q ** 2, Q)
     assert stab3 == S2Elem(Q, -1)
-    assert equivariant_stab_piece(J3_SCALAR, "s3") == S3Elem.trivial(E_SL3)
-    assert equivariant_stab_piece(J3_PAIR_DIAG, "s2") == \
-        S2Elem.trivial(general_linear_epoly(2))
+    assert equivariant_pieces(J3_SCALAR, "s3") == (S3Elem(1), S3Elem(E_SL3))
+    # no stratum uses the orbit of the repeated-pair type under s2
+    assert equivariant_pieces(J3_PAIR_DIAG, "s2") == (None, S2Elem(general_linear_epoly(2)))
 
 
 def test_equivariant_pieces_dims_match_plain():
-    for xi, group in [(J2_DISTINCT, "s2"), (J3_DISTINCT, "s3"), (J3_DISTINCT, "s2")]:
-        assert equivariant_pgl_piece(xi, group).dim() == pgl_mod_stab_epoly(xi)
-        assert equivariant_stab_piece(xi, group).dim() == stabilizer_epoly(xi)
+    for xi, group in geom._EQUIVARIANT:
+        orbit, stab = equivariant_pieces(xi, group)
+        assert orbit is None or orbit.dim() == pgl_mod_stab_epoly(xi), (xi, group)
+        assert stab.dim() == stabilizer_epoly(xi), (xi, group)
 
 
 def test_equivariant_pieces_errors():
-    with pytest.raises(ValueError):
-        equivariant_pgl_piece(J3_PAIR_B2, "s2")
-    with pytest.raises(ValueError):
-        equivariant_stab_piece(J3_EQUAL_B3, "s3")
-    with pytest.raises(ValueError):
-        equivariant_pgl_piece(J3_DISTINCT, "s5")
+    for xi, group in ((J3_PAIR_B2, "s2"), (J3_EQUAL_B3, "s3"), (J3_DISTINCT, "s5")):
+        with pytest.raises(ValueError):
+            equivariant_pieces(xi, group)
 
 
 def test_s3_fibration_identity():
     # torus class times orbit class reproduces the trivial-action group class
     orbit, stab = equivariant_pieces(J3_DISTINCT, "s3")
-    assert stab * orbit == S3Elem.trivial(E_SL3)
+    assert stab * orbit == S3Elem(E_SL3)
 
 
 def test_stratum_admissibility():

@@ -1,8 +1,8 @@
 import pytest
 
 from hopfvar import strata
-from hopfvar.charvar import char_piece_epoly, char_pieces, char_variety_epoly_formula
-from hopfvar.ffcount import FqMatrix, class_representatives, count_rep_variety_points
+from hopfvar.charvar import char_piece_epoly, char_variety_epoly_formula
+from hopfvar.ffcount import FqMatrix, class_representatives, count_rep_variety_points, sl_order
 from hopfvar.geom import (
     JordanType, admissible_strata, rep_variety_epoly_formula, rep_variety_epoly_strata,
     stratum_epoly,
@@ -11,8 +11,8 @@ from hopfvar.poly import ONE, Poly, Q
 from hopfvar.repring import S2Elem, S3Elem
 from hopfvar.strata import (
     P2_BOTH_EQUAL, P2_DISTINCT, P3_ALL_EQUAL, P3_DISTINCT, P3_TWO_EQUAL,
-    Partition, admissibility_modulus, check_twists, config_epoly, config_epoly_plain,
-    config_equivariant_s2, config_equivariant_s3, is_admissible, refinement_pairs, refines,
+    Partition, admissibility_modulus, check_twists, config_epoly, config_equivariant_s2,
+    config_equivariant_s3, is_admissible, refinement_pairs, refines,
 )
 
 from _oracles import _PATTERNS, smallest_admissible_prime, twisted_config_count
@@ -69,12 +69,12 @@ RANKED = {
     "admissible_strata": admissible_strata,
     "rep_variety_epoly_strata": lambda r: rep_variety_epoly_strata(r, 1),
     "rep_variety_epoly_formula": lambda r: rep_variety_epoly_formula(r, 1),
-    "char_pieces": lambda r: char_pieces(r, 1),
     "char_piece_epoly": lambda r: char_piece_epoly(r, "total", 1),
     "char_variety_epoly_formula": lambda r: char_variety_epoly_formula(r, 1),
     "count_rep_variety_points": lambda r: count_rep_variety_points(r, 1, 5),
     "class_representatives": lambda r: class_representatives(r, 5),
     "FqMatrix.identity": lambda r: FqMatrix.identity(r, 5),
+    "sl_order": lambda r: sl_order(r, 5),
 }
 
 
@@ -99,7 +99,6 @@ TWISTED = {
     "stratum_epoly": lambda n: stratum_epoly(admissible_strata(2)[0], n),
     "rep_variety_epoly_strata": lambda n: rep_variety_epoly_strata(2, n),
     "rep_variety_epoly_formula": lambda n: rep_variety_epoly_formula(2, n),
-    "char_pieces": lambda n: char_pieces(2, n),
     "char_piece_epoly": lambda n: char_piece_epoly(2, "total", n),
     "char_variety_epoly_formula": lambda n: char_variety_epoly_formula(2, n),
     "count_rep_variety_points": lambda n: count_rep_variety_points(2, n, 5),
@@ -154,11 +153,13 @@ def test_refinement_pairs():
 
 
 def test_plain_values():
-    assert config_epoly_plain(P2_BOTH_EQUAL) == 2
-    assert config_epoly_plain(P2_DISTINCT) == Q - 3
-    assert config_epoly_plain(P3_ALL_EQUAL) == 3
-    assert config_epoly_plain(P3_TWO_EQUAL) == Q - 4
-    assert config_epoly_plain(P3_DISTINCT) == Q ** 2 - 5 * Q + 10
+    # tgt=None is the whole stratum of pattern src: its row is constant in n
+    whole = {P2_BOTH_EQUAL: Poly([2]), P2_DISTINCT: Q - 3, P3_ALL_EQUAL: Poly([3]),
+             P3_TWO_EQUAL: Q - 4, P3_DISTINCT: Q ** 2 - 5 * Q + 10}
+    for sigma, value in whole.items():
+        assert strata.config_rows(None, sigma, None) == ((value, 0, 0, 0),), sigma
+        for n in range(1, 13):
+            assert config_epoly(sigma, None, n) == value, (sigma, n)
 
 
 def test_config_epoly_values():
@@ -236,15 +237,15 @@ def test_equivariant_s3_values():
 
 def test_decomposition_identities():
     for n in range(1, 101):
-        assert config_epoly_plain(P2_DISTINCT) == (
+        assert config_epoly(P2_DISTINCT, None, n) == (
             config_epoly(P2_DISTINCT, P2_DISTINCT, n)
             + config_epoly(P2_DISTINCT, P2_BOTH_EQUAL, n))
-        assert config_epoly_plain(P3_TWO_EQUAL) == (
+        assert config_epoly(P3_TWO_EQUAL, None, n) == (
             config_epoly(P3_TWO_EQUAL, P3_TWO_EQUAL, n)
             + config_epoly(P3_TWO_EQUAL, P3_ALL_EQUAL, n))
         # the three ways a distinct triple can power into a coincident pair
         # are isomorphic strata, hence the factor 3
-        assert config_epoly_plain(P3_DISTINCT) == (
+        assert config_epoly(P3_DISTINCT, None, n) == (
             config_epoly(P3_DISTINCT, P3_DISTINCT, n)
             + 3 * config_epoly(P3_DISTINCT, P3_TWO_EQUAL, n)
             + config_epoly(P3_DISTINCT, P3_ALL_EQUAL, n))
@@ -263,8 +264,8 @@ def test_equivariant_dims_match_plain():
         assert config_equivariant_s3(P3_DISTINCT, n).dim() == \
             config_epoly(P3_DISTINCT, P3_DISTINCT, n)
     assert config_equivariant_s2(P2_DISTINCT, None, 3).dim() == \
-        config_epoly_plain(P2_DISTINCT)
-    assert config_equivariant_s3(None, 3).dim() == config_epoly_plain(P3_DISTINCT)
+        config_epoly(P2_DISTINCT, None, 3)
+    assert config_equivariant_s3(None, 3).dim() == config_epoly(P3_DISTINCT, None, 3)
 
 
 def _count(src, tgt, n, q):
