@@ -53,12 +53,12 @@ matrices.
 The orders of the centralizers C_GL(M) and C_SL(M) are closed forms in q, one
 row of _CENTRALIZERS per GL type of a non-scalar M: eight cyclic types at
 ranks 2 and 3 and the non-cyclic diag(a, a, b) and J_2(a) + (a) at rank 3.
-_orders types any matrix, for class_size and count_commuting_det1: a scalar M
-is told by its entries first, the factor pattern of its characteristic
-polynomial is kept with the matrix (FqMatrix.factor_pattern), so the class
-matrix the fold builds at n = 1, where A^n is A, is not factored again, and
-the length of the closed-form commutant basis (commutant_basis) tells whether
-M is cyclic.  Nothing is row-reduced, and each kernel is straight-line code
+count_commuting_det1 types any matrix M: a scalar M is told by its entries
+first, the factor pattern of its characteristic polynomial is kept with the
+matrix (FqMatrix.factor_pattern), so the class matrix the fold builds at
+n = 1, where A^n is A, is not factored again, and the length of the
+closed-form commutant basis (commutant_basis) tells whether M is cyclic.
+Nothing is row-reduced, and each kernel is straight-line code
 over the entries: a non-scalar M is cyclic iff its minimal polynomial has
 degree r, read off M and M^2 (_double_eigenvalue), and then has the basis I,
 M, ..., M^(r-1) of F_q[M]; a non-cyclic M has rank 3 and a double eigenvalue a
@@ -67,10 +67,10 @@ with M - aI = u v^T of rank 1, and its commutant is F_q I + (v-perp (x) u-perp).
 The count equals the closed-formula E-polynomial at q when rank*n | q-1
 (is_admissible).  The sweep is serial: the threads argument is accepted and
 has no effect on the result.  Its flags cover about q^(r-1) classes (q^2 + q
-at rank 3, q + 2 at rank 2), and it and class_representatives refuse a field
-whose q^(r-1) exceeds MAX_CLASSES; in the count that O(1) check runs before
-the primality test of q.  n is reduced mod |GL_r(F_q)|, exact by Lagrange's
-theorem, so the cost of a class grows only with the bits of that remainder.
+at rank 3, q + 2 at rank 2), and the count refuses a field whose q^(r-1)
+exceeds MAX_CLASSES; that O(1) check runs before the primality test of q.
+n is reduced mod |GL_r(F_q)|, exact by Lagrange's theorem, so the cost of a
+class grows only with the bits of that remainder.
 """
 
 from __future__ import annotations
@@ -82,16 +82,13 @@ from typing import Iterable, Iterator, Optional
 from .strata import admissibility_modulus, check_rank, check_twists, is_admissible
 
 __all__ = [
-    "FqMatrix", "MAX_CLASSES",
-    "sl_order", "is_admissible", "admissibility_modulus",
-    "commutant_basis",
-    "count_commuting_det1", "class_representatives", "class_size",
-    "count_rep_variety_points",
+    "FqMatrix", "MAX_CLASSES", "is_admissible", "admissibility_modulus",
+    "commutant_basis", "count_commuting_det1", "count_rep_variety_points",
 ]
 
 #: Largest q^(rank-1), about the number of classes the sweep steps through,
-#: that count_rep_variety_points and class_representatives accept: rank 3 up
-#: to q = 631, rank 2 up to q = 399989.
+#: that count_rep_variety_points accepts: rank 3 up to q = 631, rank 2 up to
+#: q = 399989.
 MAX_CLASSES = 400_000
 
 
@@ -140,15 +137,6 @@ def _check_field(q: int) -> None:
         raise ValueError(f"q must be an odd prime, got {q}")
 
 
-def _class_budget(rank: int, q: int) -> int:
-    # q^(rank-1), the classes a sweep steps through, if within MAX_CLASSES
-    classes = q ** (rank - 1)
-    if classes > MAX_CLASSES:
-        raise ValueError(f"q^{rank - 1} = {classes} classes exceeds the class "
-                         f"ceiling {MAX_CLASSES}")
-    return classes
-
-
 def _is_scalar(rows: tuple[tuple[int, ...], ...]) -> bool:
     if len(rows) == 2:
         (a, b), (c, d) = rows
@@ -191,14 +179,6 @@ class FqMatrix:
         _set_pattern(m, pattern)
         return m
 
-    @staticmethod
-    def identity(rank: int, q: int) -> FqMatrix:
-        return FqMatrix(q, _IDENTITY[check_rank(rank)])
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
     def __mul__(self, other: FqMatrix) -> FqMatrix:
         if self.q != other.q or len(self.rows) != len(other.rows):
             raise ValueError("incompatible matrices")
@@ -229,9 +209,6 @@ class FqMatrix:
             if not n:
                 return result
             base = base * base
-
-    def det(self) -> int:
-        return (-1) ** self.rank * self.char_poly()[0] % self.q
 
     def is_scalar(self) -> bool:
         return _is_scalar(self.rows)
@@ -354,14 +331,6 @@ def _gl_order(rank: int, q: int) -> int:
     return prod(q ** rank - q ** i for i in range(rank))
 
 
-def sl_order(rank: int, q: int) -> int:
-    """|SL_rank(F_q)|: det maps GL_rank(F_q) onto F_q^* with kernel SL_rank.
-    Raises ValueError unless rank is 2 or 3 and q is an odd prime."""
-    check_rank(rank)
-    _check_field(q)
-    return _gl_order(rank, q) // (q - 1)
-
-
 def _factor_pattern(chi: tuple[int, ...], q: int) -> tuple[tuple[int, int], ...]:
     """(deg f, e) for each irreducible factor f^e of a monic polynomial over
     F_q of degree 2 or 3, ascending coefficients; q is an odd prime.
@@ -452,22 +421,17 @@ _CENTRALIZERS = {
 }
 
 
-def _orders(M: FqMatrix) -> tuple[int, int]:
-    """(|C_GL(M)|, |C_SL(M)|) for any M.  A scalar M is centralized by the
-    whole group; otherwise the length of its commutant basis tells whether M
-    is cyclic, and with the factor pattern of its characteristic polynomial
-    (FqMatrix.factor_pattern) that picks the row of _CENTRALIZERS."""
+def count_commuting_det1(M: FqMatrix) -> int:
+    """#{B in SL_r(F_q) : BM = MB} = |C_SL(M)| for any M.  A scalar M is
+    centralized by the whole group, of order |GL_r(F_q)| / (q - 1); otherwise
+    the length of its commutant basis tells whether M is cyclic, and with the
+    factor pattern of its characteristic polynomial (FqMatrix.factor_pattern)
+    that picks the row of _CENTRALIZERS."""
     q, m = M.q, M.rows
     if _is_scalar(m):
-        gl = _gl_order(len(m), q)
-        return gl, gl // (q - 1)
+        return _gl_order(len(m), q) // (q - 1)
     gl, index = _CENTRALIZERS[M.factor_pattern(), len(commutant_basis(M)) == len(m)](q)
-    return gl, gl // index
-
-
-def count_commuting_det1(M: FqMatrix) -> int:
-    """#{B in SL_r(F_q) : BM = MB} = |C_SL(M)| (_orders)."""
-    return _orders(M)[1]
+    return gl // index
 
 
 # -- class-equation sweep ---------------------------------------------------------
@@ -512,24 +476,6 @@ def _representative(rank: int, q: int, kind: str, members: Optional[dict[int, in
         return FqMatrix._of(q, tuple(tuple(a * x for x in row) for row in _IDENTITY[rank]))
     b = pow(a, -2, q)
     return FqMatrix._of(q, ((a, 0, 0), (0, 0, -a * b % q), (0, 1, (a + b) % q)), pattern)
-
-
-def class_representatives(rank: int, q: int) -> Iterator[FqMatrix]:
-    """One matrix of each GL_rank(F_q)-conjugacy class inside SL_rank(F_q),
-    by rational canonical form (see the module docstring).  Raises ValueError
-    unless rank is 2 or 3 and q is an odd prime, and when q^(rank-1) exceeds
-    MAX_CLASSES, before any class is built."""
-    check_rank(rank)
-    _check_field(q)
-    classes = _class_budget(rank, q)
-    return (_representative(rank, q, kind, members, key)
-            for kind, members in _classes(rank, q)
-            for key in (range(classes) if members is None else members))
-
-
-def class_size(A: FqMatrix) -> int:
-    """|GL_r(F_q)| / |C_GL(A)|: the number of conjugates of A (_orders)."""
-    return _gl_order(A.rank, A.q) // _orders(A)[0]
 
 
 def _flag_orbit(flags: bytearray, rank: int, q: int, key: int, roots: list[tuple]) -> int:
@@ -640,7 +586,11 @@ def count_rep_variety_points(rank: int, n: int, q: int,
     """
     check_rank(rank)
     check_twists(n)
-    _class_budget(rank, q)
+    # the classes the sweep steps through, bounded before the primality test
+    classes = q ** (rank - 1)
+    if classes > MAX_CLASSES:
+        raise ValueError(f"q^{rank - 1} = {classes} classes exceeds the class "
+                         f"ceiling {MAX_CLASSES}")
     _check_field(q)
     # A^|GL_r(F_q)| = I, so n may be reduced mod the group order; a zero
     # remainder keeps the exponent at the order itself, since pow needs n >= 1

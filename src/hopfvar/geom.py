@@ -87,8 +87,8 @@ class JordanType:
 
     def __post_init__(self):
         top = len(_rows(_TYPES, self.rank))
-        if not 1 <= self.index <= top:
-            raise ValueError(f"invalid Jordan type index {self.index} for rank {self.rank}")
+        if type(self.index) is not int or not 1 <= self.index <= top:
+            raise ValueError(f"invalid Jordan type index {self.index!r} for rank {self.rank}")
 
     @property
     def partition(self) -> Partition:

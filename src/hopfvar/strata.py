@@ -60,8 +60,9 @@ class Partition:
     index: int
 
     def __post_init__(self):
-        if not 1 <= self.index <= check_rank(self.rank):
-            raise ValueError(f"invalid partition index {self.index} for rank {self.rank}")
+        top = check_rank(self.rank)
+        if type(self.index) is not int or not 1 <= self.index <= top:
+            raise ValueError(f"invalid partition index {self.index!r} for rank {self.rank}")
 
     def __str__(self) -> str:
         return f"sigma{self.index}(rank {self.rank})"
@@ -187,4 +188,7 @@ def admissibility_modulus(rank: int, n: int) -> int:
 
 
 def is_admissible(rank: int, n: int, q: int) -> bool:
+    """Whether rank * n divides q - 1, where the F_q count equals the closed
+    formula at q.  Integers only: is_admissible(2, 1, 9) is True, and the
+    count, not this predicate, checks that q is an odd prime."""
     return (q - 1) % admissibility_modulus(rank, n) == 0

@@ -8,7 +8,7 @@ the per-criterion lines and timings.
 import time
 
 from hopfvar.charvar import char_piece_epoly, char_variety_epoly_formula
-from hopfvar.ffcount import count_rep_variety_points, sl_order
+from hopfvar.ffcount import count_rep_variety_points
 from hopfvar.geom import (
     J3_DISTINCT, equivariant_pieces, rep_variety_epoly_formula,
     rep_variety_epoly_strata,
@@ -22,7 +22,7 @@ from hopfvar.strata import (
 )
 
 from _oracles import (
-    conjugacy_class_count_sl2, smallest_admissible_prime, twisted_config_count,
+    conjugacy_class_count_sl2, sl_matrices, smallest_admissible_prime, twisted_config_count,
 )
 
 
@@ -101,7 +101,7 @@ def test_criterion_6_hopf_class_identity():
     for q in (5, 7, 11):
         classes = conjugacy_class_count_sl2(q)
         count = count_rep_variety_points(2, 1, q)
-        group_order = sl_order(2, q)
+        group_order = len(sl_matrices(2, q))
         predicted = (Q + 4) * (Q ** 3 - Q)
         if not (count == classes * group_order == predicted.evaluate(q)):
             ok = False

@@ -12,9 +12,8 @@ import pytest
 
 from hopfvar import ffcount
 from hopfvar.ffcount import (
-    FqMatrix, class_representatives, class_size,
-    commutant_basis, count_commuting_det1,
-    count_rep_variety_points, is_admissible, sl_order,
+    FqMatrix, commutant_basis, count_commuting_det1,
+    count_rep_variety_points, is_admissible,
 )
 from hopfvar.geom import rep_variety_epoly_formula
 
@@ -40,6 +39,38 @@ def M(q, *rows):
     return FqMatrix(q, rows)
 
 
+def _eye(rank, q):
+    return FqMatrix(q, [[int(i == j) for j in range(rank)] for i in range(rank)])
+
+
+def _gl_order(rank, q):
+    return prod(q ** rank - q ** i for i in range(rank))
+
+
+def _representatives(rank, q):
+    # one matrix of each GL_r(F_q)-class inside SL_r(F_q), as the sweep builds it
+    return [ffcount._representative(rank, q, kind, members, key)
+            for kind, members in ffcount._classes(rank, q)
+            for key in (range(q ** (rank - 1)) if members is None else members)]
+
+
+def _centralizer_order(m):
+    # |C_GL(M)|: the whole group for a scalar M, else by the oracle's
+    # enumeration of the commutant (q^2, q^3 or q^5 members)
+    rank, q = len(m.rows), m.q
+    return _gl_order(rank, q) if m.is_scalar() else commutant_unit_counts(m.rows, q)[0]
+
+
+def _conjugates(a):
+    # |GL_r(F_q)| / |C_GL(A)|, by the oracle at rank 2 and at rank 3 up to
+    # q = 7; above that the enumeration of a non-cyclic commutant costs too
+    # much, and the count's table is read through the matrix typing instead
+    rank, q = len(a.rows), a.q
+    if rank == 3 and q > 7 and not a.is_scalar():
+        return _gl_order(3, q) // ffcount._CENTRALIZERS[_matrix_type(a)](q)[0]
+    return _gl_order(rank, q) // _centralizer_order(a)
+
+
 def test_matrix_construction_and_reduction():
     m = M(5, (7, -1), (0, 6))
     assert m.rows == ((2, 4), (0, 1))
@@ -52,15 +83,14 @@ def test_matrix_construction_and_reduction():
 
 
 def test_mat_pow():
-    ident = FqMatrix.identity(3, 7)
+    ident = _eye(3, 7)
     assert ident.pow(12) == ident
     invol = M(5, (4, 0), (0, 4))  # -Id, the only involution in SL2(F5)
-    assert invol.pow(2) == FqMatrix.identity(2, 5)
+    assert invol.pow(2) == _eye(2, 5)
     d = M(5, (3, 0), (0, 2))
-    assert d.det() == 1
-    assert d.pow(4) == FqMatrix.identity(2, 5)
+    assert d.pow(4) == _eye(2, 5)
     a = M(5, (1, 0), (1, 1))
-    assert a.pow(5) == FqMatrix.identity(2, 5)  # unipotent, order = char
+    assert a.pow(5) == _eye(2, 5)  # unipotent, order = char
     assert a.pow(3) == M(5, (1, 0), (3, 1))
 
 
@@ -117,7 +147,7 @@ def test_commutant_basis_members_commute():
     # n = 1, 2, 3, 6, and random matrices; the basis must commute with m, be
     # linearly independent and have the dimension of the oracle's null space
     matrices = [a.pow(n) for rank in (2, 3) for q in (3, 5, 7, 13)
-                for a in class_representatives(rank, q) for n in (1, 2, 3, 6)]
+                for a in _representatives(rank, q) for n in (1, 2, 3, 6)]
     rng = random.Random(23)
     for _ in range(300):
         q = rng.choice((3, 5, 7))
@@ -133,7 +163,7 @@ def test_commutant_basis_members_commute():
 def test_commutant_basis_forms_one_product_for_cyclic_rank3(monkeypatch):
     # a cyclic rank-3 M needs M^2 for both the cyclicity test and the basis
     # I, M, M^2; it is formed once
-    matrices = [a.pow(n) for q in (5, 7, 13) for a in class_representatives(3, q)
+    matrices = [a.pow(n) for q in (5, 7, 13) for a in _representatives(3, q)
                 for n in (1, 2, 3)]
     cyclic = [m for m in matrices
               if not m.is_scalar() and commutant_dimension_by_null_space(m.rows, m.q) == 3]
@@ -223,10 +253,10 @@ def test_matrix_is_slotted_and_frozen():
 
 
 def test_count_commuting_det1_examples():
-    assert count_commuting_det1(FqMatrix.identity(2, 5)) == 120
+    assert count_commuting_det1(_eye(2, 5)) == 120
     assert count_commuting_det1(M(5, (2, 0), (0, 3))) == 4
-    assert count_commuting_det1(FqMatrix.identity(3, 7)) == 5630688
-    assert sl_order(3, 7) == 5630688
+    # |SL_3(F_7)| = q^3 (q^2 - 1)(q^3 - 1)
+    assert count_commuting_det1(_eye(3, 7)) == 343 * 48 * 342 == 5630688
 
 
 def test_key_equal_implies_count_equal_exhaustive_q3():
@@ -234,10 +264,8 @@ def test_key_equal_implies_count_equal_exhaustive_q3():
     # commutant dimension fix the conjugacy class, and matrices sharing them
     # must share the commutant count computed from scratch
     by_key: dict[tuple, int] = {}
-    for entries in itertools.product(range(3), repeat=9):
-        m = FqMatrix(3, (entries[:3], entries[3:6], entries[6:]))
-        if m.det() != 1:
-            continue
+    for rows in sl_matrices(3, 3).tolist():
+        m = FqMatrix(3, rows)
         key = (m.char_poly(), len(commutant_basis(m)))
         count = count_commuting_det1(m)
         if key in by_key:
@@ -266,12 +294,8 @@ def test_rank3_count_matches_pure_python_route():
     # independent slow route: iterate SL3(F3) with exact matrix powers and
     # per-matrix commutant counts (no vectorized classification involved)
     for n in (1, 2):
-        total = 0
-        for entries in itertools.product(range(3), repeat=9):
-            m = FqMatrix(3, (entries[:3], entries[3:6], entries[6:]))
-            if m.det() != 1:
-                continue
-            total += count_commuting_det1(m.pow(n))
+        total = sum(count_commuting_det1(FqMatrix(3, rows).pow(n))
+                    for rows in sl_matrices(3, 3).tolist())
         assert count_rep_variety_points(3, n, 3, threads=1) == total, n
 
 
@@ -300,15 +324,17 @@ def test_oracle_imports_nothing_it_checks():
         assert name not in ("hopfvar.poly", "hopfvar.geom"), name
 
 
-def test_class_sizes_sum_to_sl_order():
-    # the class representatives of the sweep cover SL_r(F_q) exactly once
+def test_class_sizes_sum_to_the_group_order():
+    # the class representatives of the sweep cover SL_r(F_q) exactly once:
+    # their characteristic polynomials end in (-1)^r det = (-1)^r, and their
+    # class sizes sum to |SL_r(F_q)| = |GL_r(F_q)| / (q - 1)
     for rank in (2, 3):
         for q in (3, 5, 7, 11, 13):
-            reps = list(class_representatives(rank, q))
-            assert all(a.det() == 1 for a in reps)
-            assert sum(class_size(a) for a in reps) == sl_order(rank, q), (rank, q)
+            reps = _representatives(rank, q)
+            assert all(a.char_poly()[0] == (-1) ** rank % q for a in reps)
+            assert sum(map(_conjugates, reps)) == _gl_order(rank, q) // (q - 1), (rank, q)
         for q in (3, 5):
-            assert len(sl_matrices(rank, q)) == sl_order(rank, q)
+            assert len(sl_matrices(rank, q)) == _gl_order(rank, q) // (q - 1)
 
 
 def test_centralizer_orders_match_commutant_enumeration():
@@ -317,30 +343,26 @@ def test_centralizer_orders_match_commutant_enumeration():
     # SL_3-centralizer of J_3(a) carries the factor gcd(3, q-1) = 3
     for rank, qs in ((2, (5, 7, 13)), (3, (5, 7))):
         for q in qs:
-            gl_order, _ = commutant_unit_counts(FqMatrix.identity(rank, q).rows, q)
-            for a in class_representatives(rank, q):
-                assert class_size(a) == gl_order // commutant_unit_counts(a.rows, q)[0], a
+            for a in _representatives(rank, q):
                 for n in (1, 2, 3):
                     m = a.pow(n)
                     assert count_commuting_det1(m) == commutant_unit_counts(m.rows, q)[1], (a, n)
 
 
 def test_centralizer_orders_of_conjugates_match_commutant_enumeration():
-    # class_size and count_commuting_det1 type any matrix through the same
-    # commutant basis, not only the rational canonical forms of the sweep:
-    # a random GL_r(F_q) conjugate g A g^-1 of every class representative
+    # count_commuting_det1 types any matrix through its commutant basis, not
+    # only the rational canonical forms of the sweep: a random GL_r(F_q)
+    # conjugate g A g^-1 of every class representative; g is invertible iff
+    # the constant term of its characteristic polynomial, (-1)^r det g, is not 0
     rng = random.Random(29)
     for rank, q in ((2, 5), (2, 7), (3, 5)):
-        gl_order, _ = commutant_unit_counts(FqMatrix.identity(rank, q).rows, q)
-        for a in class_representatives(rank, q):
+        for a in _representatives(rank, q):
             while True:
                 g = FqMatrix(q, [[rng.randrange(q) for _ in range(rank)] for _ in range(rank)])
-                if g.det():
+                if g.char_poly()[0]:
                     break
-            b = g * a * g.pow(gl_order - 1)
-            units, det1 = commutant_unit_counts(b.rows, q)
-            assert class_size(b) == gl_order // units, (a, b)
-            assert count_commuting_det1(b) == det1, (a, b)
+            b = g * a * g.pow(_gl_order(rank, q) - 1)
+            assert count_commuting_det1(b) == commutant_unit_counts(b.rows, q)[1], (a, b)
 
 
 def test_centralizer_table_has_one_row_per_type_met():
@@ -351,7 +373,7 @@ def test_centralizer_table_has_one_row_per_type_met():
     met = set()
     for rank in (2, 3):
         for q in (5, 7, 13):
-            for a in class_representatives(rank, q):
+            for a in _representatives(rank, q):
                 for n in (1, 2, 3):
                     m = a.pow(n)
                     if m.is_scalar():
@@ -374,7 +396,7 @@ def test_count_commuting_det1_types_through_one_commutant_basis(monkeypatch):
     monkeypatch.setattr(ffcount, "commutant_basis", lambda m: calls.append(m) or basis(m))
     for rank in (2, 3):
         for q in (5, 7):
-            for a in class_representatives(rank, q):
+            for a in _representatives(rank, q):
                 for n in (1, 2, 3):
                     m = a.pow(n)
                     calls.clear()
@@ -387,7 +409,7 @@ def _matrix_type(m):
     # scalar, else its factor pattern and whether it is cyclic
     if m.is_scalar():
         return None
-    return ffcount._factor_pattern(m.char_poly(), m.q), len(commutant_basis(m)) == m.rank
+    return ffcount._factor_pattern(m.char_poly(), m.q), len(commutant_basis(m)) == len(m.rows)
 
 
 def _recording_visits(monkeypatch):
@@ -410,7 +432,7 @@ def test_sweep_counts_each_type_of_the_power_once(monkeypatch):
     monkeypatch.setattr(ffcount, "count_commuting_det1", lambda m: calls.append(m) or count(m))
     for rank in (2, 3):
         for q in (5, 7, 13):
-            reps = list(class_representatives(rank, q))
+            reps = _representatives(rank, q)
             for n in (1, 2, 3):
                 types = {_matrix_type(pow_(a, n)) for a in reps}
                 powers.clear()
@@ -519,7 +541,7 @@ def test_sweep_matches_bruteforce_oracle():
 
 def _plain_class_sums(rank, q, ns):
     # the class equation without orbits: every class representative once
-    reps = [(a, class_size(a)) for a in class_representatives(rank, q)]
+    reps = [(a, _conjugates(a)) for a in _representatives(rank, q)]
     return {n: sum(size * count_commuting_det1(a.pow(n)) for a, size in reps) for n in ns}
 
 
@@ -548,7 +570,7 @@ def test_orbit_sweep_visits_one_class_per_orbit(monkeypatch):
                         lambda m: calls.append(m) or count(m))
     visits = _recording_visits(monkeypatch)
     assert count_rep_variety_points(3, 1, 7) == rep_variety_epoly_formula(3, 1).evaluate(7)
-    assert len(list(class_representatives(3, 7))) == 58
+    assert len(_representatives(3, 7)) == 58
     assert len(visits) == 15
     assert len(calls) <= 15
 
@@ -567,9 +589,9 @@ def test_orbit_representatives_match_set_based_orbits(monkeypatch):
             for kind, members, key, orbit in visits:
                 a = ffcount._representative(rank, q, kind, members, key)
                 orbits[class_key(a.rows, q)] = orbit
-                expected_total += orbit * class_size(a) * count_commuting_det1(a)
+                expected_total += orbit * _conjugates(a) * count_commuting_det1(a)
             assert len(orbits) == len(visits), (rank, q)
-            expected = set_based_orbits([a.rows for a in class_representatives(rank, q)], q)
+            expected = set_based_orbits([a.rows for a in _representatives(rank, q)], q)
             assert orbits == expected, (rank, q)
             assert total == expected_total, (rank, q)
 
@@ -589,18 +611,20 @@ def test_orbit_flags_keep_count_memory_small():
 
 def test_orbit_maps_keep_class_size_and_commutant():
     # the invariance the orbit sum rests on: zA (z^r = 1) and A^-1 have the
-    # class size of A, and their n-th powers the SL-centralizer order of A^n
+    # class size of A, |C_GL| by the oracle's enumeration, and their n-th
+    # powers the SL-centralizer order of A^n
     for rank, qs in ((2, (5, 7, 13)), (3, (7, 13))):
         for q in qs:
-            ident = FqMatrix.identity(rank, q)
-            group_order = prod(q ** rank - q ** i for i in range(rank))
+            ident = _eye(rank, q)
+            group_order = _gl_order(rank, q)
             roots = [z for z in range(1, q) if pow(z, rank, q) == 1]
-            for a in class_representatives(rank, q):
+            for a in _representatives(rank, q):
                 inverse = a.pow(group_order - 1)
                 assert a * inverse == ident, a
                 images = [FqMatrix(q, [[z * x for x in row] for row in a.rows]) for z in roots]
+                order = _centralizer_order(a)
                 for b in images + [inverse]:
-                    assert class_size(b) == class_size(a), (a, b)
+                    assert _centralizer_order(b) == order, (a, b)
                     for n in (1, 2, 3):
                         assert count_commuting_det1(b.pow(n)) == \
                             count_commuting_det1(a.pow(n)), (a, b, n)
@@ -658,21 +682,15 @@ def test_input_validation():
 
 def test_class_budget_boundary(monkeypatch):
     # the sweep visits q^(rank-1) classes; 641^2 and 400009 exceed the budget
-    # of 400000, and the refusal comes before any class is visited; the same
-    # budget bounds class_representatives
+    # of 400000, and the refusal comes before any class is visited
     for rank, q in ((3, 641), (2, 400009)):
         with pytest.raises(ValueError, match="ceiling"):
             count_rep_variety_points(rank, 1, q)
-        with pytest.raises(ValueError, match="ceiling"):
-            class_representatives(rank, q)
     # q^2 = 49 fits a budget of 49, 121 does not
     monkeypatch.setattr(ffcount, "MAX_CLASSES", 49)
     assert count_rep_variety_points(3, 1, 7) == rep_variety_epoly_formula(3, 1).evaluate(7)
-    assert sum(1 for _ in class_representatives(3, 7)) == 58
     with pytest.raises(ValueError, match="ceiling"):
         count_rep_variety_points(3, 1, 11)
-    with pytest.raises(ValueError, match="ceiling"):
-        class_representatives(3, 11)
 
 
 def test_field_checked_once_per_count(monkeypatch):
@@ -693,9 +711,7 @@ def test_field_checked_once_per_count(monkeypatch):
 @pytest.mark.parametrize("call", [
     lambda q: FqMatrix(q, [[1, 0], [0, 1]]),
     lambda q: count_rep_variety_points(2, 1, q),
-    lambda q: class_representatives(2, q),
-    lambda q: sl_order(2, q),
-], ids=["FqMatrix", "count_rep_variety_points", "class_representatives", "sl_order"])
+], ids=["FqMatrix", "count_rep_variety_points"])
 @pytest.mark.parametrize("q", (7.0, True))
 def test_field_size_must_be_an_int(monkeypatch, call, q):
     # refused before is_prime, which would take 7.0 for the prime 7
@@ -705,35 +721,11 @@ def test_field_size_must_be_an_int(monkeypatch, call, q):
     assert str(err.value) == f"q must be an odd prime, got {q}"
 
 
-@pytest.mark.parametrize("q", (1, 0, -3, 9))
-def test_sl_order_needs_an_odd_prime_field(q):
-    # q - 1 would divide by zero at q = 1, and 0, -3 and 9 give no field
-    with pytest.raises(ValueError) as err:
-        sl_order(2, q)
-    assert str(err.value) == f"q must be an odd prime, got {q}"
-
-
 def test_matrix_entries_must_be_ints():
     # as Poly does for its coefficients; x % q keeps a float entry a float
     for entry in (1.5, 1.0):
         with pytest.raises(TypeError, match="matrix entries must be ints, got float"):
             FqMatrix(7, [[entry, 0], [0, 1]])
-
-
-def test_class_representatives_refused_before_the_class_pass():
-    # refused at call time, before the O(q) pass over the class members;
-    # the field check accepts 10^20 + 39 at once
-    proc = run_python(
-        "import time\n"
-        "from hopfvar.ffcount import class_representatives\n"
-        "for rank, q in ((2, 10 ** 20 + 39), (3, 1000003)):\n"
-        "    started = time.perf_counter()\n"
-        "    try:\n"
-        "        class_representatives(rank, q)\n"
-        "    except ValueError as exc:\n"
-        "        print('ceiling' in str(exc), time.perf_counter() - started < 1)\n",
-        timeout=30)
-    assert proc.stdout.splitlines() == ["True True"] * 2, proc.stderr
 
 
 def test_is_prime_matches_a_sieve():
@@ -762,12 +754,12 @@ def test_large_field_answered_in_bounded_time():
     # first would not end within the timeout
     proc = run_python(
         "import time\n"
-        "from hopfvar.ffcount import FqMatrix, class_representatives\n"
+        "from hopfvar.ffcount import FqMatrix\n"
         "started = time.perf_counter()\n"
         "print(FqMatrix(10 ** 20 + 39, [[1, 0], [0, 1]]).q == 10 ** 20 + 39)\n"
         "for q in (10 ** 20 + 41, 10 ** 30 + 57):\n"
         "    try:\n"
-        "        class_representatives(2, q)\n"
+        "        FqMatrix(q, [[1, 0], [0, 1]])\n"
         "    except ValueError as exc:\n"
         "        print(exc)\n"
         "print(time.perf_counter() - started < 1)\n", timeout=30)
@@ -802,7 +794,7 @@ def test_commutant_basis_closed_form_matches_null_space():
                                ((a, 1, 0), (0, a, 0), (0, 0, a))])
             while True:
                 g = FqMatrix(q, [[rng.randrange(q) for _ in range(3)] for _ in range(3)])
-                if g.det():
+                if g.char_poly()[0]:
                     break
             g_inv = g.pow(prod(q ** 3 - q ** i for i in range(3)) - 1)
             matrices.append(g * FqMatrix(q, core) * g_inv)
@@ -827,11 +819,11 @@ def test_is_scalar_matches_entrywise_definition():
             assert FqMatrix(3, rows).is_scalar() == expected, rows
 
 
-def test_class_representatives_have_reduced_entries():
+def test_sweep_representatives_have_reduced_entries():
     # the sweep builds representatives without re-reducing their entries
     for rank in (2, 3):
         for q in (3, 5, 7, 13):
-            for m in class_representatives(rank, q):
+            for m in _representatives(rank, q):
                 assert m == FqMatrix(q, m.rows), (rank, q, m)
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from hopfvar import strata
 from hopfvar.charvar import char_piece_epoly, char_variety_epoly_formula
-from hopfvar.ffcount import FqMatrix, class_representatives, count_rep_variety_points, sl_order
+from hopfvar.ffcount import count_rep_variety_points
 from hopfvar.geom import (
     JordanType, admissible_strata, rep_variety_epoly_formula, rep_variety_epoly_strata,
     stratum_epoly,
@@ -64,6 +64,7 @@ def closed_s3(tgt, n):
 # every public function that takes a rank, called at that rank
 RANKED = {
     "Partition": lambda r: Partition(r, 1),
+    "Partition(r, 0)": lambda r: Partition(r, 0),
     "JordanType": lambda r: JordanType(r, 1),
     "admissibility_modulus": lambda r: admissibility_modulus(r, 1),
     "admissible_strata": admissible_strata,
@@ -72,9 +73,6 @@ RANKED = {
     "char_piece_epoly": lambda r: char_piece_epoly(r, "total", 1),
     "char_variety_epoly_formula": lambda r: char_variety_epoly_formula(r, 1),
     "count_rep_variety_points": lambda r: count_rep_variety_points(r, 1, 5),
-    "class_representatives": lambda r: class_representatives(r, 5),
-    "FqMatrix.identity": lambda r: FqMatrix.identity(r, 5),
-    "sl_order": lambda r: sl_order(r, 5),
 }
 
 
@@ -82,10 +80,21 @@ RANKED = {
 @pytest.mark.parametrize("name", RANKED)
 def test_one_rank_policy(name, rank):
     # one rule for every ranked entry point: the same error, word for word,
-    # raised by the call itself (class_representatives before it yields)
+    # raised by the call itself
     with pytest.raises(ValueError) as err:
         RANKED[name](rank)
     assert str(err.value) == f"rank must be 2 or 3, got {rank}"
+
+
+@pytest.mark.parametrize("index", (1.5, 2.0, True, "2"))
+@pytest.mark.parametrize("cls, kind", [(Partition, "partition"), (JordanType, "Jordan type")],
+                         ids=["Partition", "JordanType"])
+def test_one_index_policy(cls, kind, index):
+    # an index is an int, as a twist count is: 2.0 or True would construct and
+    # then fail or pass for another index, and "2" would fail on the comparison
+    with pytest.raises(ValueError) as err:
+        cls(3, index)
+    assert str(err.value) == f"invalid {kind} index {index!r} for rank 3"
 
 
 # every public function that takes a twist count, called at that count
