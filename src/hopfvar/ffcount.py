@@ -17,38 +17,40 @@ chi, so the representatives A_C are
   a^3 = 1 this is J_2(a) + (a), otherwise diag(a, a, a^-2));
 * scalar: a*I with a^r = 1, each a class of size 1.
 
-The count runs in two passes.  The per-visit pass (_orbit_visits) visits
-one class per orbit of the group generated by A -> zA (z^r = 1, so zI is in
-SL_r) and A -> A^-1, weighted by the orbit size.  Both maps send GL-classes
-to GL-classes and keep the centralizer in GL_r, hence the class size; and
-(zA)^n = z^n A^n and (A^-1)^n = (A^n)^-1 have the centralizer of A^n, hence
-the same #{B}.  On chi = sum c_i x^i, zA multiplies c_i by z^(r-i), and A^-1
-gives the reversed polynomial times (-1)^r (det A = 1): at rank 3
-(c_1, c_2) -> (-c_2, -c_1), at rank 2 chi is unchanged.  An orbit is
-represented by its least chi; it has up to 6 classes at rank 3 (when
-3 | q - 1) and up to 2 at rank 2.  The pass keeps one bytearray of q^(r-1)
-flags per kind, indexed by chi's middle coefficients, and steps through the
-unflagged indices in ascending order with bytearray.find, so the first class
-of an orbit it meets is its least.  A class it visits flags its images and is
-weighted by the number of flags it sets; a flagged class is skipped unseen.
-The cyclic kind has a class at every index, and a non-cyclic or scalar kind
-keeps only the eigenvalue a of each class and starts with the indices of the
-other polynomials flagged.
+The count runs in two passes.  The per-visit pass types classes into a
+histogram.  It sweeps only the cyclic kind (_orbit_visits), the one with a
+class at every chi: it visits one class per orbit of the group generated by
+A -> zA (z^r = 1, so zI is in SL_r) and A -> A^-1, weighted by the orbit
+size.  Both maps send GL-classes to GL-classes and keep the centralizer in
+GL_r, hence the class size; and (zA)^n = z^n A^n and (A^-1)^n = (A^n)^-1 have
+the centralizer of A^n, hence the same #{B}.  On chi = sum c_i x^i, zA
+multiplies c_i by z^(r-i), and A^-1 gives the reversed polynomial times
+(-1)^r (det A = 1): at rank 3 (c_1, c_2) -> (-c_2, -c_1), at rank 2 chi is
+unchanged.  An orbit is represented by its least chi; it has up to 6 classes
+at rank 3 (when 3 | q - 1) and up to 2 at rank 2.  The sweep keeps one
+bytearray of q^(r-1) flags, indexed by chi's middle coefficients, and steps
+through the unflagged indices in ascending order with bytearray.find, so the
+first class of an orbit it meets is its least.  A class it visits flags its
+images, is weighted by the number of flags it sets and is typed in the same
+loop; a flagged class is skipped unseen.  The sparse kinds are not swept.
+Each of the q - 1 non-cyclic classes is visited once with weight 1 and typed
+from its eigenvalue a: J_2(a) + (a) if a^3 = 1, otherwise diag(a, a, a^-2).
+The gcd(r, q - 1) scalars are one histogram entry of the scalar type.
 
-Each visited class is typed twice, without a matrix: A from its kind and chi,
-and A^n (_power_type) from a^n for the non-cyclic and scalar kinds and from
-the residue x^n mod chi for the cyclic kind (_x_power, the square-and-multiply
-kernel that also decides _factor_pattern's cubics).  A GL type is the factor
-pattern of the characteristic polynomial (its roots in F_q with multiplicity)
-and whether the matrix is cyclic; a scalar has its own type.  The orbit weights
-go into a histogram keyed by (type of A, type of A^n).  The fold then builds
-one matrix per type of A^n, the power A^n of the first class visited with it,
-and asks count_commuting_det1 for its #{B} = |C_SL(A^n)|, which depends only
-on that type; the count is the sum over the histogram of weight x
-|GL_r(F_q)| / |C_GL(A)| x that value.  At rank 3 there are at most 8 types of
-A^n, against about q^2 / 6 visited classes (q^2 / 2 when 3 does not divide
-q - 1), and nothing is enumerated: a direct enumeration would step through q^9
-matrices.
+Each non-scalar class is typed twice, without a matrix: A from chi (cyclic)
+or a (non-cyclic), and A^n (_power_type) from a^n for the non-cyclic kind and
+from the residue x^n mod chi for the cyclic kind (_x_power, the
+square-and-multiply kernel that also decides _factor_pattern's cubics).  A GL
+type is the factor pattern of the characteristic polynomial (its roots in F_q
+with multiplicity) and whether the matrix is cyclic; a scalar has its own
+type.  The weights go into a histogram keyed by (type of A, type of A^n).
+The fold then builds one matrix per type of A^n, the power A^n of the first
+class visited with it, and asks count_commuting_det1 for its
+#{B} = |C_SL(A^n)|, which depends only on that type; the count is the sum
+over the histogram of weight x |GL_r(F_q)| / |C_GL(A)| x that value.  At rank
+3 there are at most 8 types of A^n, against about q^2 / 6 visited cyclic
+classes (q^2 / 2 when 3 does not divide q - 1), and nothing is enumerated: a
+direct enumeration would step through q^9 matrices.
 
 The orders of the centralizers C_GL(M) and C_SL(M) are closed forms in q, one
 row of _CENTRALIZERS per GL type of a non-scalar M: eight cyclic types at
@@ -66,18 +68,18 @@ with M - aI = u v^T of rank 1, and its commutant is F_q I + (v-perp (x) u-perp).
 
 The count equals the closed-formula E-polynomial at q when rank*n | q-1
 (is_admissible).  The sweep is serial: the threads argument is accepted and
-has no effect on the result.  Its flags cover about q^(r-1) classes (q^2 + q
-at rank 3, q + 2 at rank 2), and the count refuses a field whose q^(r-1)
-exceeds MAX_CLASSES; that O(1) check runs before the primality test of q.
-n is reduced mod |GL_r(F_q)|, exact by Lagrange's theorem, so the cost of a
-class grows only with the bits of that remainder.
+has no effect on the result.  Its flags cover the q^(r-1) cyclic classes, and
+the count refuses a field whose q^(r-1) exceeds MAX_CLASSES; that O(1) check
+runs before the primality test of q.  n is reduced mod |GL_r(F_q)|, exact by
+Lagrange's theorem, so the cost of a class grows only with the bits of that
+remainder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, prod
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .strata import admissibility_modulus, check_rank, check_twists, is_admissible
 
@@ -86,7 +88,7 @@ __all__ = [
     "commutant_basis", "count_commuting_det1", "count_rep_variety_points",
 ]
 
-#: Largest q^(rank-1), about the number of classes the sweep steps through,
+#: Largest q^(rank-1), the number of cyclic classes the sweep steps through,
 #: that count_rep_variety_points accepts: rank 3 up to q = 631, rank 2 up to
 #: q = 399989.
 MAX_CLASSES = 400_000
@@ -437,80 +439,37 @@ def count_commuting_det1(M: FqMatrix) -> int:
 # -- class-equation sweep ---------------------------------------------------------
 #
 # A det-1 characteristic polynomial chi is fixed by its middle coefficients,
-# its constant term being (-1)^r; they give chi's key, the index of its flag:
-# c_1 at rank 2, c_1 q + c_2 at rank 3.  Ascending key is ascending chi.
+# its constant term being (-1)^r; they give a cyclic class's key, the index of
+# its flag: c_1 at rank 2, c_1 q + c_2 at rank 3.  Ascending key is ascending
+# chi.  A non-cyclic or scalar class is named by its eigenvalue a instead.
 
-def _classes(rank: int, q: int) -> list[tuple[str, Optional[dict[int, int]]]]:
-    """(kind, members) for each kind of GL_rank(F_q)-conjugacy class inside
-    SL_rank(F_q), by rational canonical form (see the module docstring).
-    members maps the key of each class of a non-cyclic or scalar kind to its
-    eigenvalue a, in ascending key; it is None for the cyclic kind, which has
-    one class at every key.  _representative builds the matrices.  q must
-    have passed _check_field."""
-    kinds: list[tuple[str, Optional[dict[int, int]]]] = [("cyclic", None)]
-    if rank == 3:
-        # (x - a)^2 (x - b) = x^3 - (2a + b) x^2 + a(a + 2b) x - 1 with a^2 b = 1
-        kinds.append(("non-cyclic", dict(sorted(
-            (a * (a + 2 * b) % q * q + -(2 * a + b) % q, a)
-            for a in range(1, q) for b in [pow(a, -2, q)]))))
-    # (x - a)^2 = x^2 - 2a x + 1 and (x - a)^3 = x^3 - 3a x^2 + 3a^2 x - 1
-    kinds.append(("scalar", dict(sorted(
-        (3 * a * a % q * q + -3 * a % q if rank == 3 else -2 * a % q, a)
-        for a in range(1, q) if pow(a, rank, q) == 1))))
-    return kinds
-
-
-def _representative(rank: int, q: int, kind: str, members: Optional[dict[int, int]],
-                    key: int, pattern: Optional[tuple] = None) -> FqMatrix:
-    """The matrix of the class with this key in a kind of _classes, with the
-    factor pattern of its chi if known: the companion matrix of chi for the
-    cyclic kind, a I for a scalar, and diag(a) + companion((x - a)(x - b)),
-    b = a^-2, for a non-cyclic class with eigenvalue a."""
-    if members is None:
+def _representative(rank: int, q: int, kind: str, x: int,
+                    pattern: Optional[tuple] = None) -> FqMatrix:
+    """The matrix of a class of the sweep, with the factor pattern of its chi
+    if known: the companion matrix of the chi with key x for the cyclic kind,
+    x I for the scalar kind, and diag(x) + companion((y - x)(y - b)),
+    b = x^-2, for the non-cyclic class with eigenvalue x."""
+    if kind == "cyclic":
         if rank == 2:
-            return FqMatrix._of(q, ((0, q - 1), (1, -key % q)), pattern)
-        c1, c2 = divmod(key, q)
+            return FqMatrix._of(q, ((0, q - 1), (1, -x % q)), pattern)
+        c1, c2 = divmod(x, q)
         return FqMatrix._of(q, ((0, 0, 1), (1, 0, -c1 % q), (0, 1, -c2 % q)), pattern)
-    a = members[key]
     if kind == "scalar":
-        return FqMatrix._of(q, tuple(tuple(a * x for x in row) for row in _IDENTITY[rank]))
-    b = pow(a, -2, q)
-    return FqMatrix._of(q, ((a, 0, 0), (0, 0, -a * b % q), (0, 1, (a + b) % q)), pattern)
-
-
-def _flag_orbit(flags: bytearray, rank: int, q: int, key: int, roots: list[tuple]) -> int:
-    """Flag the keys of the orbit of the class with this key and return how
-    many were unflagged.  zA ((z^2, z) in roots, z^r = 1) multiplies c_i by
-    z^(r-i); A^-1 maps (c_1, c_2) to (-c_2, -c_1) at rank 3 and fixes chi at
-    rank 2."""
-    orbit = 0
-    if rank == 2:
-        for _, z in roots:
-            i = key * z % q
-            orbit += not flags[i]
-            flags[i] = 1
-        return orbit
-    c1, c2 = divmod(key, q)
-    for z2, z in roots:
-        a, b = c1 * z2 % q, c2 * z % q
-        i, j = a * q + b, -b % q * q + -a % q
-        orbit += not flags[i]
-        flags[i] = 1
-        orbit += not flags[j]
-        flags[j] = 1
-    return orbit
+        return FqMatrix._of(q, tuple(tuple(x * e for e in row) for row in _IDENTITY[rank]))
+    b = pow(x, -2, q)
+    return FqMatrix._of(q, ((x, 0, 0), (0, 0, -x * b % q), (0, 1, (x + b) % q)), pattern)
 
 
 #: The GL type of a scalar matrix, which has no row in _CENTRALIZERS.
 _SCALAR = (None, False)
 
 
-def _power_type(q: int, chi: tuple[int, ...], a_type: tuple, a: Optional[int],
+def _power_type(q: int, chi: Optional[tuple[int, ...]], a_type: tuple, a: Optional[int],
                 n: int) -> tuple:
     """The GL type (factor pattern, cyclic) of A^n, _SCALAR for a scalar, for
-    the non-scalar class A of _classes with characteristic polynomial chi, GL
-    type a_type and, for the non-cyclic kind, eigenvalue a; no matrix is
-    formed.  n >= 1.
+    the non-scalar class A of the sweep with GL type a_type and, for the
+    cyclic kind, characteristic polynomial chi, for the non-cyclic kind
+    eigenvalue a; no matrix is formed.  n >= 1.
 
     A non-cyclic A is diag(a, a, b), b = a^-2, whose n-th power is scalar iff
     a^n = b^n, i.e. a^(3n) = 1, or J_2(a) + (a) (a^3 = 1), whose n-th power
@@ -556,22 +515,48 @@ def _power_type(q: int, chi: tuple[int, ...], a_type: tuple, a: Optional[int],
     return _factor_pattern((q - 1, e2, -t1 % q, 1), q), (p1 * u2 - p2 * u1) % q != 0
 
 
-def _orbit_visits(rank: int, q: int) -> Iterator[tuple[str, Optional[dict[int, int]], int, int]]:
-    """(kind, members, key, orbit) for the least class of each orbit, kind
-    by kind of _classes in ascending key, with the number of classes in its
-    orbit (see the module docstring).  q must have passed _check_field."""
-    classes = q ** (rank - 1)
+def _orbit_visits(rank: int, q: int, n: int) -> tuple[dict[tuple, int], dict[tuple, tuple]]:
+    """The cyclic kind's share of the sweep: (weights, first), where weights
+    maps each (type of A, type of A^n) to the number of cyclic classes A of
+    those types, and first maps each type of A^n to ("cyclic", key, factor
+    pattern of chi) of the first class visited with it.  One class per orbit
+    is visited, the least, and typed in the same loop (see the module
+    docstring).  q must have passed _check_field, and n >= 1."""
+    flags = bytearray(q ** (rank - 1))
     roots = [(z * z % q, z) for z in range(1, q) if pow(z, rank, q) == 1]
-    for kind, members in _classes(rank, q):
-        # the keys of a sparse kind's non-members start flagged, so every
-        # unflagged key is a class of this kind not yet in a visited orbit
-        flags = bytearray(classes) if members is None else bytearray(b"\x01") * classes
-        for key in members or ():
-            flags[key] = 0
-        key = flags.find(0)
-        while key >= 0:
-            yield kind, members, key, _flag_orbit(flags, rank, q, key, roots)
-            key = flags.find(0, key + 1)
+    weights: dict[tuple, int] = {}
+    first: dict[tuple, tuple] = {}
+    key = 0
+    while key >= 0:
+        # flag the orbit and count the flags set: zA ((z^2, z) in roots)
+        # multiplies c_i by z^(r-i); A^-1 maps (c_1, c_2) to (-c_2, -c_1) at
+        # rank 3 and fixes chi at rank 2
+        orbit = 0
+        if rank == 2:
+            for _, z in roots:
+                i = key * z % q
+                orbit += not flags[i]
+                flags[i] = 1
+            chi = (1, key, 1)
+        else:
+            c1, c2 = divmod(key, q)
+            for z2, z in roots:
+                a, b = c1 * z2 % q, c2 * z % q
+                i, j = a * q + b, -b % q * q + -a % q
+                orbit += not flags[i]
+                flags[i] = 1
+                orbit += not flags[j]
+                flags[j] = 1
+            chi = (q - 1, c1, c2, 1)
+        pattern = _factor_pattern(chi, q)
+        a_type = pattern, True
+        power_type = _power_type(q, chi, a_type, None, n)
+        types = a_type, power_type
+        weights[types] = weights.get(types, 0) + orbit
+        if power_type not in first:
+            first[power_type] = "cyclic", key, pattern
+        key = flags.find(0, key + 1)
+    return weights, first
 
 
 def count_rep_variety_points(rank: int, n: int, q: int,
@@ -586,7 +571,7 @@ def count_rep_variety_points(rank: int, n: int, q: int,
     """
     check_rank(rank)
     check_twists(n)
-    # the classes the sweep steps through, bounded before the primality test
+    # the cyclic classes the sweep flags, bounded before the primality test
     classes = q ** (rank - 1)
     if classes > MAX_CLASSES:
         raise ValueError(f"q^{rank - 1} = {classes} classes exceeds the class "
@@ -596,22 +581,22 @@ def count_rep_variety_points(rank: int, n: int, q: int,
     # remainder keeps the exponent at the order itself, since pow needs n >= 1
     order = _gl_order(rank, q)
     n = n % order or order
-    # orbit weight per (type of A, type of A^n), and the first class met of
+    # class weight per (type of A, type of A^n), and the first class met of
     # each type of A^n with the factor pattern of its chi
-    weights: dict[tuple, int] = {}
-    first: dict[tuple, tuple] = {}
-    for kind, members, key, orbit in _orbit_visits(rank, q):
-        if kind == "scalar":
-            a_type = power_type = _SCALAR
-        else:
-            # chi from the key, its constant term (-1)^r
-            chi = (1, key, 1) if rank == 2 else (q - 1, *divmod(key, q), 1)
-            a_type = _factor_pattern(chi, q), members is None
-            power_type = _power_type(q, chi, a_type, members[key] if members else None, n)
-        types = a_type, power_type
-        weights[types] = weights.get(types, 0) + orbit
-        if power_type not in first:
-            first[power_type] = kind, members, key, a_type[0]
+    weights, first = _orbit_visits(rank, q, n)
+    if rank == 3:
+        # each non-cyclic class once, typed from its eigenvalue a:
+        # J_2(a) + (a) if a^3 = 1, otherwise diag(a, a, a^-2)
+        for a in range(1, q):
+            a_type = (((1, 3),) if a * a * a % q == 1 else ((1, 2), (1, 1))), False
+            power_type = _power_type(q, None, a_type, a, n)
+            types = a_type, power_type
+            weights[types] = weights.get(types, 0) + 1
+            if power_type not in first:
+                first[power_type] = "non-cyclic", a, a_type[0]
+    # the scalars a I with a^r = 1, all of one type
+    weights[_SCALAR, _SCALAR] = gcd(rank, q - 1)
+    first.setdefault(_SCALAR, ("scalar", 1, None))
     # |C_SL(A^n)| depends only on the type of A^n: one matrix per type, which
     # keeps its factor pattern when A^n is A
     commuting = {power_type: count_commuting_det1(_representative(rank, q, *cls).pow(n))

@@ -47,11 +47,19 @@ def _gl_order(rank, q):
     return prod(q ** rank - q ** i for i in range(rank))
 
 
+def _kinds(rank, q):
+    # the classes of the sweep, kind by kind: the keys of the cyclic kind, and
+    # the eigenvalues a of the non-cyclic (rank 3) and scalar (a^r = 1) kinds
+    kinds = [("cyclic", range(q ** (rank - 1)))]
+    if rank == 3:
+        kinds.append(("non-cyclic", range(1, q)))
+    return kinds + [("scalar", [a for a in range(1, q) if pow(a, rank, q) == 1])]
+
+
 def _representatives(rank, q):
     # one matrix of each GL_r(F_q)-class inside SL_r(F_q), as the sweep builds it
-    return [ffcount._representative(rank, q, kind, members, key)
-            for kind, members in ffcount._classes(rank, q)
-            for key in (range(q ** (rank - 1)) if members is None else members)]
+    return [ffcount._representative(rank, q, kind, x)
+            for kind, xs in _kinds(rank, q) for x in xs]
 
 
 def _centralizer_order(m):
@@ -340,13 +348,19 @@ def test_class_sizes_sum_to_the_group_order():
 def test_centralizer_orders_match_commutant_enumeration():
     # every class at rank 2 (q = 5, 7, 13) and rank 3 (q = 5, 7), and its
     # powers n = 1, 2, 3; q = 7 is the smallest q with 3 | q-1, where the
-    # SL_3-centralizer of J_3(a) carries the factor gcd(3, q-1) = 3
+    # SL_3-centralizer of J_3(a) carries the factor gcd(3, q-1) = 3.  A
+    # rank-3 scalar has q^9 commutant members, enumerated at q = 5 only; at
+    # q = 7 it is centralized by all of SL_3(F_7)
     for rank, qs in ((2, (5, 7, 13)), (3, (5, 7))):
         for q in qs:
             for a in _representatives(rank, q):
                 for n in (1, 2, 3):
                     m = a.pow(n)
-                    assert count_commuting_det1(m) == commutant_unit_counts(m.rows, q)[1], (a, n)
+                    if rank == 3 and q == 7 and commutant_dimension_by_null_space(m.rows, q) == 9:
+                        expected = _gl_order(3, q) // (q - 1)
+                    else:
+                        expected = commutant_unit_counts(m.rows, q)[1]
+                    assert count_commuting_det1(m) == expected, (a, n)
 
 
 def test_centralizer_orders_of_conjugates_match_commutant_enumeration():
@@ -413,12 +427,27 @@ def _matrix_type(m):
 
 
 def _recording_visits(monkeypatch):
-    # the per-visit pass, looked up on the module by the sweep, recording
-    # each (kind, members, key, orbit) it yields
-    visits, visit = [], ffcount._orbit_visits
-    monkeypatch.setattr(ffcount, "_orbit_visits",
-                        lambda rank, q: (v for v in visit(rank, q) if not visits.append(v)))
+    # the classes the sweep types, in order, by its calls of _power_type,
+    # looked up on the module: ("cyclic", chi) for a visited cyclic class,
+    # ("non-cyclic", a) for a non-cyclic class with eigenvalue a
+    visits, power_type = [], ffcount._power_type
+    monkeypatch.setattr(ffcount, "_power_type", lambda q, chi, a_type, a, n: visits.append(
+        ("cyclic", chi) if a is None else ("non-cyclic", a)) or power_type(q, chi, a_type, a, n))
     return visits
+
+
+def _cyclic_key(chi, q):
+    # the sweep's key of a det-1 chi: c_1 at rank 2, c_1 q + c_2 at rank 3
+    return chi[1] if len(chi) == 3 else chi[1] * q + chi[2]
+
+
+def _cyclic_orbits(monkeypatch, rank, q):
+    # {key: orbit} over the classes the cyclic pass visits: each is typed by
+    # its own chi, so that the pass's histogram has one entry per visit
+    with monkeypatch.context() as m:
+        m.setattr(ffcount, "_power_type", lambda q, chi, a_type, a, n: chi)
+        weights, _ = ffcount._orbit_visits(rank, q, 1)
+    return {_cyclic_key(chi, q): orbit for (_, chi), orbit in weights.items()}
 
 
 def test_sweep_counts_each_type_of_the_power_once(monkeypatch):
@@ -445,11 +474,12 @@ def test_sweep_counts_each_type_of_the_power_once(monkeypatch):
 
 
 def test_sweep_types_each_visited_class_once(monkeypatch):
-    # the sweep factors the chi of each visited non-scalar class once, and
-    # the chi of its power read off x^n mod chi once more for the cyclic kind
-    # unless A^n is scalar or A itself (always at n = 1); of the matrices it
-    # counts, one per type of A^n, only those that are not A are factored
-    # again, so nothing more is factored at n = 1
+    # the sweep factors the chi of each visited cyclic class once, and the
+    # chi of its power read off x^n mod chi once more unless A^n is scalar or
+    # A itself (always at n = 1); a non-cyclic class is typed from its
+    # eigenvalue and a scalar not at all, so neither is factored; of the
+    # matrices it counts, one per type of A^n, only those that are not A are
+    # factored again, so nothing more is factored at n = 1
     factor, patterns = ffcount._factor_pattern, []
     monkeypatch.setattr(ffcount, "_factor_pattern",
                         lambda chi, q: patterns.append(chi) or factor(chi, q))
@@ -464,12 +494,13 @@ def test_sweep_types_each_visited_class_once(monkeypatch):
                 visits.clear()
                 count_rep_variety_points(rank, n, q)
                 expected = []
-                for kind, members, key, _ in visits:
-                    a = ffcount._representative(rank, q, kind, members, key)
+                for kind, chi in visits:
+                    if kind == "non-cyclic":
+                        continue
+                    a = ffcount._representative(rank, q, kind, _cyclic_key(chi, q))
                     power = a.pow(n)
-                    if kind != "scalar":
-                        expected.append(a.char_poly())
-                    if kind == "cyclic" and not power.is_scalar() and power != a:
+                    expected.append(a.char_poly())
+                    if not power.is_scalar() and power != a:
                         expected.append(power.char_poly())
                 expected += [m.char_poly() for m in counted if n > 1 and not m.is_scalar()]
                 assert patterns == expected, (rank, q, n)
@@ -477,8 +508,9 @@ def test_sweep_types_each_visited_class_once(monkeypatch):
 
 def test_sweep_builds_only_visited_sparse_classes(monkeypatch):
     # a non-cyclic or scalar class is kept as its eigenvalue; the sweep
-    # builds one matrix per type of A^n, a visited class whose power it
-    # counts (at n = 1, A itself), so far fewer than there are sparse classes
+    # builds one matrix per type of A^n, of a cyclic class it visited or a
+    # sparse class, whose power it counts (at n = 1, A itself), so far fewer
+    # than there are sparse classes
     build, built = ffcount._representative, []
     monkeypatch.setattr(ffcount, "_representative",
                         lambda *args: built.append((args[2], build(*args))) or built[-1][1])
@@ -487,24 +519,22 @@ def test_sweep_builds_only_visited_sparse_classes(monkeypatch):
     visits = _recording_visits(monkeypatch)
     for rank in (2, 3):
         for q in (5, 7, 13):
-            kinds = ffcount._classes(rank, q)
-            assert all(isinstance(a, int) for _, members in kinds if members
-                       for a in members.values())
-            sparse = sum(len(members) for _, members in kinds if members)
+            sparse = [(kind, x) for kind, xs in _kinds(rank, q)[1:] for x in xs]
             for n in (1, 2):
                 built.clear()
                 calls.clear()
                 visits.clear()
                 count_rep_variety_points(rank, n, q)
-                visited = {(kind, build(rank, q, kind, members, key))
-                           for kind, members, key, _ in visits}
+                visited = {(kind, build(rank, q, kind, _cyclic_key(chi, q)))
+                           for kind, chi in visits if kind == "cyclic"}
+                visited |= {(kind, build(rank, q, kind, x)) for kind, x in sparse}
                 assert len(built) == len(calls) == len({_matrix_type(m) for m in calls})
                 assert set(built) <= visited, (rank, q, n)
                 assert all(m == a.pow(n) for (_, a), m in zip(built, calls)), (rank, q, n)
                 if n == 1:
                     assert all(m is a for (_, a), m in zip(built, calls)), (rank, q)
                     assert sum(kind != "cyclic" for kind, _ in built) == \
-                        sum(len(commutant_basis(a)) > rank for a in calls) < sparse, (rank, q)
+                        sum(len(commutant_basis(a)) > rank for a in calls) < len(sparse), (rank, q)
 
 
 def test_power_types_match_matrix_typing_exhaustive():
@@ -515,16 +545,15 @@ def test_power_types_match_matrix_typing_exhaustive():
     # division
     for rank in (2, 3):
         for q in (5, 7, 13):
-            for kind, members in ffcount._classes(rank, q):
-                if kind == "scalar":  # the sweep types A^n = a^n I as scalar
-                    continue
-                for key in range(q ** (rank - 1)) if members is None else members:
-                    a = ffcount._representative(rank, q, kind, members, key)
+            # all but the last kind, the scalars, whose A^n = a^n I the sweep types as scalar
+            for kind, xs in _kinds(rank, q)[:-1]:
+                for x in xs:
+                    a = ffcount._representative(rank, q, kind, x)
                     dim, chi = class_key(a.rows, q)
                     a_type = ffcount._factor_pattern(chi, q), dim == rank
                     for n in range(1, 7):
                         got = ffcount._power_type(q, chi, a_type,
-                                                  members[key] if members else None, n)
+                                                  x if kind == "non-cyclic" else None, n)
                         dim, chi_n = class_key(a.pow(n).rows, q)
                         expected = ((None, False) if dim == rank * rank else
                                     (factor_pattern_by_trial_division(chi_n, q), dim == rank))
@@ -563,7 +592,8 @@ def test_orbit_sweep_matches_plain_class_sum():
 
 
 def test_orbit_sweep_visits_one_class_per_orbit(monkeypatch):
-    # (3, 1, 7): 58 classes fall into 15 orbits of A -> zA (z^3 = 1), A -> A^-1,
+    # (3, 1, 7): the 49 cyclic classes fall into 12 orbits of A -> zA
+    # (z^3 = 1), A -> A^-1, each of the 6 non-cyclic classes is typed once,
     # and count_commuting_det1 runs once per type of A^n met, fewer still
     count, calls = ffcount.count_commuting_det1, []
     monkeypatch.setattr(ffcount, "count_commuting_det1",
@@ -571,29 +601,86 @@ def test_orbit_sweep_visits_one_class_per_orbit(monkeypatch):
     visits = _recording_visits(monkeypatch)
     assert count_rep_variety_points(3, 1, 7) == rep_variety_epoly_formula(3, 1).evaluate(7)
     assert len(_representatives(3, 7)) == 58
-    assert len(visits) == 15
-    assert len(calls) <= 15
+    assert [kind for kind, _ in visits] == ["cyclic"] * 12 + ["non-cyclic"] * 6
+    assert [a for kind, a in visits if kind == "non-cyclic"] == list(range(1, 7))
+    assert len(calls) <= 12
 
 
 def test_orbit_representatives_match_set_based_orbits(monkeypatch):
-    # The per-visit pass of the sweep yields one class per orbit with the
-    # number of classes in it: they must be the least class and the size of
-    # each set-based orbit, and at n = 1 the count must be the sum of orbit
-    # size x class size x commutant count over them.
-    visits = _recording_visits(monkeypatch)
+    # The cyclic pass visits one class per orbit with the number of classes
+    # in it: they must be the least class and the size of each set-based
+    # orbit of the cyclic classes, and at n = 1 the count must be the sum of
+    # orbit size x class size x commutant count over them, plus class size
+    # x commutant count over every non-cyclic and scalar class.
     for rank in (2, 3):
         for q in (5, 7, 13):
-            visits.clear()
             total = count_rep_variety_points(rank, 1, q)
             orbits, expected_total = {}, 0
-            for kind, members, key, orbit in visits:
-                a = ffcount._representative(rank, q, kind, members, key)
+            for key, orbit in _cyclic_orbits(monkeypatch, rank, q).items():
+                a = ffcount._representative(rank, q, "cyclic", key)
                 orbits[class_key(a.rows, q)] = orbit
                 expected_total += orbit * _conjugates(a) * count_commuting_det1(a)
-            assert len(orbits) == len(visits), (rank, q)
-            expected = set_based_orbits([a.rows for a in _representatives(rank, q)], q)
-            assert orbits == expected, (rank, q)
+            cyclic = [ffcount._representative(rank, q, "cyclic", key)
+                      for key in range(q ** (rank - 1))]
+            assert orbits == set_based_orbits([a.rows for a in cyclic], q), (rank, q)
+            expected_total += sum(_conjugates(a) * count_commuting_det1(a)
+                                  for a in _representatives(rank, q)[len(cyclic):])
             assert total == expected_total, (rank, q)
+
+
+def test_class_weights_per_kind_sum_to_the_class_numbers(monkeypatch):
+    # the histogram the count folds, which it adds the sparse kinds to after
+    # the cyclic pass: its weights sum to q^(r-1) cyclic classes, q - 1
+    # non-cyclic ones at rank 3 and gcd(r, q - 1) scalars
+    visit, histograms = ffcount._orbit_visits, []
+    monkeypatch.setattr(ffcount, "_orbit_visits",
+                        lambda *args: histograms.append(visit(*args)) or histograms[-1])
+    for rank in (2, 3):
+        for q in (3, 5, 7, 13, 17, 31):
+            for n in (1, 2, 3, q):
+                histograms.clear()
+                count_rep_variety_points(rank, n, q)
+                totals = {}
+                (weights, _), = histograms
+                for ((pattern, cyclic), _), weight in weights.items():
+                    kind = "cyclic" if cyclic else "scalar" if pattern is None else "non-cyclic"
+                    totals[kind] = totals.get(kind, 0) + weight
+                expected = {"cyclic": q ** (rank - 1),
+                            "scalar": sum(pow(a, rank, q) == 1 for a in range(1, q))}
+                if rank == 3:
+                    expected["non-cyclic"] = q - 1
+                assert totals == expected, (rank, n, q)
+
+
+def _oracle_type(m):
+    # the GL type of a matrix by the oracle's null space and trial division,
+    # the factor pattern sorted, and (None, False) for a scalar
+    rank, q = len(m.rows), m.q
+    dim, chi = class_key(m.rows, q)
+    if dim == rank * rank:
+        return None, False
+    return factor_pattern_by_trial_division(chi, q), dim == rank
+
+
+def test_sparse_class_types_match_matrix_typing(monkeypatch):
+    # the closed-form types of every non-cyclic class A, from its eigenvalue
+    # a, and of A^n, which the count passes to and takes from _power_type,
+    # equal the oracle's typing of the matrices; q = 5 and 17 have no cube
+    # root of unity but 1, and n = q, 2q make the power of J_2(a) + (a) scalar
+    visits, power_type = [], ffcount._power_type
+    monkeypatch.setattr(ffcount, "_power_type", lambda q, chi, a_type, a, n: visits.append(
+        (a, a_type, power_type(q, chi, a_type, a, n))) or visits[-1][2])
+    for q in (5, 7, 13, 17):
+        for n in (*range(1, 7), q, 2 * q):
+            visits.clear()
+            count_rep_variety_points(3, n, q)
+            sparse = [(a, a_type, got) for a, a_type, got in visits if a is not None]
+            assert [a for a, _, _ in sparse] == list(range(1, q)), (n, q)
+            for a, a_type, got in sparse:
+                m = ffcount._representative(3, q, "non-cyclic", a)
+                for typed, matrix in ((a_type, m), (got, m.pow(n))):
+                    assert (typed[0] and sorted(typed[0]), typed[1]) == _oracle_type(matrix), \
+                        (a, n, q)
 
 
 def test_orbit_flags_keep_count_memory_small():
