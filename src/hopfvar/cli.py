@@ -14,14 +14,16 @@ Subcommands:
 
 Exit codes: 0 success/match, 1 verified mismatch (a finding), 2 usage or
 precondition error.  A refusal (bad n, bad q, a field over the class budget,
-an inadmissible ``--assert``, a bad table range) prints one ``error: ...``
-line on stderr.  Data goes to stdout and is deterministic; timings go to
-stderr.
+an inadmissible ``--assert``, a bad table range, an answer with an integer too
+long for the interpreter to print) prints one ``error: ...`` line on stderr
+and nothing on stdout, which each command renders whole before writing it.
+Data goes to stdout and is deterministic; timings go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -93,11 +95,11 @@ def _cmd_count(args) -> int:
 
 
 def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(text)
+    bounds = text.split("..", 1) if ".." in text else (text, text)
+    try:
+        lo, hi = (int(b) for b in bounds)
+    except ValueError:  # not an integer, or one past the interpreter's digit limit
+        raise ValueError(f"invalid range {text!r}") from None
     if lo < 1 or hi < lo:
         raise ValueError(f"empty or invalid range {text!r}")
     if hi - lo >= MAX_TABLE_ROWS:
@@ -143,14 +145,12 @@ def _cmd_table(args) -> int:
             print(f"MISMATCH at n={n}", file=sys.stderr)
         return 1 if bad else 0
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(sys.stdout)
         writer.writerow(["n", "degree", "coefficients", "eval_q2"])
         for _, row in rows:
             writer.writerow([row["n"], row["degree"],
                              ",".join(str(c) for c in row["coefficients"]),
                              row["eval_q2"]])
-        sys.stdout.write(buf.getvalue())
         return 0
     # latex
     print(r"\begin{align*}")
@@ -204,12 +204,21 @@ def main(argv: list[str] | None = None) -> int:
     command = {"rep": _cmd_rep, "char": _cmd_char, "count": _cmd_count,
                "table": _cmd_table}[args.command]
     started = time.perf_counter()
+    out = io.StringIO()
     try:
-        # every refusal, the library's and the CLI's own, comes before heavy work
-        code = command(args)
+        # every refusal of input, the library's and the CLI's own, comes
+        # before heavy work; stdout is rendered whole before any of it is
+        # written, so an answer refused while rendering leaves it empty
+        with contextlib.redirect_stdout(out):
+            code = command(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        reason = str(exc)
+        if "integer string conversion" in reason:  # Python's int -> str digit limit
+            reason = (f"the answer has an integer longer than {sys.get_int_max_str_digits()}"
+                      " digits, this Python's limit for printing one")
+        print(f"error: {reason}", file=sys.stderr)
         return 2
+    sys.stdout.write(out.getvalue())
     print(f"[timing] {(time.perf_counter() - started) * 1000.0:.2f} ms", file=sys.stderr)
     return code
 

@@ -13,11 +13,11 @@ which must agree with the closed formula transcribed in
 Per rank, ``_TYPES`` holds one row per Jordan type (eigenvalue pattern,
 orbit, stabilizer) and ``_STRATA`` one row per admissible stratum.  Each
 stratum is built once, at import, on the twist basis of ``strata``
-(1, n, n(n-1)/2, floor(n/2)): one fixed polynomial per basis function, so
-``stratum_epoly`` at a given n is one ``Poly.combine`` pass over them, with no
-ring product, and the strata route one pass over every stratum term of the
-rank.  These constants are pinned by the test suite (dimension checks,
-fibration identity, closed formulas for all n, F_q counts), not re-derived.
+(1, n, n(n-1)/2, floor(n/2)), one fixed polynomial per basis function, read
+at n by ``strata.twist_sum`` with no ring product: one stratum, every stratum
+term of the rank (the strata route), or the closed formula's row.  These
+constants are pinned by the test suite (dimension checks, fibration
+identity, closed formulas for all n, F_q counts), not re-derived.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .poly import ONE, ZERO, Poly, Q, general_linear_epoly, special_linear_epoly
 from .repring import S2Elem, S3Elem
 from .strata import (
     P2_BOTH_EQUAL, P2_DISTINCT, P3_ALL_EQUAL, P3_DISTINCT, P3_TWO_EQUAL,
-    Partition, check_rank, check_twists, config_rows, twist_basis,
+    Partition, check_rank, check_twists, config_rows, twist_sum,
 )
 # unused here, but perfbench traces them as geom attributes (strata.config_self_s)
 from .strata import config_epoly, config_equivariant_s2, config_equivariant_s3  # noqa: F401
@@ -68,7 +68,7 @@ _TYPES = {
 
 
 def _rows(table: dict[int, tuple], rank: int) -> tuple:
-    """The rows of a per-rank table (_TYPES, _ADMISSIBLE or _RANK_ROWS)."""
+    """The rows of a per-rank table (_TYPES, _ADMISSIBLE, _RANK_ROWS, _FORMULA)."""
     return table[check_rank(rank)]
 
 
@@ -209,24 +209,19 @@ def _stratum_row(rank: int, i: int, j: int, group: str | None):
 # (src, tgt) -> ((k, P_k), ...): the stratum is sum_k twist_basis(n)[k] * P_k
 _ROWS = dict(_stratum_row(rank, *row) for rank, rows in _STRATA.items() for row in rows)
 
-# the admissible strata of each rank, in assembly order, and their rows
+# the admissible strata of each rank, in assembly order, and all their terms
 _ADMISSIBLE = {rank: tuple(Stratum(JordanType(rank, i), JordanType(rank, j))
                            for i, j, _ in rows)
                for rank, rows in _STRATA.items()}
-_RANK_ROWS = {rank: tuple(_ROWS[s.src, s.tgt] for s in strata)
+_RANK_ROWS = {rank: tuple(term for s in strata for term in _ROWS[s.src, s.tgt])
               for rank, strata in _ADMISSIBLE.items()}
-
-
-def _at(row: tuple, basis: tuple[int, ...]) -> Poly:
-    """A stratum row summed against the twist basis at one n."""
-    return Poly.combine([(basis[k], p) for k, p in row])
 
 
 def stratum_epoly(stratum: Stratum, n: int) -> Poly:
     """E-polynomial of one admissible stratum at twist count n: its fixed
     polynomials summed against the twist basis at n."""
     check_twists(n)
-    return _at(_ROWS[stratum.src, stratum.tgt], twist_basis(n))
+    return twist_sum(_ROWS[stratum.src, stratum.tgt], n)
 
 
 def rep_variety_epoly_strata(rank: int, n: int) -> Poly:
@@ -234,28 +229,26 @@ def rep_variety_epoly_strata(rank: int, n: int) -> Poly:
     admissible strata (the stratification route): one pass over every
     stratum term of the rank."""
     check_twists(n)
-    basis = twist_basis(n)
-    return Poly.combine([(basis[k], p) for row in _rows(_RANK_ROWS, rank) for k, p in row])
+    return twist_sum(_rows(_RANK_ROWS, rank), n)
 
 
-# Closed-formula route: fixed coefficient data, ascending in q.  Each cofactor
-# of a function of n is folded with the outer factor at import, so the formula
-# at n is one combine pass.  Rank 3 is the outer factor times
-# floor(n/2) FLOOR + (n^2 N2 - n N1) / 2 + N0; by n^2 = 2 C(n, 2) + n it is on
-# the basis (floor(n/2), C(n, 2), n, 1), with the even N2 - N1 halved here.
+# Closed-formula route: one row per rank on the twist basis of strata,
+# (1, n, C(n, 2), floor(n/2)), each cofactor folded with the outer factor at
+# import and ascending in q.  Rank 3 is the outer factor times
+# floor(n/2) FLOOR + (n^2 N2 - n N1) / 2 + N0; by n^2 = 2 C(n, 2) + n the
+# C(n, 2) cofactor is N2 and the n cofactor the even N2 - N1, halved here.
 _R3_OUTER = (Q ** 3 - 1) * (Q ** 2 - 1) * Q ** 2
 _R3_N2 = _R3_OUTER * Poly([0, 2, -3, -3, 1, 2, 2, 1])      # C(n, 2) cofactor
 _R3_N = _R3_OUTER * Poly([0, -5, -1, 7, 2, 1, -2, -1])     # n cofactor, (N2 - N1) / 2
 _R3_N0 = _R3_OUTER * Poly([0, 13, 2, -6, -2, -1, 2, 1])    # constant-in-n cofactor
 _R3_FLOOR = _R3_OUTER * (Q ** 2 - Q) * (Q ** 2 - Q - 1)     # floor(n/2) cofactor
-# rank 2: ((n - 1) q^2 + n q + (5 - n)) (q^3 - q) on the basis (1, n)
+# rank 2: ((n - 1) q^2 + n q + (5 - n)) (q^3 - q), on 1 and n
 _R2_N0, _R2_N = (5 - Q ** 2) * (Q ** 3 - Q), (Q ** 2 + Q - 1) * (Q ** 3 - Q)
+_FORMULA = {2: ((0, _R2_N0), (1, _R2_N)),
+            3: ((0, _R3_N0), (1, _R3_N), (2, _R3_N2), (3, _R3_FLOOR))}
 
 
 def rep_variety_epoly_formula(rank: int, n: int) -> Poly:
     """E-polynomial of the representation variety by the closed formula."""
     check_twists(n)
-    if check_rank(rank) == 2:
-        return Poly.combine([(1, _R2_N0), (n, _R2_N)])
-    return Poly.combine([(n // 2, _R3_FLOOR), (n * (n - 1) // 2, _R3_N2),
-                         (n, _R3_N), (1, _R3_N0)])
+    return twist_sum(_rows(_FORMULA, rank), n)

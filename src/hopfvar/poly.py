@@ -9,10 +9,10 @@ arithmetic, exact evaluation, and the symmetric-product series expansion.
 Coefficients are stored ascending (index i holds the coefficient of q^i) with
 trailing zeros stripped, so equal polynomials compare equal structurally.
 The public constructor ``Poly(coeffs)`` validates its input: every coefficient
-must be an int.  Arithmetic (``+``, ``-``, ``*``, ``**``, ``exact_div``) takes
-Poly and int operands only, so its coefficients are ints by construction, and
-builds its results through the trusted constructor ``Poly._make``, which only
-strips trailing zeros.  ``Poly.combine`` takes the same operands and forms
+must be an int.  Arithmetic (``+``, ``-``, ``*``, ``**``) takes Poly and int
+operands only, so its coefficients are ints by construction, and builds its
+results through the trusted constructor ``Poly._make``, which only strips
+trailing zeros.  ``Poly.combine`` takes the same operands and forms
 sum s*p in one pass over the coefficients, with no intermediate Poly.
 Degrees in this package stay small (<= 16), which makes the dense
 representation and schoolbook convolution the right tool.
@@ -160,22 +160,6 @@ class Poly:
             base = base * base
             e >>= 1
         return result
-
-    def exact_div(self, k: int) -> Poly:
-        """Divide every coefficient by k, requiring exact divisibility.
-
-        Used where a formula carries a rational factor that is provably
-        integral (e.g. halving an always-even count).
-        """
-        if k == 0:
-            raise ZeroDivisionError("division of Poly by zero")
-        out = []
-        for c in self.coeffs:
-            d, r = divmod(c, k)
-            if r:
-                raise ValueError(f"coefficient {c} not divisible by {k}")
-            out.append(d)
-        return Poly._make(out)
 
     def evaluate(self, x: int) -> int:
         """Exact Horner evaluation at an integer point."""

@@ -27,7 +27,7 @@ __all__ = [
     "P2_BOTH_EQUAL", "P2_DISTINCT",
     "P3_ALL_EQUAL", "P3_TWO_EQUAL", "P3_DISTINCT",
     "refines", "check_rank", "check_twists",
-    "twist_basis", "config_rows", "config_epoly",
+    "twist_basis", "twist_sum", "config_rows", "config_epoly",
     "config_equivariant_s2", "config_equivariant_s3",
     "refinement_pairs", "admissibility_modulus", "is_admissible",
 ]
@@ -132,9 +132,16 @@ _CONFIG = {
 
 
 def twist_basis(n: int) -> tuple[int, int, int, int]:
-    """The functions of n every configuration stratum is an integer (Poly)
-    combination of: (1, n, n(n-1)/2, floor(n/2))."""
+    """The functions of n every symbolic table is an integer (Poly) combination
+    of: (1, n, n(n-1)/2, floor(n/2)).  Read by _at here, and through twist_sum
+    by geom's strata and formula and charvar's pieces and rank-3 formula."""
     return 1, n, n * (n - 1) // 2, n // 2
+
+
+def twist_sum(row: tuple[tuple[int, Poly], ...], n: int) -> Poly:
+    """sum twist_basis(n)[k] * P_k over the (k, P_k) terms of row, in one pass."""
+    basis = twist_basis(n)
+    return Poly.combine([(basis[k], p) for k, p in row])
 
 
 def config_rows(group: str | None, src: Partition, tgt: Partition | None) -> tuple:

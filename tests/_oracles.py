@@ -527,3 +527,12 @@ def reducible_locus_count(rank: int, q: int) -> int:
     total = sum(len(twisted_torus_points(w, q)[1]) ** 2 for w in perms)
     assert total % len(perms) == 0
     return total // len(perms)
+
+
+def dense(terms):
+    """A row of (k, P_k) terms on the twist basis as its four coefficients,
+    the terms of one index summed (0 where the row has none)."""
+    out = [0] * 4
+    for k, p in terms:
+        out[k] = out[k] + p
+    return out

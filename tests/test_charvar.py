@@ -7,7 +7,7 @@ from hopfvar.charvar import PIECES, char_piece_epoly, char_variety_epoly_formula
 from hopfvar.poly import ZERO, Q
 
 from _oracles import (
-    irreducible_char_points_gl2, irreducible_char_points_gl2_by_classes,
+    dense, irreducible_char_points_gl2, irreducible_char_points_gl2_by_classes,
     irreducible_char_points_sl2, reducible_locus_count,
 )
 
@@ -174,7 +174,7 @@ def test_one_pass_red21_and_formula_match_their_expansions():
             + (n - 1 - 2 * half) * Q * (Q - 1) ** 3, n
         assert char_variety_epoly_formula(3, n) == (
             charvar._F_Q4_Q2_1
-            + ((n - 1) * (n - 2) * charvar._F_Q6_2Q5).exact_div(2)
+            + ((n - 1) * (n - 2) // 2) * charvar._F_Q6_2Q5
             - ((n - 1) // 2) * charvar._F_QM1_2_Q2_Q_M1
             + (n - 1) * (3 * charvar._F_Q4_Q3 + charvar._F_Q_QM1_3)), n
 
@@ -207,29 +207,21 @@ def test_every_piece_equals_its_closed_expression(rank):
 def test_pieces_equal_formula_for_all_n():
     """Pieces = formula for every n >= 1, not just for the n sampled above.
 
-    With m = n - 1, both char_piece_epoly(r, "total", n) and
-    char_variety_epoly_formula(r, n) are visibly integer combinations, with
-    fixed polynomial coefficients, of b(n) = (1, m, floor(m/2), C(m, 2)).
-    These four functions are independent on n = 1..4 (that 4x4 system has
-    determinant 2), so each route's coefficients on the basis are read off
-    its values there, and the two routes agree for every n exactly when
-    their coefficients agree.  Values at further n, huge ones included,
-    confirm that each route is the combination read off.
+    char_piece_epoly(r, "total", n) and the rank-3 char_variety_epoly_formula
+    are each a row of fixed polynomials summed against the twist basis
+    b(n) = (1, n, C(n, 2), floor(n/2)); the rank-2 formula, Q2_1 + (n - 1)
+    Q2_Q_1, is visibly the row below.  So pieces and formula agree for every
+    n when the rows agree, and only then, since b is independent on n = 1..4
+    (test_strata pins that determinant).  Values at n = 1..4 and further n,
+    huge ones included, confirm that each route is its row summed against b.
     """
-    def coefficients(route):
-        v1, v2, v3, v4 = (route(n) for n in (1, 2, 3, 4))
-        # inverse of b(1..4) = (1,0,0,0), (1,1,0,0), (1,2,1,1), (1,3,1,3)
-        c1 = v2 - v1
-        c3 = (v4 - v3 - c1).exact_div(2)
-        return [v1, c1, v3 - v1 - 2 * c1 - c3, c3]
-
+    formula_rows = {2: ((0, charvar._F_Q2_1 - charvar._F_Q2_Q_1), (1, charvar._F_Q2_Q_1)),
+                    3: charvar._FORMULA_R3}
     for rank in (2, 3):
-        pieces = coefficients(lambda n: char_piece_epoly(rank, "total", n))
-        formula = coefficients(lambda n: char_variety_epoly_formula(rank, n))
-        assert pieces == formula, rank
+        pieces = dense(charvar._ROWS[rank]["total"])
+        assert pieces == dense(formula_rows[rank]), rank
         for n in (1, 2, 3, 4, 5, 8, 11, *HUGE_NS):
-            m = n - 1
-            b = (1, m, m // 2, m * (m - 1) // 2)
+            b = (1, n, n * (n - 1) // 2, n // 2)
             value = sum((bk * c for bk, c in zip(b, pieces)), ZERO)
             assert value == char_piece_epoly(rank, "total", n), (rank, n)
             assert value == char_variety_epoly_formula(rank, n), (rank, n)

@@ -261,6 +261,41 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli([], capsys)[0] == 2
 
 
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python prints ints of any length")
+@pytest.mark.parametrize("argv", [
+    ["rep", "--rank", "3"],
+    ["char", "--rank", "3", "--pieces"],
+    ["table", "--rank", "3", "--target", "rep", "--format", "json"],
+    ["table", "--rank", "3", "--target", "char", "--format", "latex"],
+], ids=lambda argv: "-".join(argv[::3]))
+def test_answer_past_the_digit_limit_is_refused_whole(argv, capsys):
+    # rank-3 coefficients grow like n^2: with n of about half the interpreter's
+    # int -> str digit limit, the answer crosses it, and is refused with
+    # nothing on stdout rather than printed in part
+    over, under = 10 ** (DIGIT_LIMIT // 2 + 10) + 1, 10 ** (DIGIT_LIMIT // 2 - 50) + 1
+    code, out, err = run_cli(argv + ["--n", str(over)], capsys)
+    assert (code, out) == (2, ""), err
+    assert err.startswith("error: the answer has an integer longer than")
+    assert err.count("\n") == 1 and "set_int_max_str_digits" not in err
+    code, out, err = run_cli(argv + ["--n", str(under)], capsys)
+    assert code == 0 and len(out) > DIGIT_LIMIT, err
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python reads ints of any length")
+@pytest.mark.parametrize("bounds", ["{big}", "1..{big}", "x..3"])
+def test_unreadable_table_bound_is_refused_as_a_range(bounds, capsys):
+    # a bound past the digit limit is an input the range cannot read, not an
+    # answer too long to print
+    text = bounds.format(big="9" * (DIGIT_LIMIT + 100))
+    code, out, err = run_cli([
+        "table", "--rank", "2", "--n", text, "--target", "rep", "--format", "json"], capsys)
+    assert (code, out) == (2, ""), err
+    assert err == f"error: invalid range {text!r}\n"
+
+
 # The golden set holds only MATCH cases; each test below makes one route
 # disagree and checks the verdict line and exit code.
 

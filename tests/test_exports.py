@@ -107,3 +107,12 @@ def test_count_helpers_left_the_package(name):
     holders = [importlib.import_module(module) for module in MODULES] + [hopfvar.FqMatrix]
     present = [getattr(h, "__name__", h) for h in holders if hasattr(h, name)]
     assert not present, present
+
+
+@pytest.mark.parametrize("holder, name", [
+    ("charvar", "_twist_basis"), ("geom", "_at"), ("Poly", "exact_div")])
+def test_second_twist_readers_left_the_package(holder, name):
+    # every symbolic table is read on strata.twist_basis through
+    # strata.twist_sum (strata._at, the dense configuration reader, stays),
+    # and no formula halves a Poly
+    assert not hasattr(getattr(hopfvar, holder), name)

@@ -10,6 +10,8 @@ from hopfvar.geom import (
     rep_variety_epoly_strata, stabilizer_epoly, stratum_epoly,
 )
 
+from _oracles import dense
+
 E_SL2 = special_linear_epoly(2)
 E_SL3 = special_linear_epoly(3)
 HUGE_NS = (10 ** 18, 10 ** 18 + 1)
@@ -140,10 +142,10 @@ def test_rank3_stratum_table():
         assert stratum_epoly(Stratum(J3_PAIR_DIAG, J3_SCALAR), n) == \
             (3 * n - 3) * (Q ** 2 + Q + 1) * Q ** 2 * (Q ** 3 - 1) * (Q ** 2 - 1) * Q ** 3
         assert stratum_epoly(Stratum(J3_DISTINCT, J3_SCALAR), n) == \
-            (((n - 1) * (n - 2)) * (Q ** 3 - 1) ** 2 * (Q + 1) ** 2 * Q ** 6).exact_div(2)
+            ((n - 1) * (n - 2) // 2) * (Q ** 3 - 1) ** 2 * (Q + 1) ** 2 * Q ** 6
         expected_64 = Q ** 4 * (Q ** 3 - 1) * (Q ** 2 - 1) * (
             (n // 2) * (Q - 1) ** 2
-            - ((3 * n * n - 5 * n + 2) * (Q - 1)).exact_div(2)
+            - ((3 * n * n - 5 * n + 2) // 2) * (Q - 1)
             - 3 * n * (n - 1))
         assert stratum_epoly(Stratum(J3_DISTINCT, J3_PAIR_DIAG), n) == expected_64
         assert stratum_epoly(Stratum(J3_DISTINCT, J3_DISTINCT), n) == \
@@ -166,29 +168,21 @@ def test_strata_match_formula():
 def test_strata_equal_formula_for_all_n():
     """Strata = formula for every n >= 1, not just for the n sampled above.
 
-    The strata route is, by construction, sum_k b_k(n) R_k over the basis
-    b(n) = (1, n, n(n-1)/2, floor(n/2)), with R_k the sum of the rank's
-    stratum rows.  rep_variety_epoly_formula is visibly in span{1, n, n^2,
-    floor(n/2)}, the same span over the rationals.  The four functions are
-    independent on n = 1..4 (that 4x4 system has determinant 2), so the
-    formula's coefficients on the basis are read off its values there; the
-    two routes agree for every n exactly when the four polynomials agree.
+    Both routes are sum_k b_k(n) R_k over the twist basis b(n) = (1, n,
+    n(n-1)/2, floor(n/2)): the strata route with R_k the sum of the rank's
+    stratum rows, the formula with its own row.  So they agree for every n
+    when the four polynomials agree, and only then, since b is independent
+    on n = 1..4 (test_strata pins that determinant).  Values at sampled n,
+    huge ones included, confirm that each route is its row summed against b.
     """
     for rank in (2, 3):
-        rows = [ZERO] * 4
-        for stratum in admissible_strata(rank):
-            for k, p in geom._ROWS[stratum.src, stratum.tgt]:
-                rows[k] = rows[k] + p
-        f1, f2, f3, f4 = (rep_variety_epoly_formula(rank, n) for n in (1, 2, 3, 4))
-        # inverse of b(1..4) = (1,1,0,0), (1,2,1,1), (1,3,3,1), (1,4,6,2)
-        c2 = (f4 - f3 - f2 + f1).exact_div(2)
-        c1 = 2 * f3 - f4 - f1
-        formula = [f1 - c1, c1, c2, f2 - f1 - c1 - c2]
-        assert rows == formula, rank
+        rows = dense(term for s in admissible_strata(rank) for term in geom._ROWS[s.src, s.tgt])
+        assert rows == dense(geom._FORMULA[rank]), rank
         for n in (1, 2, 3, 7, *HUGE_NS):
             b = (1, n, n * (n - 1) // 2, n // 2)
-            assert sum((bk * r for bk, r in zip(b, rows)), ZERO) == \
-                rep_variety_epoly_strata(rank, n), (rank, n)
+            value = sum((bk * r for bk, r in zip(b, rows)), ZERO)
+            assert value == rep_variety_epoly_strata(rank, n), (rank, n)
+            assert value == rep_variety_epoly_formula(rank, n), (rank, n)
 
 
 def test_formula_values():
@@ -229,5 +223,7 @@ def test_one_pass_assembly_matches_the_sum_of_strata():
         for rank in (2, 3):
             assert rep_variety_epoly_strata(rank, n) == sum(
                 (stratum_epoly(s, n) for s in admissible_strata(rank)), ZERO), (rank, n)
-        bracket = (n // 2) * floor + (n * n * n2 - n * n1).exact_div(2) + n0
+        twice = n * n * n2 - n * n1
+        assert not any(c % 2 for c in twice.coeffs), n
+        bracket = (n // 2) * floor + Poly([c // 2 for c in twice.coeffs]) + n0
         assert rep_variety_epoly_formula(3, n) == outer * bracket, n

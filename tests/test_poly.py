@@ -92,12 +92,6 @@ def test_group_epolys():
     assert special_linear_epoly(3).evaluate(7) == 5630688
 
 
-def test_exact_div():
-    assert (2 * Q ** 2 + 4).exact_div(2) == Q ** 2 + 2
-    with pytest.raises(ValueError):
-        (Q + 1).exact_div(2)
-
-
 def test_big_coefficients_are_exact():
     # far beyond 64-bit: arbitrary precision, no silent wrap
     big = Poly([2 ** 100])
@@ -170,7 +164,6 @@ def test_results_are_canonical():
     assert (ZERO + 0).coeffs == () and (ZERO - 0).coeffs == () and (0 - ZERO).coeffs == ()
     assert (1 - ONE).coeffs == () and (ONE - 1).coeffs == ()
     assert (-ZERO).coeffs == () and (ZERO ** 3).coeffs == ()
-    assert ZERO.exact_div(7).coeffs == ()
 
 
 # Naive reference arithmetic on coefficient lists, ascending.
@@ -237,13 +230,6 @@ def test_arithmetic_matches_naive_reference():
         assert (a * k).coeffs == (k * a).coeffs == _ref_mul(ra, rk)
         e = rng.randint(0, 4)
         assert (a ** e).coeffs == _ref_pow(ra, e)
-        d = rng.choice([1, -1, 2, 3, 10 ** 40])
-        assert (a * d).exact_div(d).coeffs == ra
-        if any(c % d for c in ra):
-            with pytest.raises(ValueError):
-                a.exact_div(d)
-        else:
-            assert a.exact_div(d).coeffs == _trim(c // d for c in ra)
 
 
 def test_combine_matches_naive_sum():

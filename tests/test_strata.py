@@ -1,3 +1,7 @@
+import itertools
+import math
+from fractions import Fraction
+
 import pytest
 
 from hopfvar import strata
@@ -12,7 +16,7 @@ from hopfvar.repring import S2Elem, S3Elem
 from hopfvar.strata import (
     P2_BOTH_EQUAL, P2_DISTINCT, P3_ALL_EQUAL, P3_DISTINCT, P3_TWO_EQUAL,
     Partition, admissibility_modulus, check_twists, config_epoly, config_equivariant_s2,
-    config_equivariant_s3, is_admissible, refinement_pairs, refines,
+    config_equivariant_s3, is_admissible, refinement_pairs, refines, twist_basis,
 )
 
 from _oracles import _PATTERNS, smallest_admissible_prime, twisted_config_count
@@ -122,6 +126,28 @@ def test_one_twist_policy(name, n):
     with pytest.raises(ValueError) as err:
         TWISTED[name](n)
     assert str(err.value) == f"twist count must be an integer >= 1, got {n!r}"
+
+
+def test_twist_basis_matches_independent_definitions():
+    # the strata, the pieces and both closed formulas share twist_basis, so it
+    # is pinned here by definitions that share no code with it
+    for n in [*range(1, 201), 10 ** 18, 10 ** 18 + 1, 10 ** 30 + 7]:
+        basis = twist_basis(n)
+        assert basis == (1, n, Fraction(n * (n - 1), 2), math.floor(Fraction(n, 2))), n
+        assert all(type(b) is int for b in basis), n
+        if n <= 200:
+            assert basis[2] == sum(1 for _ in itertools.combinations(range(n), 2)), n
+
+
+def test_twist_basis_is_independent_on_one_to_four():
+    # determinant +-2 at n = 1..4: a row of polynomials summed against the
+    # basis vanishes for every n only if the row is zero, so two routes on the
+    # basis agree for every n exactly when their rows agree
+    rows = [twist_basis(n) for n in (1, 2, 3, 4)]
+    det = sum((-1) ** sum(p[i] > p[j] for i, j in itertools.combinations(range(4), 2))
+              * math.prod(rows[i][p[i]] for i in range(4))
+              for p in itertools.permutations(range(4)))
+    assert abs(det) == 2, det
 
 
 def test_partition_validation():
