@@ -188,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--q", type=int, required=True, help="odd prime field size")
     p_count.add_argument("--assert", dest="check", action="store_true",
                          help="compare against the closed-formula polynomial")
-    p_count.add_argument("--threads", type=int, default=None)
+    p_count.add_argument("--threads", type=int, default=None,
+                         help="accepted and has no effect: the sweep is serial")
 
     p_table = sub.add_parser("table", help="tabulate over a range of twist counts")
     p_table.add_argument("--rank", type=int, choices=(2, 3), required=True)

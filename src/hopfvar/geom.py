@@ -22,11 +22,10 @@ identity, closed formulas for all n, F_q counts), not re-derived.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .poly import ONE, ZERO, Poly, Q, general_linear_epoly, special_linear_epoly
+from .poly import ONE, Poly, Q, general_linear_epoly, special_linear_epoly
 from .repring import S2Elem, S3Elem
 from .strata import (
     P2_BOTH_EQUAL, P2_DISTINCT, P3_ALL_EQUAL, P3_DISTINCT, P3_TWO_EQUAL,
@@ -170,9 +169,9 @@ _EQUIVARIANT = {
     (J3_DISTINCT, "s2"): (S2Elem(Q ** 6 + Q ** 5 + Q ** 4, Q ** 5 + Q ** 4 + Q ** 3),
                           S2Elem.from_quotients((Q - 1) ** 2, Q ** 2 - Q)),
     (J3_PAIR_DIAG, "s2"): (None, S2Elem(general_linear_epoly(2))),
-    # scalar types, under either group: a point orbit and the whole group
-    **{(xi, group): (cls(ONE), cls(stabilizer_epoly(xi)))
-       for xi in (J2_SCALAR, J3_SCALAR) for group, cls in (("s2", S2Elem), ("s3", S3Elem))},
+    # the scalar type under its own rank's group: a point orbit and the whole group
+    (J2_SCALAR, "s2"): (S2Elem(ONE), S2Elem(stabilizer_epoly(J2_SCALAR))),
+    (J3_SCALAR, "s3"): (S3Elem(ONE), S3Elem(stabilizer_epoly(J3_SCALAR))),
 }
 
 
@@ -191,19 +190,20 @@ def equivariant_pieces(xi: JordanType, group: str) -> tuple[S2Elem | S3Elem | No
 # -- stratum assembly ----------------------------------------------------------
 
 def _stratum_row(rank: int, i: int, j: int, group: str | None):
-    # stratum i -> j on the twist basis: each basis element of its
-    # configuration space times the n-independent factor (orbit of the source
-    # times stabilizer of the target), of which a residual group keeps the
-    # T-component; with self-dual irreducibles that is the sum of the
-    # products of matching coefficients.  Only the nonzero terms are kept.
+    # stratum i -> j on the twist basis: each irreducible's configuration
+    # terms (k, P_k) times its n-independent factor (orbit of the source times
+    # stabilizer of the target; a residual group keeps the T-component, with
+    # self-dual irreducibles the sum of the products of matching
+    # coefficients), merged per k as charvar merges an aggregate piece's rows.
     src, tgt = JordanType(rank, i), JordanType(rank, j)
     config = config_rows(group, src.partition, tgt.partition)
     if group is None:
         factor = (pgl_mod_stab_epoly(src) * stabilizer_epoly(tgt),)
     else:
         factor = (equivariant_pieces(src, group)[0] * equivariant_pieces(tgt, group)[1]).coeffs
-    terms = [sum(map(operator.mul, element, factor), ZERO) for element in zip(*config)]
-    return (src, tgt), tuple((k, p) for k, p in enumerate(terms) if p)
+    terms = [(k, p * f) for row, f in zip(config, factor) for k, p in row]
+    return (src, tgt), tuple((k, Poly.combine([(1, p) for m, p in terms if m == k]))
+                             for k in sorted(dict(terms)))
 
 
 # (src, tgt) -> ((k, P_k), ...): the stratum is sum_k twist_basis(n)[k] * P_k

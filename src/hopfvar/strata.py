@@ -10,16 +10,16 @@ refinements.
 
 Every coefficient of every stratum is an integer combination of the same four
 functions of the twist count, twist_basis(n) = (1, n, n(n-1)/2, floor(n/2)).
-So one table holds each stratum, once, as integer polynomials in q on that
-basis (one row per irreducible for an equivariant class), and the public
-functions evaluate its row at a given integer n >= 1.
+So one table holds each stratum, once, as rows of (k, P_k) terms, P_k an
+integer polynomial in q on basis function k (one row per irreducible), the
+row format of every symbolic table, which twist_sum evaluates at n >= 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import ZERO, Poly, Q
+from .poly import ONE, Poly, Q
 from .repring import S2Elem, S3Elem
 
 __all__ = [
@@ -95,46 +95,52 @@ def refinement_pairs(rank: int) -> list[tuple[Partition, Partition]]:
 
 # Every configuration stratum, at twist count n, on the basis of functions of
 # n given by twist_basis: (group, src, tgt) -> one row per irreducible of the
-# group (T; T, N; or T, S, D), each row the coefficients of
-# (1, n, n(n-1)/2, floor(n/2)).  tgt None is the whole stratum of pattern src,
-# with no power condition; group None is the plain E-polynomial.
+# group (T; T, N; or T, S, D), each row the (k, P_k) terms read by twist_sum,
+# zero terms left out.  tgt None is the whole stratum of pattern src, with no
+# power condition; group None is the plain E-polynomial.
 _CONFIG = {
-    (None, P2_BOTH_EQUAL, None): ((2, 0, 0, 0),),               # square roots of unity
-    (None, P2_DISTINCT, None): ((Q - 3, 0, 0, 0),),             # punctured torus minus mu_2
-    (None, P3_ALL_EQUAL, None): ((3, 0, 0, 0),),                # cube roots of unity
-    (None, P3_TWO_EQUAL, None): ((Q - 4, 0, 0, 0),),            # C^* minus mu_3
-    (None, P3_DISTINCT, None): ((Q * Q - 5 * Q + 10, 0, 0, 0),),  # 2-torus minus 3 crossing curves
-    (None, P2_BOTH_EQUAL, P2_BOTH_EQUAL): ((2, 0, 0, 0),),
-    (None, P2_DISTINCT, P2_BOTH_EQUAL): ((-2, 2, 0, 0),),       # 2n - 2
-    (None, P2_DISTINCT, P2_DISTINCT): ((Q - 1, -2, 0, 0),),     # q - (2n + 1)
-    (None, P3_ALL_EQUAL, P3_ALL_EQUAL): ((3, 0, 0, 0),),
-    (None, P3_TWO_EQUAL, P3_ALL_EQUAL): ((-3, 3, 0, 0),),       # 3n - 3
-    (None, P3_DISTINCT, P3_ALL_EQUAL): ((6, -6, 6, 0),),        # 3n^2 - 9n + 6
-    (None, P3_TWO_EQUAL, P3_TWO_EQUAL): ((Q - 1, -3, 0, 0),),   # q - (3n + 1)
-    (None, P3_DISTINCT, P3_TWO_EQUAL): ((1 - Q, Q - 1, -6, 0),),  # (n - 1)(q - (3n + 1))
+    (None, P2_BOTH_EQUAL, None): (((0, 2 * ONE),),),              # square roots of unity
+    (None, P2_DISTINCT, None): (((0, Q - 3),),),                  # punctured torus minus mu_2
+    (None, P3_ALL_EQUAL, None): (((0, 3 * ONE),),),               # cube roots of unity
+    (None, P3_TWO_EQUAL, None): (((0, Q - 4),),),                 # C^* minus mu_3
+    (None, P3_DISTINCT, None): (((0, Q * Q - 5 * Q + 10),),),     # 2-torus minus 3 crossing curves
+    (None, P2_BOTH_EQUAL, P2_BOTH_EQUAL): (((0, 2 * ONE),),),
+    (None, P2_DISTINCT, P2_BOTH_EQUAL): (((0, -2 * ONE), (1, 2 * ONE)),),   # 2n - 2
+    (None, P2_DISTINCT, P2_DISTINCT): (((0, Q - 1), (1, -2 * ONE)),),       # q - (2n + 1)
+    (None, P3_ALL_EQUAL, P3_ALL_EQUAL): (((0, 3 * ONE),),),
+    (None, P3_TWO_EQUAL, P3_ALL_EQUAL): (((0, -3 * ONE), (1, 3 * ONE)),),   # 3n - 3
+    # 3n^2 - 9n + 6
+    (None, P3_DISTINCT, P3_ALL_EQUAL): (((0, 6 * ONE), (1, -6 * ONE), (2, 6 * ONE)),),
+    (None, P3_TWO_EQUAL, P3_TWO_EQUAL): (((0, Q - 1), (1, -3 * ONE)),),     # q - (3n + 1)
+    # (n - 1)(q - (3n + 1))
+    (None, P3_DISTINCT, P3_TWO_EQUAL): (((0, 1 - Q), (1, Q - 1), (2, -6 * ONE)),),
     # q^2 - (3n + 2) q + 6n^2 + 3n + 1
-    (None, P3_DISTINCT, P3_DISTINCT): ((Q * Q - 2 * Q + 1, 9 - 3 * Q, 12, 0),),
-    ("s2", P2_DISTINCT, None): ((Q - 2, 0, 0, 0), (-1, 0, 0, 0)),           # (q - 2) T - N
-    ("s2", P2_DISTINCT, P2_BOTH_EQUAL): ((-1, 1, 0, 0), (-1, 1, 0, 0)),     # (n - 1)(T + N)
-    ("s2", P2_DISTINCT, P2_DISTINCT): ((Q - 1, -1, 0, 0), (0, -1, 0, 0)),   # (q - n - 1) T - n N
+    (None, P3_DISTINCT, P3_DISTINCT): (((0, Q * Q - 2 * Q + 1), (1, 9 - 3 * Q), (2, 12 * ONE)),),
+    ("s2", P2_DISTINCT, None): (((0, Q - 2),), ((0, -ONE),)),                  # (q - 2) T - N
+    # (n - 1)(T + N)
+    ("s2", P2_DISTINCT, P2_BOTH_EQUAL): (((0, -ONE), (1, ONE)), ((0, -ONE), (1, ONE))),
+    # (q - n - 1) T - n N
+    ("s2", P2_DISTINCT, P2_DISTINCT): (((0, Q - 1), (1, -ONE)), ((1, -ONE),)),
     # (floor(n/2) (q - 1) - 3n(n-1)/2) T + (floor((n-1)/2) (q - 1) - 3n(n-1)/2) N
-    ("s2", P3_DISTINCT, P3_TWO_EQUAL): ((0, 0, -3, Q - 1), (1 - Q, Q - 1, -3, 1 - Q)),
+    ("s2", P3_DISTINCT, P3_TWO_EQUAL): (((2, -3 * ONE), (3, Q - 1)),
+                                       ((0, 1 - Q), (1, Q - 1), (2, -3 * ONE), (3, 1 - Q))),
     # (q^2 - q + 1) T + S + (4 - 2q) D
-    ("s3", P3_DISTINCT, None): ((Q * Q - Q + 1, 0, 0, 0), (1, 0, 0, 0), (4 - 2 * Q, 0, 0, 0)),
+    ("s3", P3_DISTINCT, None): (((0, Q * Q - Q + 1),), ((0, ONE),), ((0, 4 - 2 * Q),)),
     # m/2 T + m/2 S + m D with m = (n - 1)(n - 2)
-    ("s3", P3_DISTINCT, P3_ALL_EQUAL): ((1, -1, 1, 0), (1, -1, 1, 0), (2, -2, 2, 0)),
+    ("s3", P3_DISTINCT, P3_ALL_EQUAL): (((0, ONE), (1, -ONE), (2, ONE)),
+                                        ((0, ONE), (1, -ONE), (2, ONE)),
+                                        ((0, 2 * ONE), (1, -2 * ONE), (2, 2 * ONE))),
     # (q^2 - q - a (q - 1) + n^2) T + (n^2 - b (q - 1)) S + (2n^2 - (n + 1)(q - 1)) D,
     # with a = floor(n/2) and b = floor((n-1)/2) = n - 1 - a
-    ("s3", P3_DISTINCT, P3_DISTINCT): ((Q * Q - Q, 1, 2, 1 - Q),
-                                       (Q - 1, 2 - Q, 2, Q - 1),
-                                       (1 - Q, 3 - Q, 4, 0)),
+    ("s3", P3_DISTINCT, P3_DISTINCT): (((0, Q * Q - Q), (1, ONE), (2, 2 * ONE), (3, 1 - Q)),
+                                       ((0, Q - 1), (1, 2 - Q), (2, 2 * ONE), (3, Q - 1)),
+                                       ((0, 1 - Q), (1, 3 - Q), (2, 4 * ONE))),
 }
 
 
 def twist_basis(n: int) -> tuple[int, int, int, int]:
     """The functions of n every symbolic table is an integer (Poly) combination
-    of: (1, n, n(n-1)/2, floor(n/2)).  Read by _at here, and through twist_sum
-    by geom's strata and formula and charvar's pieces and rank-3 formula."""
+    of: (1, n, n(n-1)/2, floor(n/2)).  Read only through twist_sum."""
     return 1, n, n * (n - 1) // 2, n // 2
 
 
@@ -146,18 +152,11 @@ def twist_sum(row: tuple[tuple[int, Poly], ...], n: int) -> Poly:
 
 def config_rows(group: str | None, src: Partition, tgt: Partition | None) -> tuple:
     """The configuration stratum (group, src, tgt) on the twist basis: one
-    row of four coefficients (Poly or int) per irreducible of the group."""
+    row of (k, P_k) terms, read by twist_sum, per irreducible of the group."""
     rows = _CONFIG.get((group, src, tgt))
     if rows is None:
         raise ValueError(f"no {group or 'plain'} configuration data for ({src}, {tgt})")
     return rows
-
-
-def _at(group: str | None, src: Partition, tgt: Partition | None, n: int) -> list[Poly]:
-    # one Poly per irreducible: each row summed against the twist basis at n
-    basis = twist_basis(n)
-    return [sum((b * c for b, c in zip(basis, row)), ZERO)
-            for row in config_rows(group, src, tgt)]
 
 
 def config_epoly(src: Partition, tgt: Partition | None, n: int) -> Poly:
@@ -165,7 +164,7 @@ def config_epoly(src: Partition, tgt: Partition | None, n: int) -> Poly:
     have pattern tgt, which src must refine.  tgt=None means the whole
     stratum of pattern src (no power condition), the same at every n."""
     check_twists(n)
-    return _at(None, src, tgt, n)[0]
+    return twist_sum(config_rows(None, src, tgt)[0], n)
 
 
 def config_equivariant_s2(src: Partition, tgt: Partition | None, n: int) -> S2Elem:
@@ -174,7 +173,7 @@ def config_equivariant_s2(src: Partition, tgt: Partition | None, n: int) -> S2El
     condition); supported cases are the rank-2 distinct-pair strata and the
     rank-3 distinct triple degenerating to a coincident pair."""
     check_twists(n)
-    return S2Elem(*_at("s2", src, tgt, n))
+    return S2Elem(*(twist_sum(row, n) for row in config_rows("s2", src, tgt)))
 
 
 def config_equivariant_s3(tgt: Partition | None, n: int) -> S3Elem:
@@ -182,7 +181,7 @@ def config_equivariant_s3(tgt: Partition | None, n: int) -> S3Elem:
     split by the power pattern tgt (all-equal or still-distinct); tgt=None is
     the whole distinct-triple stratum."""
     check_twists(n)
-    return S3Elem(*_at("s3", P3_DISTINCT, tgt, n))
+    return S3Elem(*(twist_sum(row, n) for row in config_rows("s3", P3_DISTINCT, tgt)))
 
 
 # -- admissible fields -------------------------------------------------------

@@ -110,9 +110,8 @@ def test_count_helpers_left_the_package(name):
 
 
 @pytest.mark.parametrize("holder, name", [
-    ("charvar", "_twist_basis"), ("geom", "_at"), ("Poly", "exact_div")])
+    ("charvar", "_twist_basis"), ("geom", "_at"), ("strata", "_at"), ("Poly", "exact_div")])
 def test_second_twist_readers_left_the_package(holder, name):
     # every symbolic table is read on strata.twist_basis through
-    # strata.twist_sum (strata._at, the dense configuration reader, stays),
-    # and no formula halves a Poly
+    # strata.twist_sum, and no formula halves a Poly
     assert not hasattr(getattr(hopfvar, holder), name)

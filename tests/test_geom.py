@@ -90,7 +90,10 @@ def test_equivariant_pieces_dims_match_plain():
 
 
 def test_equivariant_pieces_errors():
-    for xi, group in ((J3_PAIR_B2, "s2"), (J3_EQUAL_B3, "s3"), (J3_DISTINCT, "s5")):
+    # a scalar type has data only under its own rank's group, the one its
+    # strata carry
+    for xi, group in ((J3_PAIR_B2, "s2"), (J3_EQUAL_B3, "s3"), (J3_DISTINCT, "s5"),
+                      (J2_SCALAR, "s3"), (J3_SCALAR, "s2")):
         with pytest.raises(ValueError):
             equivariant_pieces(xi, group)
 

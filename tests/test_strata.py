@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfvar import strata
+from hopfvar import charvar, geom, strata
 from hopfvar.charvar import char_piece_epoly, char_variety_epoly_formula
 from hopfvar.ffcount import count_rep_variety_points
 from hopfvar.geom import (
@@ -150,6 +150,27 @@ def test_twist_basis_is_independent_on_one_to_four():
     assert abs(det) == 2, det
 
 
+def test_every_symbolic_table_has_one_row_format():
+    # twist_sum reads every table summed against the twist basis, so each row
+    # is a tuple of (int k, nonzero Poly) terms with k strictly increasing in
+    # 0..3; geom._RANK_ROWS, a concatenation of geom._ROWS, is exempt
+    rows = {f"strata._CONFIG{key}[{i}]": row for key, irreducibles in strata._CONFIG.items()
+            for i, row in enumerate(irreducibles)}
+    rows.update({f"geom._ROWS{key}": row for key, row in geom._ROWS.items()})
+    rows.update({f"geom._FORMULA[{rank}]": row for rank, row in geom._FORMULA.items()})
+    rows.update({f"charvar._ROWS[{rank}][{piece}]": row
+                 for rank, pieces in charvar._ROWS.items() for piece, row in pieces.items()})
+    rows["charvar._FORMULA_R3"] = charvar._FORMULA_R3
+    for name, row in rows.items():
+        assert type(row) is tuple, name
+        for term in row:
+            assert type(term) is tuple and len(term) == 2, (name, term)
+            k, p = term
+            assert type(k) is int and type(p) is Poly and not p.is_zero(), (name, term)
+        ks = [k for k, _ in row]
+        assert ks == sorted(set(ks)) and set(ks) <= {0, 1, 2, 3}, name
+
+
 def test_partition_validation():
     with pytest.raises(ValueError):
         Partition(4, 1)
@@ -192,7 +213,7 @@ def test_plain_values():
     whole = {P2_BOTH_EQUAL: Poly([2]), P2_DISTINCT: Q - 3, P3_ALL_EQUAL: Poly([3]),
              P3_TWO_EQUAL: Q - 4, P3_DISTINCT: Q ** 2 - 5 * Q + 10}
     for sigma, value in whole.items():
-        assert strata.config_rows(None, sigma, None) == ((value, 0, 0, 0),), sigma
+        assert strata.config_rows(None, sigma, None) == (((0, value),),), sigma
         for n in range(1, 13):
             assert config_epoly(sigma, None, n) == value, (sigma, n)
 
