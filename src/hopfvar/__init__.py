@@ -15,7 +15,7 @@ from .strata import (
 from .geom import (
     J2_BLOCK, J2_DISTINCT, J2_SCALAR, J3_DISTINCT, J3_EQUAL_B21, J3_EQUAL_B3,
     J3_PAIR_B2, J3_PAIR_DIAG, J3_SCALAR, JordanType, Stratum,
-    admissible_strata, equivariant_pieces, pgl_mod_stab_epoly,
+    admissible_strata, pgl_mod_stab_epoly,
     rep_variety_epoly_formula, rep_variety_epoly_strata, stabilizer_epoly,
     stratum_epoly,
 )

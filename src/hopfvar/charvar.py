@@ -29,7 +29,7 @@ formula is.  The pieces, in table order:
 from __future__ import annotations
 
 from .poly import Poly, Q
-from .strata import check_rank, check_twists, twist_sum
+from .strata import check_rank, check_twists, twist_row, twist_sum
 
 __all__ = ["PIECES", "char_piece_epoly", "char_variety_epoly_formula"]
 
@@ -60,9 +60,7 @@ def _rows(table: dict) -> dict[str, tuple[tuple[int, Poly], ...]]:
     rows = {}
     for name, entry in table.items():
         if isinstance(entry[0], str):
-            terms = [term for part in entry for term in rows[part]]
-            entry = tuple((k, Poly.combine([(1, p) for j, p in terms if j == k]))
-                          for k in sorted(dict(terms)))
+            entry = twist_row([term for part in entry for term in rows[part]])
         rows[name] = entry
     return rows
 
@@ -91,7 +89,7 @@ _FORMULA_R3 = ((0, _F_Q4_Q2_1 + _F_Q6_2Q5 + _F_QM1_2_Q2_Q_M1 - 3 * _F_Q4_Q3 - _F
 def char_piece_epoly(rank: int, piece: str, n: int) -> Poly:
     """E-polynomial of one character-variety piece at twist count n."""
     check_twists(n)
-    row = _ROWS[check_rank(rank)].get(piece)
+    row = _ROWS[check_rank(rank)].get(piece) if isinstance(piece, str) else None
     if row is None:
         raise ValueError(f"invalid piece {piece!r} for rank {rank}")
     return twist_sum(row, n)

@@ -244,16 +244,13 @@ _set_q, _set_rows, _set_pattern = (FqMatrix.__dict__[name].__set__
 # -- commutants in closed form ------------------------------------------------------
 
 def _double_eigenvalue(M: FqMatrix, M2: FqMatrix) -> Optional[int]:
-    """None if a non-scalar M is cyclic, i.e. its minimal polynomial has
-    degree r; otherwise the eigenvalue a with M - aI of rank 1.  At rank 2
-    every non-scalar M is cyclic.  At rank 3 M is not iff
-    M^2 = alpha M + beta I: alpha is read off an entry M[i][j] != 0 with
-    i != j, where I vanishes, and M^2 - alpha M must then be scalar.  The
+    """None if a non-scalar rank-3 M is cyclic, i.e. its minimal polynomial
+    has degree 3; otherwise the eigenvalue a with M - aI of rank 1.  M is not
+    cyclic iff M^2 = alpha M + beta I: alpha is read off an entry M[i][j] != 0
+    with i != j, where I vanishes, and M^2 - alpha M must then be scalar.  The
     minimal polynomial is then (x - a)(x - b) with characteristic polynomial
     (x - a)^2 (x - b), so a = tr M - alpha.  A diagonal M is cyclic iff its
     three entries are distinct, and a is the repeated one.  M2 is M * M."""
-    if len(M.rows) == 2:
-        return None
     q = M.q
     (a, b, c), (d, e, f), (g, h, i) = M.rows
     (a2, b2, c2), (d2, e2, f2), (g2, h2, i2) = M2.rows

@@ -29,7 +29,7 @@ from .poly import ONE, Poly, Q, general_linear_epoly, special_linear_epoly
 from .repring import S2Elem, S3Elem
 from .strata import (
     P2_BOTH_EQUAL, P2_DISTINCT, P3_ALL_EQUAL, P3_DISTINCT, P3_TWO_EQUAL,
-    Partition, check_rank, check_twists, config_rows, twist_sum,
+    Partition, check_rank, check_twists, config_rows, twist_row, twist_sum,
 )
 # unused here, but perfbench traces them as geom attributes (strata.config_self_s)
 from .strata import config_epoly, config_equivariant_s2, config_equivariant_s3  # noqa: F401
@@ -41,7 +41,6 @@ __all__ = [
     "J3_PAIR_DIAG", "J3_PAIR_B2", "J3_DISTINCT",
     "admissible_strata",
     "stabilizer_epoly", "pgl_mod_stab_epoly",
-    "equivariant_pieces",
     "stratum_epoly", "rep_variety_epoly_strata", "rep_variety_epoly_formula",
 ]
 
@@ -159,29 +158,29 @@ def pgl_mod_stab_epoly(xi: JordanType) -> Poly:
 # -- equivariant data ----------------------------------------------------------
 
 # (Jordan type, group) -> (orbit piece, stabilizer piece) under the
-# block-permutation action, None for an orbit no stratum uses.  Connected
+# block-permutation action, each None where no stratum of _STRATA reads it:
+# a source reads its orbit and a target its stabilizer.  Connected
 # stabilizers are acted on by inner automorphisms, so their class is
 # trivial-action, e * T; the norm-one diagonal torus carries genuine S2/S3
-# classes computed from its quotients.
+# classes.
 _EQUIVARIANT = {
     (J2_DISTINCT, "s2"): (S2Elem(Q ** 2, Q), S2Elem(Q, -1)),
     (J3_DISTINCT, "s3"): (S3Elem(Q ** 6, Q ** 3, Q ** 5 + Q ** 4), S3Elem(Q ** 2, 1, -Q)),
-    (J3_DISTINCT, "s2"): (S2Elem(Q ** 6 + Q ** 5 + Q ** 4, Q ** 5 + Q ** 4 + Q ** 3),
-                          S2Elem.from_quotients((Q - 1) ** 2, Q ** 2 - Q)),
-    (J3_PAIR_DIAG, "s2"): (None, S2Elem(general_linear_epoly(2))),
-    # the scalar type under its own rank's group: a point orbit and the whole group
-    (J2_SCALAR, "s2"): (S2Elem(ONE), S2Elem(stabilizer_epoly(J2_SCALAR))),
-    (J3_SCALAR, "s3"): (S3Elem(ONE), S3Elem(stabilizer_epoly(J3_SCALAR))),
+    (J3_DISTINCT, "s2"): (S2Elem(Q ** 6 + Q ** 5 + Q ** 4, Q ** 5 + Q ** 4 + Q ** 3), None),
+    # targets with a connected stabilizer: its plain class, trivial action
+    (J3_PAIR_DIAG, "s2"): (None, S2Elem(stabilizer_epoly(J3_PAIR_DIAG))),
+    (J2_SCALAR, "s2"): (None, S2Elem(stabilizer_epoly(J2_SCALAR))),
+    (J3_SCALAR, "s3"): (None, S3Elem(stabilizer_epoly(J3_SCALAR))),
 }
 
 
-def equivariant_pieces(xi: JordanType, group: str) -> tuple[S2Elem | S3Elem | None,
-                                                          S2Elem | S3Elem]:
+def _equivariant_pieces(xi: JordanType, group: str) -> tuple[S2Elem | S3Elem | None,
+                                                           S2Elem | S3Elem | None]:
     """Equivariant E-polynomials (orbit PGL_r/Stab(xi), stabilizer Stab~(xi))
     of a Jordan type under the block-permutation action of group ('s2' or
-    's3'); the orbit is None where no stratum uses it.  Raises ValueError
-    when the type has no data under the group."""
-    pieces = _EQUIVARIANT.get((xi, group))
+    's3'); a piece is None where no stratum reads it.  Raises ValueError
+    when the type has no data under the group, or group is not a str."""
+    pieces = _EQUIVARIANT.get((xi, group)) if isinstance(group, str) else None
     if pieces is None:
         raise ValueError(f"no equivariant data for {xi} under {group!r}")
     return pieces
@@ -194,16 +193,14 @@ def _stratum_row(rank: int, i: int, j: int, group: str | None):
     # terms (k, P_k) times its n-independent factor (orbit of the source times
     # stabilizer of the target; a residual group keeps the T-component, with
     # self-dual irreducibles the sum of the products of matching
-    # coefficients), merged per k as charvar merges an aggregate piece's rows.
+    # coefficients), merged per k by twist_row.
     src, tgt = JordanType(rank, i), JordanType(rank, j)
     config = config_rows(group, src.partition, tgt.partition)
     if group is None:
         factor = (pgl_mod_stab_epoly(src) * stabilizer_epoly(tgt),)
     else:
-        factor = (equivariant_pieces(src, group)[0] * equivariant_pieces(tgt, group)[1]).coeffs
-    terms = [(k, p * f) for row, f in zip(config, factor) for k, p in row]
-    return (src, tgt), tuple((k, Poly.combine([(1, p) for m, p in terms if m == k]))
-                             for k in sorted(dict(terms)))
+        factor = (_equivariant_pieces(src, group)[0] * _equivariant_pieces(tgt, group)[1]).coeffs
+    return (src, tgt), twist_row([(k, p * f) for row, f in zip(config, factor) for k, p in row])
 
 
 # (src, tgt) -> ((k, P_k), ...): the stratum is sum_k twist_basis(n)[k] * P_k

@@ -12,8 +12,10 @@ The public constructor ``Poly(coeffs)`` validates its input: every coefficient
 must be an int.  Arithmetic (``+``, ``-``, ``*``, ``**``) takes Poly and int
 operands only, so its coefficients are ints by construction, and builds its
 results through the trusted constructor ``Poly._make``, which only strips
-trailing zeros.  ``Poly.combine`` takes the same operands and forms
-sum s*p in one pass over the coefficients, with no intermediate Poly.
+trailing zeros.  It has two kernels: ``Poly.combine``, the one linear kernel,
+forms sum s*p over (int, Poly) terms in one pass over the coefficients, and
+``+``, ``-``, unary ``-`` and int multiples are each one call of it; the
+product of two Polys is a convolution, and ``**`` repeats it.
 Degrees in this package stay small (<= 16), which makes the dense
 representation and schoolbook convolution the right tool.
 
@@ -70,64 +72,45 @@ class Poly:
 
     # -- ring arithmetic -----------------------------------------------------
     #
-    # A Poly operand is used as it is and an int takes the scalar path; any
-    # other operand gives NotImplemented, hence a TypeError.
+    # A Poly operand is used as it is and an int c enters combine as the term
+    # (c, ONE); any other operand gives NotImplemented, hence a TypeError.
+
+    def _plus(self, s: int, other: IntoPoly, t: int) -> Poly:
+        """s*self + t*other through combine."""
+        if isinstance(other, Poly):
+            return Poly.combine(((s, self), (t, other)))
+        if isinstance(other, int):
+            return Poly.combine(((s, self), (t * other, ONE)))
+        return NotImplemented
 
     def __add__(self, other: IntoPoly) -> Poly:
-        if isinstance(other, Poly):
-            a, b = self.coeffs, other.coeffs
-            if len(a) < len(b):
-                a, b = b, a
-            out = list(a)
-            for i, c in enumerate(b):
-                out[i] += c
-            return Poly._make(out)
-        if isinstance(other, int):
-            out = list(self.coeffs) or [0]
-            out[0] += other
-            return Poly._make(out)
-        return NotImplemented
+        return self._plus(1, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly._make([-c for c in self.coeffs])
+        return Poly.combine(((-1, self),))
 
     def __sub__(self, other: IntoPoly) -> Poly:
-        if isinstance(other, Poly):
-            a, b = self.coeffs, other.coeffs
-            out = list(a) + [0] * (len(b) - len(a))
-            for i, c in enumerate(b):
-                out[i] -= c
-            return Poly._make(out)
-        if isinstance(other, int):
-            out = list(self.coeffs) or [0]
-            out[0] -= other
-            return Poly._make(out)
-        return NotImplemented
+        return self._plus(1, other, -1)
 
     def __rsub__(self, other: IntoPoly) -> Poly:
-        if isinstance(other, int):
-            out = [-c for c in self.coeffs] or [0]
-            out[0] += other
-            return Poly._make(out)
-        return NotImplemented
+        return self._plus(-1, other, 1)
 
     def __mul__(self, other: IntoPoly) -> Poly:
-        a = self.coeffs
-        if isinstance(other, Poly):
-            b = other.coeffs
-            # an empty operand leaves out all zeros (or empty), hence ZERO
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai == 0:
-                    continue
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-            return Poly._make(out)
         if isinstance(other, int):
-            return Poly._make([c * other for c in a])
-        return NotImplemented
+            return Poly.combine(((other, self),))
+        if not isinstance(other, Poly):
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        # an empty operand leaves out all zeros (or empty), hence ZERO
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai == 0:
+                continue
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+        return Poly._make(out)
 
     __rmul__ = __mul__
 
@@ -142,6 +125,10 @@ class Poly:
             if not s:
                 continue
             cs = p.coeffs
+            if not out:
+                # the first term is copied, not added into zeros
+                out = list(cs) if s == 1 else [s * c for c in cs]
+                continue
             if len(cs) > len(out):
                 out.extend([0] * (len(cs) - len(out)))
             for i, c in enumerate(cs):

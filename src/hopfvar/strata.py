@@ -13,6 +13,9 @@ functions of the twist count, twist_basis(n) = (1, n, n(n-1)/2, floor(n/2)).
 So one table holds each stratum, once, as rows of (k, P_k) terms, P_k an
 integer polynomial in q on basis function k (one row per irreducible), the
 row format of every symbolic table, which twist_sum evaluates at n >= 1.
+Beside it, twist_row merges (k, P) terms into one such row, one P_k per k:
+the one merge that builds every aggregated row (a stratum of geom, an
+aggregate piece of charvar).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ __all__ = [
     "P2_BOTH_EQUAL", "P2_DISTINCT",
     "P3_ALL_EQUAL", "P3_TWO_EQUAL", "P3_DISTINCT",
     "refines", "check_rank", "check_twists",
-    "twist_basis", "twist_sum", "config_rows", "config_epoly",
+    "twist_basis", "twist_sum", "twist_row", "config_rows", "config_epoly",
     "config_equivariant_s2", "config_equivariant_s3",
     "refinement_pairs", "admissibility_modulus", "is_admissible",
 ]
@@ -148,6 +151,13 @@ def twist_sum(row: tuple[tuple[int, Poly], ...], n: int) -> Poly:
     """sum twist_basis(n)[k] * P_k over the (k, P_k) terms of row, in one pass."""
     basis = twist_basis(n)
     return Poly.combine([(basis[k], p) for k, p in row])
+
+
+def twist_row(terms: list[tuple[int, Poly]]) -> tuple[tuple[int, Poly], ...]:
+    """The row, ascending in k, whose P_k sums the P of every (k, P) in terms,
+    so twist_sum of it is twist_sum of terms; builds each aggregated row."""
+    return tuple((k, Poly.combine([(1, p) for m, p in terms if m == k]))
+                 for k in sorted(dict(terms)))
 
 
 def config_rows(group: str | None, src: Partition, tgt: Partition | None) -> tuple:

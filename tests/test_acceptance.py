@@ -10,7 +10,7 @@ import time
 from hopfvar.charvar import char_piece_epoly, char_variety_epoly_formula
 from hopfvar.ffcount import count_rep_variety_points
 from hopfvar.geom import (
-    J3_DISTINCT, equivariant_pieces, rep_variety_epoly_formula,
+    J3_DISTINCT, _equivariant_pieces, rep_variety_epoly_formula,
     rep_variety_epoly_strata,
 )
 from hopfvar.poly import Poly, Q, special_linear_epoly, sym_projective_epoly
@@ -142,7 +142,7 @@ def test_criterion_7_equivariant_consistency():
             config_epoly(P3_DISTINCT, P3_DISTINCT, n)
             + 3 * config_epoly(P3_DISTINCT, P3_TWO_EQUAL, n)
             + config_epoly(P3_DISTINCT, P3_ALL_EQUAL, n))
-    orbit, stab = equivariant_pieces(J3_DISTINCT, "s3")
+    orbit, stab = _equivariant_pieces(J3_DISTINCT, "s3")
     ok &= (stab * orbit) == S3Elem(special_linear_epoly(3))
     elapsed = time.perf_counter() - started
     _report(7, "equivariant dims, power-pattern decomposition, fibration identity",

@@ -37,6 +37,8 @@ def test_invalid_pieces():
     with pytest.raises(ValueError):
         char_piece_epoly(4, "total", 1)
     with pytest.raises(ValueError):
+        char_piece_epoly(2, ["total"], 1)
+    with pytest.raises(ValueError):
         char_piece_epoly(2, "total", 0)
 
 

@@ -90,7 +90,7 @@ def test_oracle_names_left_the_package(module):
     "config_epoly_plain", "equivariant_pgl_piece", "equivariant_stab_piece", "char_pieces",
     "trivial", "t_component", "S2_ONE", "S3_ONE"])
 def test_second_spellings_left_the_package(name):
-    # each table has one reader: config_epoly(sigma, None, n), equivariant_pieces,
+    # each table has one reader: config_epoly(sigma, None, n), geom._equivariant_pieces,
     # char_piece_epoly over PIECES, S2Elem(e) / S3Elem(e), .t, S2Elem(1) / S3Elem(1)
     holders = [importlib.import_module(module) for module in MODULES]
     holders += [hopfvar.S2Elem, hopfvar.S3Elem]

@@ -6,7 +6,7 @@ from hopfvar import geom
 from hopfvar.geom import (
     J2_BLOCK, J2_DISTINCT, J2_SCALAR, J3_DISTINCT, J3_EQUAL_B21, J3_EQUAL_B3,
     J3_PAIR_B2, J3_PAIR_DIAG, J3_SCALAR, JordanType, Stratum,
-    admissible_strata, equivariant_pieces, pgl_mod_stab_epoly, rep_variety_epoly_formula,
+    _equivariant_pieces, admissible_strata, pgl_mod_stab_epoly, rep_variety_epoly_formula,
     rep_variety_epoly_strata, stabilizer_epoly, stratum_epoly,
 )
 
@@ -69,38 +69,50 @@ def test_orbit_times_stabilizer_fills_the_group():
 
 
 def test_equivariant_pieces():
-    orbit, stab = equivariant_pieces(J3_DISTINCT, "s3")
+    orbit, stab = _equivariant_pieces(J3_DISTINCT, "s3")
     assert orbit == S3Elem(Q ** 6, Q ** 3, Q ** 5 + Q ** 4)
     assert stab == S3Elem(Q ** 2, 1, -Q)
-    orbit2, _stab2 = equivariant_pieces(J3_DISTINCT, "s2")
+    orbit2, _stab2 = _equivariant_pieces(J3_DISTINCT, "s2")
     assert orbit2 == S2Elem(Q ** 6 + Q ** 5 + Q ** 4, Q ** 5 + Q ** 4 + Q ** 3)
-    orbit3, stab3 = equivariant_pieces(J2_DISTINCT, "s2")
+    orbit3, stab3 = _equivariant_pieces(J2_DISTINCT, "s2")
     assert orbit3 == S2Elem(Q ** 2, Q)
     assert stab3 == S2Elem(Q, -1)
-    assert equivariant_pieces(J3_SCALAR, "s3") == (S3Elem(1), S3Elem(E_SL3))
-    # no stratum uses the orbit of the repeated-pair type under s2
-    assert equivariant_pieces(J3_PAIR_DIAG, "s2") == (None, S2Elem(general_linear_epoly(2)))
+    # no stratum reads the orbit of a target-only type, nor the stabilizer of
+    # the distinct type under s2
+    assert _equivariant_pieces(J3_SCALAR, "s3") == (None, S3Elem(E_SL3))
+    assert _equivariant_pieces(J3_PAIR_DIAG, "s2") == (None, S2Elem(general_linear_epoly(2)))
+    assert _equivariant_pieces(J3_DISTINCT, "s2")[1] is None
 
 
 def test_equivariant_pieces_dims_match_plain():
     for xi, group in geom._EQUIVARIANT:
-        orbit, stab = equivariant_pieces(xi, group)
+        orbit, stab = _equivariant_pieces(xi, group)
         assert orbit is None or orbit.dim() == pgl_mod_stab_epoly(xi), (xi, group)
-        assert stab.dim() == stabilizer_epoly(xi), (xi, group)
+        assert stab is None or stab.dim() == stabilizer_epoly(xi), (xi, group)
+
+
+def test_equivariant_pieces_are_exactly_those_a_stratum_reads():
+    # a grouped stratum i -> j reads the orbit (slot 0) of type i and the
+    # stabilizer (slot 1) of type j under its group, and no other piece is kept
+    read = {(JordanType(rank, k), group, slot) for rank, rows in geom._STRATA.items()
+            for i, j, group in rows if group for slot, k in enumerate((i, j))}
+    kept = {(xi, group, slot) for (xi, group), pieces in geom._EQUIVARIANT.items()
+            for slot, piece in enumerate(pieces) if piece is not None}
+    assert kept == read
 
 
 def test_equivariant_pieces_errors():
     # a scalar type has data only under its own rank's group, the one its
     # strata carry
     for xi, group in ((J3_PAIR_B2, "s2"), (J3_EQUAL_B3, "s3"), (J3_DISTINCT, "s5"),
-                      (J2_SCALAR, "s3"), (J3_SCALAR, "s2")):
+                      (J2_SCALAR, "s3"), (J3_SCALAR, "s2"), (J2_DISTINCT, ["s2"])):
         with pytest.raises(ValueError):
-            equivariant_pieces(xi, group)
+            _equivariant_pieces(xi, group)
 
 
 def test_s3_fibration_identity():
     # torus class times orbit class reproduces the trivial-action group class
-    orbit, stab = equivariant_pieces(J3_DISTINCT, "s3")
+    orbit, stab = _equivariant_pieces(J3_DISTINCT, "s3")
     assert stab * orbit == S3Elem(E_SL3)
 
 
