@@ -88,7 +88,6 @@ _FORMULA_R3 = ((0, _F_Q4_Q2_1 + _F_Q6_2Q5 + _F_QM1_2_Q2_Q_M1 - 3 * _F_Q4_Q3 - _F
 
 def char_piece_epoly(rank: int, piece: str, n: int) -> Poly:
     """E-polynomial of one character-variety piece at twist count n."""
-    check_twists(n)
     row = _ROWS[check_rank(rank)].get(piece) if isinstance(piece, str) else None
     if row is None:
         raise ValueError(f"invalid piece {piece!r} for rank {rank}")
@@ -97,7 +96,8 @@ def char_piece_epoly(rank: int, piece: str, n: int) -> Poly:
 
 def char_variety_epoly_formula(rank: int, n: int) -> Poly:
     """Closed character-variety formula, with exact integer handling of the
-    half-integer and floor terms and the corrected rank-3 red_21 terms."""
+    half-integer and floor terms and the corrected rank-3 red_21 terms.  The
+    rank-2 branch reads no twist_sum, so n is checked here."""
     check_twists(n)
     if check_rank(rank) == 2:
         return _F_Q2_1 + (n - 1) * _F_Q2_Q_1

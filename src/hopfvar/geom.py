@@ -15,7 +15,8 @@ orbit, stabilizer) and ``_STRATA`` one row per admissible stratum.  Each
 stratum is built once, at import, on the twist basis of ``strata``
 (1, n, n(n-1)/2, floor(n/2)), one fixed polynomial per basis function, read
 at n by ``strata.twist_sum`` with no ring product: one stratum, every stratum
-term of the rank (the strata route), or the closed formula's row.  These
+term of the rank (the strata route), or the closed formula's row.  The twist
+count is checked where the basis is read, in ``strata.twist_basis``.  These
 constants are pinned by the test suite (dimension checks, fibration
 identity, closed formulas for all n, F_q counts), not re-derived.
 """
@@ -29,7 +30,7 @@ from .poly import ONE, Poly, Q, general_linear_epoly, special_linear_epoly
 from .repring import S2Elem, S3Elem
 from .strata import (
     P2_BOTH_EQUAL, P2_DISTINCT, P3_ALL_EQUAL, P3_DISTINCT, P3_TWO_EQUAL,
-    Partition, check_rank, check_twists, config_rows, twist_row, twist_sum,
+    Partition, check_rank, config_rows, twist_row, twist_sum,
 )
 # unused here, but perfbench traces them as geom attributes (strata.config_self_s)
 from .strata import config_epoly, config_equivariant_s2, config_equivariant_s3  # noqa: F401
@@ -158,8 +159,9 @@ def pgl_mod_stab_epoly(xi: JordanType) -> Poly:
 # -- equivariant data ----------------------------------------------------------
 
 # (Jordan type, group) -> (orbit piece, stabilizer piece) under the
-# block-permutation action, each None where no stratum of _STRATA reads it:
-# a source reads its orbit and a target its stabilizer.  Connected
+# block-permutation action, each None where no stratum of _STRATA reads it.
+# _stratum_row, its one reader, indexes it directly: a source reads its orbit
+# (slot 0) and a target its stabilizer (slot 1).  Connected
 # stabilizers are acted on by inner automorphisms, so their class is
 # trivial-action, e * T; the norm-one diagonal torus carries genuine S2/S3
 # classes.
@@ -172,18 +174,6 @@ _EQUIVARIANT = {
     (J2_SCALAR, "s2"): (None, S2Elem(stabilizer_epoly(J2_SCALAR))),
     (J3_SCALAR, "s3"): (None, S3Elem(stabilizer_epoly(J3_SCALAR))),
 }
-
-
-def _equivariant_pieces(xi: JordanType, group: str) -> tuple[S2Elem | S3Elem | None,
-                                                           S2Elem | S3Elem | None]:
-    """Equivariant E-polynomials (orbit PGL_r/Stab(xi), stabilizer Stab~(xi))
-    of a Jordan type under the block-permutation action of group ('s2' or
-    's3'); a piece is None where no stratum reads it.  Raises ValueError
-    when the type has no data under the group, or group is not a str."""
-    pieces = _EQUIVARIANT.get((xi, group)) if isinstance(group, str) else None
-    if pieces is None:
-        raise ValueError(f"no equivariant data for {xi} under {group!r}")
-    return pieces
 
 
 # -- stratum assembly ----------------------------------------------------------
@@ -199,7 +189,7 @@ def _stratum_row(rank: int, i: int, j: int, group: str | None):
     if group is None:
         factor = (pgl_mod_stab_epoly(src) * stabilizer_epoly(tgt),)
     else:
-        factor = (_equivariant_pieces(src, group)[0] * _equivariant_pieces(tgt, group)[1]).coeffs
+        factor = (_EQUIVARIANT[src, group][0] * _EQUIVARIANT[tgt, group][1]).coeffs
     return (src, tgt), twist_row([(k, p * f) for row, f in zip(config, factor) for k, p in row])
 
 
@@ -217,7 +207,6 @@ _RANK_ROWS = {rank: tuple(term for s in strata for term in _ROWS[s.src, s.tgt])
 def stratum_epoly(stratum: Stratum, n: int) -> Poly:
     """E-polynomial of one admissible stratum at twist count n: its fixed
     polynomials summed against the twist basis at n."""
-    check_twists(n)
     return twist_sum(_ROWS[stratum.src, stratum.tgt], n)
 
 
@@ -225,7 +214,6 @@ def rep_variety_epoly_strata(rank: int, n: int) -> Poly:
     """E-polynomial of the representation variety as the sum over all
     admissible strata (the stratification route): one pass over every
     stratum term of the rank."""
-    check_twists(n)
     return twist_sum(_rows(_RANK_ROWS, rank), n)
 
 
@@ -247,5 +235,4 @@ _FORMULA = {2: ((0, _R2_N0), (1, _R2_N)),
 
 def rep_variety_epoly_formula(rank: int, n: int) -> Poly:
     """E-polynomial of the representation variety by the closed formula."""
-    check_twists(n)
     return twist_sum(_rows(_FORMULA, rank), n)

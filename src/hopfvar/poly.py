@@ -257,12 +257,7 @@ def special_linear_epoly(r: int) -> Poly:
 
 
 def general_linear_epoly(r: int) -> Poly:
-    """E-polynomial of GL_r: (q^r - 1)(q^r - q) ... (q^r - q^{r-1})."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    out = ONE
-    qr = Q ** r
-    for i in range(r):
-        out = out * (qr - Q ** i)
-    return out
+    """E-polynomial of GL_r: (q^r - 1)(q^r - q) ... (q^r - q^{r-1}), which is
+    (q - 1) times that of SL_r."""
+    return (Q - 1) * special_linear_epoly(r)
 

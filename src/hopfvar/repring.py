@@ -3,11 +3,12 @@
 A finite group acting on a variety refines its E-polynomial to an element of
 the group's representation ring with polynomial coefficients.  For S2 the
 basis is {T, N} (trivial, sign); for S3 it is {T, S, D} (trivial, sign,
-standard).  The T-coefficient is the E-polynomial of the quotient, and the
-dimension map T,N,S -> 1, D -> 2 recovers the plain E-polynomial.  Every
-irreducible of S2 and S3 is self-dual, so T occurs once in the product of an
-irreducible with itself and never in a product of two distinct ones: the
-T-coefficient of x * y is the sum of the products of matching coefficients.
+standard).  The T-coefficient is the E-polynomial of the quotient (under S3,
+t + d is that of the quotient by a transposition), and the dimension map
+T,N,S -> 1, D -> 2 recovers the plain E-polynomial.  Every irreducible of S2
+and S3 is self-dual, so T occurs once in the product of an irreducible with
+itself and never in a product of two distinct ones: the T-coefficient of
+x * y is the sum of the products of matching coefficients.
 
 Negative coefficients are legal (virtual representations occur naturally,
 e.g. (q-2)*T - N).  Only S2 and S3 are provided; nothing here generalizes to
@@ -36,7 +37,8 @@ class _RepElem:
     (equality and hashing) with one Poly field per irreducible, in basis
     order and named after it, the trivial representation t first and every
     other field defaulting to 0; __post_init__ turns int fields into Poly.
-    A subclass brings its own __mul__ (its multiplication table)."""
+    A subclass brings its own __mul__ (its multiplication table), which, as
+    __add__ does, returns NotImplemented for an operand of another type."""
 
     #: dimension of each irreducible, in field order
     DIMS: ClassVar[tuple[int, ...]]
@@ -93,14 +95,9 @@ class S2Elem(_RepElem):
     t: Poly
     n: Poly = 0
 
-    @staticmethod
-    def from_quotients(e_x: IntoPoly, e_x_mod_s2: IntoPoly) -> S2Elem:
-        """Reconstruct a*T + b*N from e(X) and e(X/S2): a is the quotient
-        E-polynomial and b the difference."""
-        e_x, a = _poly(e_x), _poly(e_x_mod_s2)
-        return S2Elem(a, e_x - a)
-
     def __mul__(self, other: S2Elem) -> S2Elem:
+        if type(other) is not S2Elem:
+            return NotImplemented
         # (aT + bN)(a'T + b'N) = (aa' + bb')T + (ab' + ba')N
         a, b = self.t, self.n
         c, d = other.t, other.n
@@ -120,19 +117,9 @@ class S3Elem(_RepElem):
     s: Poly = 0
     d: Poly = 0
 
-    @staticmethod
-    def from_quotients(e_x: IntoPoly, e_x_mod_tau: IntoPoly,
-                       e_x_mod_s3: IntoPoly) -> S3Elem:
-        """Reconstruct a*T + b*S + c*D from the E-polynomials of the space,
-        its quotient by a transposition, and its full S3 quotient:
-        a = e(X/S3), b = e(X) - 2e(X/tau) + e(X/S3), c = e(X/tau) - e(X/S3).
-        """
-        e_x = _poly(e_x)
-        e_tau = _poly(e_x_mod_tau)
-        a = _poly(e_x_mod_s3)
-        return S3Elem(a, e_x - 2 * e_tau + a, e_tau - a)
-
     def __mul__(self, other: S3Elem) -> S3Elem:
+        if type(other) is not S3Elem:
+            return NotImplemented
         a, b, c = self.t, self.s, self.d
         x, y, z = other.t, other.s, other.d
         return S3Elem(
@@ -140,7 +127,3 @@ class S3Elem(_RepElem):
             a * y + b * x + c * z,
             a * z + c * x + b * z + c * y + c * z,
         )
-
-    def tau_quotient(self) -> Poly:
-        """E-polynomial of the quotient by a transposition: t + d."""
-        return self.t + self.d

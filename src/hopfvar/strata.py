@@ -13,9 +13,11 @@ functions of the twist count, twist_basis(n) = (1, n, n(n-1)/2, floor(n/2)).
 So one table holds each stratum, once, as rows of (k, P_k) terms, P_k an
 integer polynomial in q on basis function k (one row per irreducible), the
 row format of every symbolic table, which twist_sum evaluates at n >= 1.
-Beside it, twist_row merges (k, P) terms into one such row, one P_k per k:
-the one merge that builds every aggregated row (a stratum of geom, an
-aggregate piece of charvar).
+twist_sum reads n only through twist_basis, which checks it: the one twist
+check of every symbolic reader but the rank-2 character formula.  Beside
+it, twist_row merges (k, P) terms into one such row, one P_k per k: the one
+merge that builds every aggregated row (a stratum of geom, an aggregate piece
+of charvar).
 """
 
 from __future__ import annotations
@@ -143,7 +145,9 @@ _CONFIG = {
 
 def twist_basis(n: int) -> tuple[int, int, int, int]:
     """The functions of n every symbolic table is an integer (Poly) combination
-    of: (1, n, n(n-1)/2, floor(n/2)).  Read only through twist_sum."""
+    of: (1, n, n(n-1)/2, floor(n/2)).  Read only through twist_sum, so the
+    twist count of every symbolic reader is checked here, once."""
+    check_twists(n)
     return 1, n, n * (n - 1) // 2, n // 2
 
 
@@ -173,7 +177,6 @@ def config_epoly(src: Partition, tgt: Partition | None, n: int) -> Poly:
     """E-polynomial of the stratum: tuples of pattern src whose n-th powers
     have pattern tgt, which src must refine.  tgt=None means the whole
     stratum of pattern src (no power condition), the same at every n."""
-    check_twists(n)
     return twist_sum(config_rows(None, src, tgt)[0], n)
 
 
@@ -182,7 +185,6 @@ def config_equivariant_s2(src: Partition, tgt: Partition | None, n: int) -> S2El
     action.  tgt=None means the whole stratum of pattern src (no power
     condition); supported cases are the rank-2 distinct-pair strata and the
     rank-3 distinct triple degenerating to a coincident pair."""
-    check_twists(n)
     return S2Elem(*(twist_sum(row, n) for row in config_rows("s2", src, tgt)))
 
 
@@ -190,7 +192,6 @@ def config_equivariant_s3(tgt: Partition | None, n: int) -> S3Elem:
     """S3-equivariant E-polynomial of the rank-3 distinct-triple stratum,
     split by the power pattern tgt (all-equal or still-distinct); tgt=None is
     the whole distinct-triple stratum."""
-    check_twists(n)
     return S3Elem(*(twist_sum(row, n) for row in config_rows("s3", P3_DISTINCT, tgt)))
 
 

@@ -1,4 +1,5 @@
 import ast
+from pathlib import Path
 
 import pytest
 
@@ -139,7 +140,7 @@ def test_formula_shares_no_constant_with_pieces():
     # the closed formula checks the piece sums only if it reads none of the
     # module names the pieces are built from: follow every name each side
     # reads through the module-level assignments and functions that define it
-    tree = ast.parse(open(charvar.__file__, encoding="utf-8").read())
+    tree = ast.parse(Path(charvar.__file__).read_text(encoding="utf-8"))
     definitions = {}
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):

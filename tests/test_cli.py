@@ -261,6 +261,20 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli([], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+@pytest.mark.parametrize("rank", ["2", "3"])
+@pytest.mark.parametrize("argv", [
+    ["rep", "--method", "formula"], ["rep", "--method", "strata"], ["rep", "--method", "both"],
+    ["char"], ["char", "--pieces"], ["count", "--q", "7"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_bad_twist_count_is_refused_alone(argv, rank, n, capsys):
+    # every route refuses n < 1 with the one twist-count error on stderr and
+    # nothing on stdout
+    code, out, err = run_cli(argv + ["--rank", rank, "--n", n], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: twist count must be an integer >= 1, got {n}\n"
+
+
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 

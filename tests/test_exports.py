@@ -88,10 +88,13 @@ def test_oracle_names_left_the_package(module):
 
 @pytest.mark.parametrize("name", [
     "config_epoly_plain", "equivariant_pgl_piece", "equivariant_stab_piece", "char_pieces",
-    "trivial", "t_component", "S2_ONE", "S3_ONE"])
+    "trivial", "t_component", "S2_ONE", "S3_ONE", "_equivariant_pieces", "from_quotients",
+    "tau_quotient"])
 def test_second_spellings_left_the_package(name):
-    # each table has one reader: config_epoly(sigma, None, n), geom._equivariant_pieces,
-    # char_piece_epoly over PIECES, S2Elem(e) / S3Elem(e), .t, S2Elem(1) / S3Elem(1)
+    # each table has one reader: config_epoly(sigma, None, n), geom._stratum_row
+    # indexing geom._EQUIVARIANT, char_piece_epoly over PIECES, S2Elem(e) /
+    # S3Elem(e), .t, S2Elem(1) / S3Elem(1); an equivariant class is built from
+    # its coefficients alone, and its transposition quotient is x.t + x.d
     holders = [importlib.import_module(module) for module in MODULES]
     holders += [hopfvar.S2Elem, hopfvar.S3Elem]
     present = [getattr(h, "__name__", h) for h in holders if hasattr(h, name)]

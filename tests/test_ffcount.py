@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -317,7 +318,7 @@ def test_thread_count_does_not_change_result():
 
 def test_oracle_imports_nothing_it_checks():
     # the F_q count must not share code with the polynomials it verifies
-    tree = ast.parse(open(ffcount.__file__, encoding="utf-8").read())
+    tree = ast.parse(Path(ffcount.__file__).read_text(encoding="utf-8"))
     imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):

@@ -16,7 +16,7 @@ from hopfvar.repring import S2Elem, S3Elem
 from hopfvar.strata import (
     P2_BOTH_EQUAL, P2_DISTINCT, P3_ALL_EQUAL, P3_DISTINCT, P3_TWO_EQUAL,
     Partition, admissibility_modulus, check_twists, config_epoly, config_equivariant_s2,
-    config_equivariant_s3, is_admissible, refinement_pairs, refines, twist_basis,
+    config_equivariant_s3, is_admissible, refinement_pairs, refines, twist_basis, twist_sum,
 )
 
 from _oracles import _PATTERNS, smallest_admissible_prime, twisted_config_count
@@ -104,6 +104,8 @@ def test_one_index_policy(cls, kind, index):
 # every public function that takes a twist count, called at that count
 TWISTED = {
     "check_twists": check_twists,
+    "twist_basis": twist_basis,
+    "twist_sum": lambda n: twist_sum(((0, ONE),), n),
     "config_epoly": lambda n: config_epoly(P2_DISTINCT, P2_DISTINCT, n),
     "config_equivariant_s2": lambda n: config_equivariant_s2(P2_DISTINCT, None, n),
     "config_equivariant_s3": lambda n: config_equivariant_s3(None, n),
