@@ -10,7 +10,7 @@ from .repring import S2Elem, S3Elem
 from .strata import (
     P2_BOTH_EQUAL, P2_DISTINCT, P3_ALL_EQUAL, P3_DISTINCT, P3_TWO_EQUAL,
     Partition, config_epoly, config_equivariant_s2, config_equivariant_s3,
-    refinement_pairs, refines,
+    refinement_pairs,
 )
 from .geom import (
     J2_BLOCK, J2_DISTINCT, J2_SCALAR, J3_DISTINCT, J3_EQUAL_B21, J3_EQUAL_B3,

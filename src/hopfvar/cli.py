@@ -36,6 +36,9 @@ from .poly import Poly
 #: Longest twist range ``table`` accepts; a longer one is refused (exit 2)
 #: before any row is built.
 MAX_TABLE_ROWS = 10_000
+#: Most rows times digits of the upper bound ``table`` accepts, since a row's
+#: text grows with the digits of n; a range past it is refused the same way.
+MAX_TABLE_DIGITS = 200_000
 
 
 def _render(p: Poly, latex: bool) -> str:
@@ -104,6 +107,10 @@ def _parse_range(text: str) -> list[int]:
         raise ValueError(f"empty or invalid range {text!r}")
     if hi - lo >= MAX_TABLE_ROWS:
         raise ValueError(f"range {text!r} has more than {MAX_TABLE_ROWS} rows")
+    rows, digits = hi - lo + 1, len(str(hi))
+    if rows * digits > MAX_TABLE_DIGITS:
+        raise ValueError(f"range {text!r} has {rows} rows of up to {digits} digits, "
+                         f"more than {MAX_TABLE_DIGITS} in all")
     return list(range(lo, hi + 1))
 
 

@@ -568,10 +568,10 @@ def count_rep_variety_points(rank: int, n: int, q: int,
     """
     check_rank(rank)
     check_twists(n)
-    # the cyclic classes the sweep flags, bounded before the primality test
-    classes = q ** (rank - 1)
-    if classes > MAX_CLASSES:
-        raise ValueError(f"q^{rank - 1} = {classes} classes exceeds the class "
+    # the cyclic classes the sweep flags, bounded before the primality test;
+    # a q that is not an int is refused by _check_field
+    if type(q) is int and q ** (rank - 1) > MAX_CLASSES:
+        raise ValueError(f"q^{rank - 1} = {q ** (rank - 1)} classes exceeds the class "
                          f"ceiling {MAX_CLASSES}")
     _check_field(q)
     # A^|GL_r(F_q)| = I, so n may be reduced mod the group order; a zero

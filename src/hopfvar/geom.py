@@ -66,11 +66,6 @@ _TYPES = {
 }
 
 
-def _rows(table: dict[int, tuple], rank: int) -> tuple:
-    """The rows of a per-rank table (_TYPES, _ADMISSIBLE, _RANK_ROWS, _FORMULA)."""
-    return table[check_rank(rank)]
-
-
 @dataclass(frozen=True)
 class JordanType:
     """One of the finitely many Jordan structures of an SL_r matrix.
@@ -85,7 +80,7 @@ class JordanType:
     index: int
 
     def __post_init__(self):
-        top = len(_rows(_TYPES, self.rank))
+        top = len(_TYPES[check_rank(self.rank)])
         if type(self.index) is not int or not 1 <= self.index <= top:
             raise ValueError(f"invalid Jordan type index {self.index!r} for rank {self.rank}")
 
@@ -128,8 +123,7 @@ class Stratum:
     tgt: JordanType
 
     def __post_init__(self):
-        if self.src.rank != self.tgt.rank:
-            raise ValueError("stratum endpoints must have equal rank")
+        # _ROWS holds the admissible pairs of each rank, so it refuses mixed ranks
         if (self.src, self.tgt) not in _ROWS:
             raise ValueError(f"inadmissible stratum {self.src} -> {self.tgt}")
 
@@ -142,7 +136,9 @@ class Stratum:
 
 
 def admissible_strata(rank: int) -> list[Stratum]:
-    return list(_rows(_ADMISSIBLE, rank))
+    """The admissible strata of the rank, in assembly order."""
+    check_rank(rank)
+    return [Stratum(src, tgt) for src, tgt in _ROWS if src.rank == rank]
 
 
 def stabilizer_epoly(xi: JordanType) -> Poly:
@@ -193,15 +189,13 @@ def _stratum_row(rank: int, i: int, j: int, group: str | None):
     return (src, tgt), twist_row([(k, p * f) for row, f in zip(config, factor) for k, p in row])
 
 
-# (src, tgt) -> ((k, P_k), ...): the stratum is sum_k twist_basis(n)[k] * P_k
+# (src, tgt) -> ((k, P_k), ...): the stratum is sum_k twist_basis(n)[k] * P_k,
+# the admissible pairs of each rank in assembly order
 _ROWS = dict(_stratum_row(rank, *row) for rank, rows in _STRATA.items() for row in rows)
 
-# the admissible strata of each rank, in assembly order, and all their terms
-_ADMISSIBLE = {rank: tuple(Stratum(JordanType(rank, i), JordanType(rank, j))
-                           for i, j, _ in rows)
-               for rank, rows in _STRATA.items()}
-_RANK_ROWS = {rank: tuple(term for s in strata for term in _ROWS[s.src, s.tgt])
-              for rank, strata in _ADMISSIBLE.items()}
+# every stratum term of each rank, in assembly order
+_RANK_ROWS = {rank: tuple(term for s in admissible_strata(rank) for term in _ROWS[s.src, s.tgt])
+              for rank in _STRATA}
 
 
 def stratum_epoly(stratum: Stratum, n: int) -> Poly:
@@ -214,7 +208,7 @@ def rep_variety_epoly_strata(rank: int, n: int) -> Poly:
     """E-polynomial of the representation variety as the sum over all
     admissible strata (the stratification route): one pass over every
     stratum term of the rank."""
-    return twist_sum(_rows(_RANK_ROWS, rank), n)
+    return twist_sum(_RANK_ROWS[check_rank(rank)], n)
 
 
 # Closed-formula route: one row per rank on the twist basis of strata,
@@ -235,4 +229,4 @@ _FORMULA = {2: ((0, _R2_N0), (1, _R2_N)),
 
 def rep_variety_epoly_formula(rank: int, n: int) -> Poly:
     """E-polynomial of the representation variety by the closed formula."""
-    return twist_sum(_rows(_FORMULA, rank), n)
+    return twist_sum(_FORMULA[check_rank(rank)], n)

@@ -67,9 +67,6 @@ class Poly:
         """Degree of the polynomial; the zero polynomial has degree -1."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     # -- ring arithmetic -----------------------------------------------------
     #
     # A Poly operand is used as it is and an int c enters combine as the term

@@ -62,15 +62,16 @@ class _RepElem:
         weighted by the dimensions of their irreducibles."""
         return Poly.combine(zip(self.DIMS, self.coeffs))
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
+    def __bool__(self) -> bool:
+        """False for the zero element, as for Poly: the one zero test."""
+        return any(self.coeffs)
 
     def to_ascii(self) -> str:
         # e.g. '(q^2 + 1)*T - 2*q*N'; a coefficient of several terms is bracketed
         out = ""
         for f in fields(self):
             coeff, name = getattr(self, f.name), f.name.upper()
-            if coeff.is_zero():
+            if not coeff:
                 continue
             text = coeff.to_ascii()
             if " " in text:

@@ -31,7 +31,7 @@ __all__ = [
     "Partition",
     "P2_BOTH_EQUAL", "P2_DISTINCT",
     "P3_ALL_EQUAL", "P3_TWO_EQUAL", "P3_DISTINCT",
-    "refines", "check_rank", "check_twists",
+    "check_rank", "check_twists",
     "twist_basis", "twist_sum", "twist_row", "config_rows", "config_epoly",
     "config_equivariant_s2", "config_equivariant_s3",
     "refinement_pairs", "admissibility_modulus", "is_admissible",
@@ -80,22 +80,13 @@ P3_TWO_EQUAL = Partition(3, 2)
 P3_DISTINCT = Partition(3, 3)
 
 
-def refines(src: Partition, tgt: Partition) -> bool:
-    """True when src subdivides tgt: every src block sits inside a tgt block.
-
-    The canonical patterns of one rank form a chain under refinement, index 1
-    (one block) the coarsest, so src refines tgt iff src.index >= tgt.index.
-    Raises on rank mismatch.
-    """
-    if src.rank != tgt.rank:
-        raise ValueError(f"rank mismatch: {src.rank} vs {tgt.rank}")
-    return src.index >= tgt.index
-
-
 def refinement_pairs(rank: int) -> list[tuple[Partition, Partition]]:
-    """All (src, tgt) pairs with src refining tgt, identities included."""
+    """All (src, tgt) pairs with src refining tgt (every src block sits inside
+    a tgt block), identities included.  The canonical patterns of one rank
+    form a chain under refinement, index 1 (one block) the coarsest, so src
+    refines tgt iff src.index >= tgt.index."""
     parts = [Partition(rank, i) for i in range(1, rank + 1)]
-    return [(s, t) for s in parts for t in parts if refines(s, t)]
+    return [(s, t) for s in parts for t in parts if s.index >= t.index]
 
 
 # Every configuration stratum, at twist count n, on the basis of functions of

@@ -486,6 +486,25 @@ def twisted_torus_points(w: tuple[int, ...], q: int) -> tuple[int, tuple]:
     return m, tuple(points)
 
 
+def twisted_torus_order(w: tuple[int, ...], q: int) -> int:
+    """|T_w(F_q)|: the F_q points of the norm-one torus of rank len(w)
+    twisted by w, counted from twisted_torus_points."""
+    return len(twisted_torus_points(w, q)[1])
+
+
+def sl_group_order(r: int, q: int) -> int:
+    """|SL_r(F_q)| = |PGL_r(F_q)|: the ordered bases of F_q^r (q^r - q^i
+    choices for the vector after i independent ones) over the q - 1 values
+    of the determinant."""
+    return math.prod(q ** r - q ** i for i in range(r)) // (q - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def gl2_group_order(q: int) -> int:
+    """|GL_2(F_q)|, by enumerating the matrices."""
+    return len(gl2_elements(q))
+
+
 def twisted_config_count(rank, cycle_type, src, tgt, n, q) -> int:
     """Points of the configuration stratum (src, tgt) twisted by the
     permutation of the given cycle type ("1", "12", or at rank 3 "123"):

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from hopfvar import charvar, ffcount, geom
-from hopfvar.cli import MAX_TABLE_ROWS, _parse_range, main
+from hopfvar.cli import MAX_TABLE_DIGITS, MAX_TABLE_ROWS, _parse_range, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -237,20 +237,30 @@ def test_table_rejects_empty_range(capsys):
 
 
 def test_table_refuses_huge_range_quickly():
-    # the range is refused before its list or any row is built
+    # the range is refused before its list or any row is built: too many
+    # rows, or rows whose n are too long (1000 rows of 2001 digits would
+    # print about 144 MB)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    started = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "hopfvar.cli", "table", "--rank", "3",
-         "--n", "1..1000000000", "--target", "rep"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=5)
-    assert time.perf_counter() - started < 5.0
-    assert proc.returncode == 2
-    assert proc.stdout == ""
+    for lo, hi in ((1, 10 ** 9), (10 ** 2000, 10 ** 2000 + 999)):
+        started = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "hopfvar.cli", "table", "--rank", "3",
+             "--n", f"{lo}..{hi}", "--target", "rep", "--format", "json"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=5)
+        assert time.perf_counter() - started < 5.0
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: range ") and proc.stderr.count("\n") == 1
     assert len(_parse_range(f"7..{MAX_TABLE_ROWS + 6}")) == MAX_TABLE_ROWS
     with pytest.raises(ValueError):
         _parse_range(f"7..{MAX_TABLE_ROWS + 7}")
+    # rows times the upper bound's digits: at the bound a range is read, one row more is not
+    for digits in (21, MAX_TABLE_DIGITS // 100):
+        lo, rows = 10 ** (digits - 1), MAX_TABLE_DIGITS // digits
+        assert len(_parse_range(f"{lo}..{lo + rows - 1}")) == rows
+        with pytest.raises(ValueError, match=f"more than {MAX_TABLE_DIGITS} in all"):
+            _parse_range(f"{lo}..{lo + rows}")
 
 
 def test_usage_errors_exit_2(capsys):

@@ -118,3 +118,14 @@ def test_second_twist_readers_left_the_package(holder, name):
     # every symbolic table is read on strata.twist_basis through
     # strata.twist_sum, and no formula halves a Poly
     assert not hasattr(getattr(hopfvar, holder), name)
+
+
+@pytest.mark.parametrize("holder, name", [
+    ("strata", "refines"), ("hopfvar", "refines"), ("Poly", "is_zero"),
+    ("S2Elem", "is_zero"), ("S3Elem", "is_zero"), ("geom", "_rows"), ("geom", "_ADMISSIBLE")])
+def test_second_statements_left_the_package(holder, name):
+    # each fact is stated once: the refinement order in strata.refinement_pairs,
+    # the zero test as truthiness (not p), a per-rank table read as
+    # table[check_rank(rank)], and the admissible strata as the keys of geom._ROWS
+    module = hopfvar if holder == "hopfvar" else getattr(hopfvar, holder)
+    assert not hasattr(module, name)

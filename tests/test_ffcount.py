@@ -800,9 +800,10 @@ def test_field_checked_once_per_count(monkeypatch):
     lambda q: FqMatrix(q, [[1, 0], [0, 1]]),
     lambda q: count_rep_variety_points(2, 1, q),
 ], ids=["FqMatrix", "count_rep_variety_points"])
-@pytest.mark.parametrize("q", (7.0, True))
+@pytest.mark.parametrize("q", (7.0, True, "7", None))
 def test_field_size_must_be_an_int(monkeypatch, call, q):
-    # refused before is_prime, which would take 7.0 for the prime 7
+    # refused before is_prime, which would take 7.0 for the prime 7, and
+    # before the class ceiling, which cannot raise "7" or None to a power
     monkeypatch.setattr(ffcount, "is_prime", None)
     with pytest.raises(ValueError) as err:
         call(q)

@@ -10,7 +10,7 @@ from hopfvar.geom import (
     rep_variety_epoly_strata, stabilizer_epoly, stratum_epoly,
 )
 
-from _oracles import dense
+from _oracles import dense, gl2_group_order, sl_group_order, twisted_torus_order
 
 E_SL2 = special_linear_epoly(2)
 E_SL3 = special_linear_epoly(3)
@@ -98,6 +98,62 @@ def test_equivariant_pieces_are_exactly_those_a_stratum_reads():
     kept = {(xi, group, slot) for (xi, group), pieces in geom._EQUIVARIANT.items()
             for slot, piece in enumerate(pieces) if piece is not None}
     assert kept == read
+
+
+# Lang's theorem gives each equivariant piece as characters of its group:
+# the class at w is the F_q count of the piece's variety with Frobenius
+# twisted by w, which is |T_w| for the torus stabilizer, |SL_r| / |T_w| for
+# the orbit SL_r / T, and the plain order for a connected stabilizer, which
+# no inner twist changes.  Seven primes fix a polynomial of degree <= 6.
+LANG_PRIMES = (3, 5, 7, 11, 13, 17, 19)
+# each group's permutations w of its rank's torus coordinates, one per class
+LANG_WS = {("s2", 2): ((0, 1), (1, 0)), ("s2", 3): ((0, 1, 2), (1, 0, 2)),
+           ("s3", 3): ((0, 1, 2), (1, 0, 2), (1, 2, 0))}
+
+
+def _character(x, w):
+    # S2: t + n at 1, t - n at a transposition; S3: t + s + 2d, t - s and
+    # t + s - d at w fixing 3, 1 and 0 points
+    fixed = sum(i == j for i, j in enumerate(w))
+    if isinstance(x, S2Elem):
+        return x.t + x.n if fixed == len(w) else x.t - x.n
+    return {3: x.t + x.s + 2 * x.d, 1: x.t - x.s, 0: x.t + x.s - x.d}[fixed]
+
+
+def _orbit_count(w, q):
+    group, torus = sl_group_order(len(w), q), twisted_torus_order(w, q)
+    assert group % torus == 0, (w, q)
+    return group // torus
+
+
+# (type, group, slot) -> the Lang count at (w, q) of that piece
+LANG_COUNTS = {
+    (J2_DISTINCT, "s2", 0): _orbit_count,
+    (J2_DISTINCT, "s2", 1): twisted_torus_order,
+    (J3_DISTINCT, "s3", 0): _orbit_count,
+    (J3_DISTINCT, "s3", 1): twisted_torus_order,
+    (J3_DISTINCT, "s2", 0): _orbit_count,
+    (J3_PAIR_DIAG, "s2", 1): lambda w, q: gl2_group_order(q),
+    (J2_SCALAR, "s2", 1): lambda w, q: sl_group_order(2, q),
+    (J3_SCALAR, "s3", 1): lambda w, q: sl_group_order(3, q),
+}
+
+
+def test_every_equivariant_piece_has_a_lang_count():
+    kept = {(xi, group, slot) for (xi, group), pieces in geom._EQUIVARIANT.items()
+            for slot, piece in enumerate(pieces) if piece is not None}
+    assert kept == set(LANG_COUNTS)
+
+
+@pytest.mark.parametrize("xi, group, slot", list(LANG_COUNTS), ids=[
+    f"r{xi.rank}-xi{xi.index}-{group}-{('orbit', 'stabilizer')[slot]}"
+    for xi, group, slot in LANG_COUNTS])
+def test_equivariant_piece_matches_lang_count(xi, group, slot):
+    piece, count = geom._EQUIVARIANT[xi, group][slot], LANG_COUNTS[xi, group, slot]
+    for w in LANG_WS[group, xi.rank]:
+        character = _character(piece, w)
+        for q in LANG_PRIMES:
+            assert character.evaluate(q) == count(w, q), (w, q)
 
 
 def test_s3_fibration_identity():

@@ -13,7 +13,7 @@ def test_canonical_form_strips_trailing_zeros():
     assert Poly([1, 2, 0, 0]).coeffs == (1, 2)
     assert Poly([0, 0, 0]).coeffs == ()
     assert Poly() == ZERO
-    assert Poly([0]).is_zero()
+    assert not Poly([0])
 
 
 def test_addition():

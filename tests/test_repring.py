@@ -81,7 +81,9 @@ def test_s3_trivial_action():
     # a trivial-action class e * T is written with its T-coefficient alone
     assert S3Elem(Q ** 8 - Q ** 6 - Q ** 5 + Q ** 3).s == ZERO
     assert S2Elem(Q ** 4 - Q ** 3 - Q ** 2 + Q) == S2Elem(Q ** 4 - Q ** 3 - Q ** 2 + Q, 0)
-    assert S3Elem(0).is_zero()
+    # truthiness is the zero test, as for Poly: any nonzero coefficient makes it true
+    assert not S3Elem(0) and not S2Elem(0, 0)
+    assert S3Elem(0, 0, 1) and S2Elem(0, -1) and S2Elem(ONE)
 
 
 def test_s3_commutative_associative_dim():
