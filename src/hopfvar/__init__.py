@@ -20,9 +20,6 @@ from .geom import (
     stratum_epoly,
 )
 from .charvar import char_piece_epoly, char_variety_epoly_formula
-from .ffcount import (
-    FqMatrix, commutant_basis, count_commuting_det1,
-    count_rep_variety_points, is_admissible,
-)
+from .ffcount import count_rep_variety_points, is_admissible
 
 __version__ = "0.1.0"

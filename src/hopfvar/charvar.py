@@ -29,7 +29,7 @@ formula is.  The pieces, in table order:
 from __future__ import annotations
 
 from .poly import Poly, Q
-from .strata import check_rank, check_twists, twist_row, twist_sum
+from .strata import check_rank, check_twists, shown, twist_row, twist_sum
 
 __all__ = ["PIECES", "char_piece_epoly", "char_variety_epoly_formula"]
 
@@ -90,7 +90,7 @@ def char_piece_epoly(rank: int, piece: str, n: int) -> Poly:
     """E-polynomial of one character-variety piece at twist count n."""
     row = _ROWS[check_rank(rank)].get(piece) if isinstance(piece, str) else None
     if row is None:
-        raise ValueError(f"invalid piece {piece!r} for rank {rank}")
+        raise ValueError(f"invalid piece {shown(piece)} for rank {rank}")
     return twist_sum(row, n)
 
 

@@ -13,11 +13,11 @@ Subcommands:
              or the piece total (``char``).
 
 Exit codes: 0 success/match, 1 verified mismatch (a finding), 2 usage or
-precondition error.  A refusal (bad n, bad q, a field over the class budget,
-an inadmissible ``--assert``, a bad table range, an answer with an integer too
-long for the interpreter to print) prints one ``error: ...`` line on stderr
-and nothing on stdout, which each command renders whole before writing it.
-Data goes to stdout and is deterministic; timings go to stderr.
+precondition error.  A refusal (a usage error, bad n or q, a field over the
+class budget, an inadmissible ``--assert``, a bad table range, an answer with
+an integer too long to print) prints one short ``error:`` line on stderr,
+naming a long input by its size, and nothing on stdout, which each command
+renders whole first.  Data goes to stdout and is deterministic; timings to stderr.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import time
 
 from . import charvar, ffcount, geom
 from .poly import Poly
+from .strata import shown
 
 #: Longest twist range ``table`` accepts; a longer one is refused (exit 2)
 #: before any row is built.
@@ -84,7 +85,7 @@ def _cmd_count(args) -> int:
     modulus = ffcount.admissibility_modulus(args.rank, args.n)
     admissible = ffcount.is_admissible(args.rank, args.n, args.q)
     if args.check and not admissible:
-        raise ValueError(f"--assert requires {modulus} | q-1 (got q={args.q})")
+        raise ValueError(f"--assert requires {shown(modulus)} | q-1 (got q={shown(args.q)})")
     count = ffcount.count_rep_variety_points(args.rank, args.n, args.q, threads=args.threads)
     print(f"count: {count}")
     if not admissible:
@@ -102,14 +103,14 @@ def _parse_range(text: str) -> list[int]:
     try:
         lo, hi = (int(b) for b in bounds)
     except ValueError:  # not an integer, or one past the interpreter's digit limit
-        raise ValueError(f"invalid range {text!r}") from None
+        raise ValueError(f"invalid range {shown(text)}") from None
     if lo < 1 or hi < lo:
-        raise ValueError(f"empty or invalid range {text!r}")
+        raise ValueError(f"empty or invalid range {shown(text)}")
     if hi - lo >= MAX_TABLE_ROWS:
-        raise ValueError(f"range {text!r} has more than {MAX_TABLE_ROWS} rows")
+        raise ValueError(f"range {shown(text)} has more than {MAX_TABLE_ROWS} rows")
     rows, digits = hi - lo + 1, len(str(hi))
     if rows * digits > MAX_TABLE_DIGITS:
-        raise ValueError(f"range {text!r} has {rows} rows of up to {digits} digits, "
+        raise ValueError(f"range {shown(text)} has {rows} rows of up to {digits} digits, "
                          f"more than {MAX_TABLE_DIGITS} in all")
     return list(range(lo, hi + 1))
 
@@ -167,16 +168,30 @@ def _cmd_table(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are one ``error: ...`` line, as all refusals are."""
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
+def _integer(text: str) -> int:
+    """int, the type of every integer option, refusing a long text by its size."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hopfvar",
         description="Exact E-polynomials of SL2/SL3 representation and "
                     "character varieties of twisted Hopf links.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--rank", type=int, choices=(2, 3), required=True)
-        p.add_argument("--n", type=int, required=True, help="twist count, >= 1")
+        p.add_argument("--rank", type=_integer, metavar="{2,3}", required=True)
+        p.add_argument("--n", type=_integer, required=True, help="twist count, >= 1")
 
     p_rep = sub.add_parser("rep", help="representation-variety E-polynomial")
     add_common(p_rep)
@@ -192,14 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="finite-field point count")
     add_common(p_count)
-    p_count.add_argument("--q", type=int, required=True, help="odd prime field size")
+    p_count.add_argument("--q", type=_integer, required=True, help="odd prime field size")
     p_count.add_argument("--assert", dest="check", action="store_true",
                          help="compare against the closed-formula polynomial")
-    p_count.add_argument("--threads", type=int, default=None,
+    p_count.add_argument("--threads", type=_integer, default=None,
                          help="accepted and has no effect: the sweep is serial")
 
     p_table = sub.add_parser("table", help="tabulate over a range of twist counts")
-    p_table.add_argument("--rank", type=int, choices=(2, 3), required=True)
+    p_table.add_argument("--rank", type=_integer, metavar="{2,3}", required=True)
     p_table.add_argument("--n", type=str, required=True, help="range, e.g. 1..8")
     p_table.add_argument("--target", choices=("rep", "char"), required=True)
     p_table.add_argument("--format", choices=("csv", "latex", "json"), default="csv")
@@ -207,8 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     command = {"rep": _cmd_rep, "char": _cmd_char, "count": _cmd_count,
                "table": _cmd_table}[args.command]
     started = time.perf_counter()

@@ -55,38 +55,24 @@ direct enumeration would step through q^9 matrices.
 The orders of the centralizers C_GL(M) and C_SL(M) are closed forms in q, one
 row of _CENTRALIZERS per GL type of a non-scalar M: eight cyclic types at
 ranks 2 and 3 and the non-cyclic diag(a, a, b) and J_2(a) + (a) at rank 3.
-count_commuting_det1 types any matrix M: a scalar M is told by its entries
-first, the factor pattern of its characteristic polynomial is kept with the
-matrix (FqMatrix.factor_pattern), so the class matrix the fold builds at
-n = 1, where A^n is A, is not factored again, and the length of the
-closed-form commutant basis (commutant_basis) tells whether M is cyclic.
-Nothing is row-reduced, and each kernel is straight-line code
-over the entries: a non-scalar M is cyclic iff its minimal polynomial has
-degree r, read off M and M^2 (_double_eigenvalue), and then has the basis I,
-M, ..., M^(r-1) of F_q[M]; a non-cyclic M has rank 3 and a double eigenvalue a
-with M - aI = u v^T of rank 1, and its commutant is F_q I + (v-perp (x) u-perp).
+The fold's matrices (FqMatrix, built by FqMatrix._of alone) and their typing
+(count_commuting_det1, commutant_basis) are internals, not package names:
+straight-line code over the entries, with nothing row-reduced.
 
-The count equals the closed-formula E-polynomial at q when rank*n | q-1
-(is_admissible).  The sweep is serial: the threads argument is accepted and
-has no effect on the result.  Its flags cover the q^(r-1) cyclic classes, and
-the count refuses a field whose q^(r-1) exceeds MAX_CLASSES; that O(1) check
-runs before the primality test of q.  n is reduced mod |GL_r(F_q)|, exact by
-Lagrange's theorem, so the cost of a class grows only with the bits of that
-remainder.
+The count bounds its q^(r-1) flags by MAX_CLASSES before the primality test
+of q, and reduces n mod |GL_r(F_q)|, exact by Lagrange's theorem, so the cost
+of a class grows only with the bits of that remainder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, prod
-from typing import Iterable, Optional
+from typing import Optional
 
-from .strata import admissibility_modulus, check_rank, check_twists, is_admissible
+from .strata import admissibility_modulus, check_rank, check_twists, is_admissible, shown
 
-__all__ = [
-    "FqMatrix", "MAX_CLASSES", "is_admissible", "admissibility_modulus",
-    "commutant_basis", "count_commuting_det1", "count_rep_variety_points",
-]
+__all__ = ["MAX_CLASSES", "is_admissible", "admissibility_modulus", "count_rep_variety_points"]
 
 #: Largest q^(rank-1), the number of cyclic classes the sweep steps through,
 #: that count_rep_variety_points accepts: rank 3 up to q = 631, rank 2 up to
@@ -110,7 +96,7 @@ def is_prime(q: int) -> bool:
     q is prime iff it is a strong probable prime to every base in
     _PRIME_BASES.  Raises ValueError for q >= _PRIME_LIMIT."""
     if q >= _PRIME_LIMIT:
-        raise ValueError(f"q = {q} is not below {_PRIME_LIMIT}, the bound up to "
+        raise ValueError(f"q = {shown(q)} is not below {_PRIME_LIMIT}, the bound up to "
                          "which primality is decided exactly")
     if q < 2:
         return False
@@ -136,7 +122,7 @@ def is_prime(q: int) -> bool:
 def _check_field(q: int) -> None:
     # the type first: is_prime would take 7.0 for 7, and a bool is an int
     if type(q) is not int or q % 2 == 0 or not is_prime(q):
-        raise ValueError(f"q must be an odd prime, got {q}")
+        raise ValueError(f"q must be an odd prime, got {shown(q)}")
 
 
 def _is_scalar(rows: tuple[tuple[int, ...], ...]) -> bool:
@@ -147,34 +133,20 @@ def _is_scalar(rows: tuple[tuple[int, ...], ...]) -> bool:
     return not (b or c or d or f or g or h) and a == e == i
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FqMatrix:
-    """Immutable r x r matrix over the prime field F_q (entries reduced)."""
+    """Immutable r x r matrix over the prime field F_q (entries reduced), built by _of."""
 
     q: int
     rows: tuple[tuple[int, ...], ...]
     # factor pattern of the characteristic polynomial, None until first use
-    _pattern: Optional[tuple] = field(init=False, repr=False, compare=False)
-
-    def __init__(self, q: int, rows: Iterable[Iterable[int]]):
-        _check_field(q)
-        rs = tuple(tuple(x % q for x in row) for row in rows)
-        bad = [type(x).__name__ for row in rs for x in row if not isinstance(x, int)]
-        if bad:
-            raise TypeError(f"matrix entries must be ints, got {bad[0]}")
-        r = len(rs)
-        if r not in (2, 3) or any(len(row) != r for row in rs):
-            raise ValueError("matrix must be square of rank 2 or 3")
-        _set_q(self, q)
-        _set_rows(self, rs)
-        _set_pattern(self, None)
+    _pattern: Optional[tuple] = field(repr=False, compare=False)
 
     @classmethod
     def _of(cls, q: int, rows: tuple[tuple[int, ...], ...],
             pattern: Optional[tuple] = None) -> FqMatrix:
-        """Square matrix over a field that _check_field has already accepted,
-        from a tuple of row tuples whose entries are already reduced, and the
-        factor pattern of its characteristic polynomial if known."""
+        """The matrix with these reduced row tuples over a field that _check_field
+        has accepted, and the factor pattern of its chi if known."""
         m = _new(cls)
         _set_q(m, q)
         _set_rows(m, rows)
@@ -182,8 +154,6 @@ class FqMatrix:
         return m
 
     def __mul__(self, other: FqMatrix) -> FqMatrix:
-        if self.q != other.q or len(self.rows) != len(other.rows):
-            raise ValueError("incompatible matrices")
         q = self.q
         if len(self.rows) == 2:
             (a, b), (c, d) = self.rows
@@ -234,8 +204,8 @@ class FqMatrix:
                 (a * e - b * d + a * i - c * g + ei_fh) % q, -(a + e + i) % q, 1)
 
 
-#: Bound once for the constructors of FqMatrix and factor_pattern: the slot
-#: setters bypass its __setattr__, which refuses, and beat object.__setattr__.
+#: Bound once for FqMatrix._of and factor_pattern: the slot setters bypass its
+#: __setattr__, which refuses, and beat object.__setattr__.
 _new = object.__new__
 _set_q, _set_rows, _set_pattern = (FqMatrix.__dict__[name].__set__
                                    for name in ("q", "rows", "_pattern"))
@@ -571,7 +541,7 @@ def count_rep_variety_points(rank: int, n: int, q: int,
     # the cyclic classes the sweep flags, bounded before the primality test;
     # a q that is not an int is refused by _check_field
     if type(q) is int and q ** (rank - 1) > MAX_CLASSES:
-        raise ValueError(f"q^{rank - 1} = {q ** (rank - 1)} classes exceeds the class "
+        raise ValueError(f"q^{rank - 1} = {shown(q ** (rank - 1))} classes exceeds the class "
                          f"ceiling {MAX_CLASSES}")
     _check_field(q)
     # A^|GL_r(F_q)| = I, so n may be reduced mod the group order; a zero

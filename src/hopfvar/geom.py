@@ -30,7 +30,7 @@ from .poly import ONE, Poly, Q, general_linear_epoly, special_linear_epoly
 from .repring import S2Elem, S3Elem
 from .strata import (
     P2_BOTH_EQUAL, P2_DISTINCT, P3_ALL_EQUAL, P3_DISTINCT, P3_TWO_EQUAL,
-    Partition, check_rank, config_rows, twist_row, twist_sum,
+    Partition, check_rank, config_rows, shown, twist_row, twist_sum,
 )
 # unused here, but perfbench traces them as geom attributes (strata.config_self_s)
 from .strata import config_epoly, config_equivariant_s2, config_equivariant_s3  # noqa: F401
@@ -82,7 +82,7 @@ class JordanType:
     def __post_init__(self):
         top = len(_TYPES[check_rank(self.rank)])
         if type(self.index) is not int or not 1 <= self.index <= top:
-            raise ValueError(f"invalid Jordan type index {self.index!r} for rank {self.rank}")
+            raise ValueError(f"invalid Jordan type index {shown(self.index)} for rank {self.rank}")
 
     @property
     def partition(self) -> Partition:

@@ -23,6 +23,7 @@ of charvar).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 
 from .poly import ONE, Poly, Q
 from .repring import S2Elem, S3Elem
@@ -31,24 +32,41 @@ __all__ = [
     "Partition",
     "P2_BOTH_EQUAL", "P2_DISTINCT",
     "P3_ALL_EQUAL", "P3_TWO_EQUAL", "P3_DISTINCT",
-    "check_rank", "check_twists",
+    "shown", "check_rank", "check_twists",
     "twist_basis", "twist_sum", "twist_row", "config_rows", "config_epoly",
     "config_equivariant_s2", "config_equivariant_s3",
     "refinement_pairs", "admissibility_modulus", "is_admissible",
 ]
 
 
+#: Longest repr of its input that a refusal echoes.
+_ECHO = 40
+
+
+def shown(value: object) -> str:
+    """How a refusal names its input: its repr, or its size past _ECHO characters,
+    so that no refusal grows with its input.  An int is sized by its digits
+    without str(), which refuses one past the interpreter's digit limit."""
+    if isinstance(value, int):
+        digits = Decimal(value).adjusted() + 1
+        if digits + (value < 0) > _ECHO:
+            return f"<{'negative ' if value < 0 else ''}integer of {digits} digits>"
+    text = repr(value)
+    size = len(value) if isinstance(value, str) else len(text)
+    return text if len(text) <= _ECHO else f"<{type(value).__name__} of {size} characters>"
+
+
 def check_rank(rank: int) -> int:
     """The rank, if it is one this package covers (the int 2 or 3)."""
     if not isinstance(rank, int) or rank not in (2, 3):
-        raise ValueError(f"rank must be 2 or 3, got {rank}")
+        raise ValueError(f"rank must be 2 or 3, got {shown(rank)}")
     return rank
 
 
 def check_twists(n: int) -> int:
     """The twist count, if it is an int >= 1 (a bool is refused)."""
     if type(n) is not int or n < 1:
-        raise ValueError(f"twist count must be an integer >= 1, got {n!r}")
+        raise ValueError(f"twist count must be an integer >= 1, got {shown(n)}")
     return n
 
 
@@ -67,7 +85,7 @@ class Partition:
     def __post_init__(self):
         top = check_rank(self.rank)
         if type(self.index) is not int or not 1 <= self.index <= top:
-            raise ValueError(f"invalid partition index {self.index!r} for rank {self.rank}")
+            raise ValueError(f"invalid partition index {shown(self.index)} for rank {self.rank}")
 
     def __str__(self) -> str:
         return f"sigma{self.index}(rank {self.rank})"

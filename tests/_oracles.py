@@ -555,3 +555,63 @@ def dense(terms):
     for k, p in terms:
         out[k] = out[k] + p
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def quadratic_field(p: int, c: int) -> tuple[list[list[int]], list[list[int]]]:
+    """(addition, multiplication) tables of F_(p^2) = F_p[t]/(t^2 - c), c a
+    non-square mod p, whose element x0 + x1 t is the integer x0 + p x1.  Every
+    nonzero element must have an inverse, or c was a square."""
+    q = p * p
+    add = [[(x + y) % p + p * ((x // p + y // p) % p) for y in range(q)] for x in range(q)]
+    # (a + b t)(d + e t) = (ad + c be) + (ae + bd) t
+    mul = [[(x % p * (y % p) + c * (x // p) * (y // p)) % p
+            + p * ((x % p * (y // p) + x // p * (y % p)) % p) for y in range(q)]
+           for x in range(q)]
+    assert all(1 in row for row in mul[1:]), (p, c)
+    return add, mul
+
+
+def count_commuting_pairs_sl2_over(p: int, c: int, n: int) -> int:
+    """#{(A, B) in SL_2(F_q)^2 : A^n B = B A^n} over F_q = F_p[t]/(t^2 - c),
+    q = p^2, by its tables.  Every A in SL_2(F_q) is listed and raised to the
+    n-th power.  A scalar A^n commutes with every B; a non-scalar M = A^n has
+    the commutant {xI + yM}, whose det-1 members, x^2 + tr(M) xy + y^2 = 1,
+    are counted once per trace."""
+    add, mul = quadratic_field(p, c)
+    q = p * p
+    neg = [row.index(0) for row in add]
+    inv = [None] + [row.index(1) for row in mul[1:]]
+    group = []
+    for a, b, c_ in itertools.product(range(q), repeat=3):
+        bc = mul[b][c_]
+        if a:  # d = (1 + bc) / a
+            group.append((a, b, c_, mul[inv[a]][add[1][bc]]))
+        elif bc == neg[1]:  # -bc = 1, any d
+            group += [(0, b, c_, d) for d in range(q)]
+
+    def times(x, y):
+        a, b, c_, d = x
+        e, f, g, h = y
+        return (add[mul[a][e]][mul[b][g]], add[mul[a][f]][mul[b][h]],
+                add[mul[c_][e]][mul[d][g]], add[mul[c_][f]][mul[d][h]])
+
+    squares = [mul[x][x] for x in range(q)]
+    by_trace: dict[int, int] = {}
+    total = 0
+    for x in group:
+        m, power, k = (1, 0, 0, 1), x, n
+        while k:
+            if k & 1:
+                m = times(m, power)
+            power = times(power, power)
+            k >>= 1
+        if m[1] == m[2] == 0 and m[0] == m[3]:
+            total += len(group)
+            continue
+        t = add[m[0]][m[3]]
+        if t not in by_trace:
+            by_trace[t] = sum(add[add[squares[u]][mul[t][mul[u][v]]]][squares[v]] == 1
+                              for u in range(q) for v in range(q))
+        total += by_trace[t]
+    return total

@@ -312,12 +312,40 @@ def test_answer_past_the_digit_limit_is_refused_whole(argv, capsys):
 @pytest.mark.parametrize("bounds", ["{big}", "1..{big}", "x..3"])
 def test_unreadable_table_bound_is_refused_as_a_range(bounds, capsys):
     # a bound past the digit limit is an input the range cannot read, not an
-    # answer too long to print
+    # answer too long to print; a long text is named by its length
     text = bounds.format(big="9" * (DIGIT_LIMIT + 100))
     code, out, err = run_cli([
         "table", "--rank", "2", "--n", text, "--target", "rep", "--format", "json"], capsys)
     assert (code, out) == (2, ""), err
-    assert err == f"error: invalid range {text!r}\n"
+    named = repr(text) if len(text) < 40 else f"<str of {len(text)} characters>"
+    assert err == f"error: invalid range {named}\n" and len(err.encode()) < 200
+
+
+HUGE = 10 ** 3000 + 1
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["count", "--rank", "3", "--n", "1", "--q", str(HUGE)], "q^2 = <integer of 6001 digits>"),
+    (["count", "--rank", "2", "--n", "1", "--q", str(HUGE)], "q^1 = <integer of 3001 digits>"),
+    (["count", "--rank", "2", "--n", str(HUGE), "--q", "7", "--assert"],
+     "--assert requires <integer of 3001 digits>"),
+    (["rep", "--rank", "2", "--n", str(-10 ** 4000)], "got <negative integer of 4001 digits>"),
+    (["rep", "--rank", str(HUGE), "--n", "1"], "got <integer of 3001 digits>"),
+    pytest.param(["rep", "--rank", "2", "--n", "9" * (DIGIT_LIMIT + 700)],
+                 f"argument --n: invalid int value: <str of {DIGIT_LIMIT + 700} characters>",
+                 marks=pytest.mark.skipif(not DIGIT_LIMIT, reason="no digit limit to pass")),
+    (["count", "--rank", "2", "--n", "1", "--q", "7", "--threads", "x" * 5000],
+     "argument --threads: invalid int value: <str of 5000 characters>"),
+], ids=["count-rank3-q", "count-rank2-q", "count-assert-n", "rep-n", "rep-rank",
+        "rep-n-unreadable", "count-threads"])
+def test_refusal_of_a_long_input_is_one_short_line(argv, named, capsys):
+    # every refusal names a long input by its digits or characters: exit 2,
+    # nothing on stdout, and one stderr line of under 200 bytes (a table
+    # range: test_unreadable_table_bound_is_refused_as_a_range)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, ""), err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert named in err and len(err.encode()) < 200, err
 
 
 # The golden set holds only MATCH cases; each test below makes one route

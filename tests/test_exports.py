@@ -61,7 +61,8 @@ def test_oracles_import_nothing_from_the_package():
 
 def test_ffcount_imports_only_the_field_policy_from_the_package():
     # the F_q count checks the symbolic routes, so it may share the rank,
-    # twist and field policy of strata and nothing else
+    # twist and field policy of strata, and how a refusal names its input,
+    # and nothing else
     tree = ast.parse(Path(importlib.import_module("hopfvar.ffcount").__file__).read_text())
     imported = set()
     for node in ast.walk(tree):
@@ -73,7 +74,7 @@ def test_ffcount_imports_only_the_field_policy_from_the_package():
             module = (node.module or "").removeprefix("hopfvar").lstrip(".")
             imported |= {(module, alias.name) for alias in node.names}
     assert imported == {("strata", name) for name in (
-        "check_rank", "check_twists", "admissibility_modulus", "is_admissible")}, imported
+        "check_rank", "check_twists", "admissibility_modulus", "is_admissible", "shown")}, imported
 
 
 @pytest.mark.parametrize("module", ["hopfvar", "hopfvar.strata"])
@@ -107,7 +108,8 @@ def test_count_helpers_left_the_package(name):
     # the count has one class enumeration (_orbit_visits), one class size (its
     # key-typed centralizer table) and one |SL_r(F_q)|
     # (special_linear_epoly(r).evaluate(q)), and FqMatrix keeps what it calls
-    holders = [importlib.import_module(module) for module in MODULES] + [hopfvar.FqMatrix]
+    holders = [importlib.import_module(module) for module in MODULES]
+    holders.append(importlib.import_module("hopfvar.ffcount").FqMatrix)
     present = [getattr(h, "__name__", h) for h in holders if hasattr(h, name)]
     assert not present, present
 
@@ -129,3 +131,16 @@ def test_second_statements_left_the_package(holder, name):
     # table[check_rank(rank)], and the admissible strata as the keys of geom._ROWS
     module = hopfvar if holder == "hopfvar" else getattr(hopfvar, holder)
     assert not hasattr(module, name)
+
+
+@pytest.mark.parametrize("name", ["FqMatrix", "commutant_basis", "count_commuting_det1"])
+def test_matrix_layer_is_the_counts_internals(name):
+    # the F_q matrices are built by FqMatrix._of alone, and neither they nor
+    # the commutant functions are package names; the count's fold calls them,
+    # so they stay attributes of ffcount
+    ffcount = importlib.import_module("hopfvar.ffcount")
+    with pytest.raises(TypeError):
+        ffcount.FqMatrix(7, [[1, 0], [0, 1]])
+    assert hasattr(ffcount, name)
+    assert name not in ffcount.__all__
+    assert not hasattr(hopfvar, name)

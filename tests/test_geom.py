@@ -10,7 +10,9 @@ from hopfvar.geom import (
     rep_variety_epoly_strata, stabilizer_epoly, stratum_epoly,
 )
 
-from _oracles import dense, gl2_group_order, sl_group_order, twisted_torus_order
+from _oracles import (
+    count_commuting_pairs_sl2_over, dense, gl2_group_order, sl_group_order, twisted_torus_order,
+)
 
 E_SL2 = special_linear_epoly(2)
 E_SL3 = special_linear_epoly(3)
@@ -250,6 +252,22 @@ def test_formula_values():
     assert rep_variety_epoly_formula(2, 1) == (Q + 4) * (Q ** 3 - Q)
     assert rep_variety_epoly_formula(2, 2) == (Q ** 2 + 2 * Q + 3) * (Q ** 3 - Q)
     assert rep_variety_epoly_formula(2, 3) == (2 * Q ** 2 + 3 * Q + 2) * (Q ** 3 - Q)
+
+
+@pytest.mark.parametrize("p, c", [(3, 2), (5, 2)], ids=["F9", "F25"])
+def test_rank2_formula_counts_points_over_a_prime_square_field(p, c):
+    # Katz's criterion holds at every finite field, not only at primes:
+    # over F_9 = F_3[i]/(i^2 + 1) and F_25 = F_5[t]/(t^2 - 2) the pairs counted
+    # by table arithmetic equal the formula at every admissible n (2n | q - 1);
+    # the least inadmissible n, 3 at q = 9 and 5 at q = 25, gives another count
+    q = p * p
+    admissible = [n for n in range(1, 13) if (q - 1) % (2 * n) == 0]
+    assert admissible == ([1, 2, 4] if q == 9 else [1, 2, 3, 4, 6, 12])
+    for n in admissible:
+        assert count_commuting_pairs_sl2_over(p, c, n) == \
+            rep_variety_epoly_formula(2, n).evaluate(q), (q, n)
+    n = min(set(range(1, 13)) - set(admissible))
+    assert count_commuting_pairs_sl2_over(p, c, n) != rep_variety_epoly_formula(2, n).evaluate(q)
 
 
 def test_every_stratum_vanishes_at_one():

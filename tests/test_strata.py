@@ -87,7 +87,7 @@ def test_one_rank_policy(name, rank):
     # raised by the call itself
     with pytest.raises(ValueError) as err:
         RANKED[name](rank)
-    assert str(err.value) == f"rank must be 2 or 3, got {rank}"
+    assert str(err.value) == f"rank must be 2 or 3, got {rank!r}"
 
 
 @pytest.mark.parametrize("index", (1.5, 2.0, True, "2"))
@@ -128,6 +128,30 @@ def test_one_twist_policy(name, n):
     with pytest.raises(ValueError) as err:
         TWISTED[name](n)
     assert str(err.value) == f"twist count must be an integer >= 1, got {n!r}"
+
+
+def test_refusals_name_a_long_input_by_its_size():
+    # a refusal echoes a short input as its repr and names a longer one by
+    # its size, so that no message grows with its input; an int is sized
+    # without str(), which refuses one past the interpreter's digit limit
+    for k in range(1, 60):
+        for value in (10 ** k - 1, 10 ** k, -10 ** k):
+            named = strata.shown(value)
+            if len(repr(value)) <= 40:
+                assert named == repr(value), value
+            else:
+                sign = "negative " if value < 0 else ""
+                assert named == f"<{sign}integer of {len(str(abs(value)))} digits>", value
+    for value, named in ((True, "True"), ("2", "'2'"), (2.0, "2.0"),
+                         ("x" * 41, "<str of 41 characters>"), ([0] * 20, "<list of 60 characters>")):
+        assert strata.shown(value) == named
+    with pytest.raises(ValueError) as err:
+        check_twists(-10 ** 5000)
+    assert str(err.value) == \
+        "twist count must be an integer >= 1, got <negative integer of 5001 digits>"
+    with pytest.raises(ValueError) as err:
+        strata.check_rank(10 ** 5000)
+    assert str(err.value) == "rank must be 2 or 3, got <integer of 5001 digits>"
 
 
 def test_twist_basis_matches_independent_definitions():
