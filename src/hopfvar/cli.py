@@ -40,6 +40,8 @@ MAX_TABLE_ROWS = 10_000
 #: Most rows times digits of the upper bound ``table`` accepts, since a row's
 #: text grows with the digits of n; a range past it is refused the same way.
 MAX_TABLE_DIGITS = 200_000
+#: Bytes every usage-error line, newline included, stays under.
+_LINE_BYTES = 200
 
 
 def _render(p: Poly, latex: bool) -> str:
@@ -89,9 +91,8 @@ def _cmd_count(args) -> int:
     count = ffcount.count_rep_variety_points(args.rank, args.n, args.q, threads=args.threads)
     print(f"count: {count}")
     if not admissible:
-        print(f"no equality asserted ({modulus} does not divide {args.q - 1})")
-        return 0
-    if not args.check:
+        print(f"no equality asserted ({shown(modulus)} does not divide {args.q - 1})")
+    if not args.check:  # an inadmissible q with --assert was refused above
         return 0
     expected = geom.rep_variety_epoly_formula(args.rank, args.n).evaluate(args.q)
     print(f"expected: {expected}")
@@ -169,17 +170,14 @@ def _cmd_table(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose usage errors are one ``error: ...`` line, as all refusals are."""
+    """Usage errors are one ``error:`` line, cut to under _LINE_BYTES as stderr encodes it."""
     def error(self, message: str):
-        self.exit(2, f"error: {message}\n")
-
-
-def _integer(text: str) -> int:
-    """int, the type of every integer option, refusing a long text by its size."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}") from None
+        encoding = getattr(sys.stderr, "encoding", None) or "utf-8"
+        line = f"error: {message}\n".encode(encoding, "backslashreplace")
+        if len(line) >= _LINE_BYTES:  # argparse's messages echo their input
+            tail = f"... <message of {len(message)} characters>\n".encode(encoding)
+            line = line[:_LINE_BYTES - 1 - len(tail)] + tail
+        self.exit(2, line.decode(encoding, "ignore"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--rank", type=_integer, metavar="{2,3}", required=True)
-        p.add_argument("--n", type=_integer, required=True, help="twist count, >= 1")
+        p.add_argument("--rank", type=int, metavar="{2,3}", required=True)
+        p.add_argument("--n", type=int, required=True, help="twist count, >= 1")
 
     p_rep = sub.add_parser("rep", help="representation-variety E-polynomial")
     add_common(p_rep)
@@ -207,14 +205,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="finite-field point count")
     add_common(p_count)
-    p_count.add_argument("--q", type=_integer, required=True, help="odd prime field size")
+    p_count.add_argument("--q", type=int, required=True, help="odd prime field size")
     p_count.add_argument("--assert", dest="check", action="store_true",
                          help="compare against the closed-formula polynomial")
-    p_count.add_argument("--threads", type=_integer, default=None,
+    p_count.add_argument("--threads", type=int, default=None,
                          help="accepted and has no effect: the sweep is serial")
 
     p_table = sub.add_parser("table", help="tabulate over a range of twist counts")
-    p_table.add_argument("--rank", type=_integer, metavar="{2,3}", required=True)
+    p_table.add_argument("--rank", type=int, metavar="{2,3}", required=True)
     p_table.add_argument("--n", type=str, required=True, help="range, e.g. 1..8")
     p_table.add_argument("--target", choices=("rep", "char"), required=True)
     p_table.add_argument("--format", choices=("csv", "latex", "json"), default="csv")

@@ -125,7 +125,7 @@ class Stratum:
     def __post_init__(self):
         # _ROWS holds the admissible pairs of each rank, so it refuses mixed ranks
         if (self.src, self.tgt) not in _ROWS:
-            raise ValueError(f"inadmissible stratum {self.src} -> {self.tgt}")
+            raise ValueError(f"inadmissible stratum {shown(self.src)} -> {shown(self.tgt)}")
 
     @property
     def rank(self) -> int:

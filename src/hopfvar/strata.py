@@ -178,7 +178,8 @@ def config_rows(group: str | None, src: Partition, tgt: Partition | None) -> tup
     row of (k, P_k) terms, read by twist_sum, per irreducible of the group."""
     rows = _CONFIG.get((group, src, tgt))
     if rows is None:
-        raise ValueError(f"no {group or 'plain'} configuration data for ({src}, {tgt})")
+        raise ValueError(f"no {group or 'plain'} configuration data for "
+                         f"({shown(src)}, {shown(tgt)})")
     return rows
 
 

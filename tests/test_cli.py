@@ -10,7 +10,7 @@ import time
 import pytest
 
 from hopfvar import charvar, ffcount, geom
-from hopfvar.cli import MAX_TABLE_DIGITS, MAX_TABLE_ROWS, _parse_range, main
+from hopfvar.cli import MAX_TABLE_DIGITS, MAX_TABLE_ROWS, _parse_range, build_parser, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -322,6 +322,7 @@ def test_unreadable_table_bound_is_refused_as_a_range(bounds, capsys):
 
 
 HUGE = 10 ** 3000 + 1
+INVALID_INT = "argument --{}: invalid int value: "
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -331,11 +332,12 @@ HUGE = 10 ** 3000 + 1
      "--assert requires <integer of 3001 digits>"),
     (["rep", "--rank", "2", "--n", str(-10 ** 4000)], "got <negative integer of 4001 digits>"),
     (["rep", "--rank", str(HUGE), "--n", "1"], "got <integer of 3001 digits>"),
+    # argparse's own messages echo their input whole, and are cut (see below)
     pytest.param(["rep", "--rank", "2", "--n", "9" * (DIGIT_LIMIT + 700)],
-                 f"argument --n: invalid int value: <str of {DIGIT_LIMIT + 700} characters>",
+                 f"... <message of {len(INVALID_INT.format('n')) + DIGIT_LIMIT + 702} characters>",
                  marks=pytest.mark.skipif(not DIGIT_LIMIT, reason="no digit limit to pass")),
     (["count", "--rank", "2", "--n", "1", "--q", "7", "--threads", "x" * 5000],
-     "argument --threads: invalid int value: <str of 5000 characters>"),
+     f"... <message of {len(INVALID_INT.format('threads')) + 5002} characters>"),
 ], ids=["count-rank3-q", "count-rank2-q", "count-assert-n", "rep-n", "rep-rank",
         "rep-n-unreadable", "count-threads"])
 def test_refusal_of_a_long_input_is_one_short_line(argv, named, capsys):
@@ -346,6 +348,79 @@ def test_refusal_of_a_long_input_is_one_short_line(argv, named, capsys):
     assert (code, out) == (2, ""), err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert named in err and len(err.encode()) < 200, err
+
+
+@pytest.mark.parametrize("char", ["x", "\U0001d53d"], ids=["ascii", "4-byte"])
+@pytest.mark.parametrize("argv, named", [
+    (["rep", "--rank", "2", "--n", "1", "{}"], "unrecognized arguments: "),
+    (["rep", "--rank", "2", "--n", "1", "--{}"], "unrecognized arguments: --"),
+    (["{}"], "argument command: invalid choice: "),
+    (["rep", "--rank", "2", "--n", "1", "--method", "{}"], "argument --method: invalid choice: "),
+    (["table", "--rank", "2", "--n", "1", "--target", "{}"], "argument --target: invalid choice: "),
+    (["table", "--rank", "2", "--n", "1", "--target", "rep", "--format", "{}"],
+     "argument --format: invalid choice: "),
+    (["rep", "--rank", "{}", "--n", "1"], INVALID_INT.format("rank")),
+    (["table", "--rank", "{}", "--n", "1", "--target", "rep"], INVALID_INT.format("rank")),
+    (["char", "--rank", "2", "--n", "{}"], INVALID_INT.format("n")),
+    (["count", "--rank", "2", "--n", "1", "--q", "{}"], INVALID_INT.format("q")),
+    (["count", "--rank", "2", "--n", "1", "--q", "7", "--threads", "{}"],
+     INVALID_INT.format("threads")),
+], ids=["stray-argument", "stray-option", "command", "method", "target", "format", "rank",
+        "table-rank", "n", "q", "threads"])
+def test_every_usage_error_is_one_short_line(argv, named, char, capsys):
+    # argparse's messages echo their input whole; a line that would reach
+    # 200 bytes is cut, in encoded bytes, and names the message's length
+    code, out, err = run_cli([a.format(char * 5000) for a in argv], capsys)
+    assert (code, out) == (2, ""), err
+    assert err.startswith(f"error: {named}") and err.count("\n") == 1, err
+    assert re.search(r"\.\.\. <message of \d+ characters>\n$", err), err
+    assert len(err.encode()) < 200, err
+
+
+def test_usage_error_is_cut_in_the_bytes_stderr_writes(monkeypatch):
+    # a stderr that cannot encode a character writes it as a 10-byte escape,
+    # and the cut counts those bytes
+    raw = io.BytesIO()
+    monkeypatch.setattr(sys, "stderr", io.TextIOWrapper(raw, encoding="latin-1",
+                                                        errors="backslashreplace"))
+    with pytest.raises(SystemExit) as exc:
+        main(["rep", "--rank", "2", "--n", "1", "--method", "\U0001d53d" * 5000])
+    sys.stderr.flush()
+    err = raw.getvalue()
+    assert exc.value.code == 2
+    assert err.startswith(b"error: argument --method: invalid choice: '\\U0001d53d"), err
+    assert err.count(b"\n") == 1 and len(err) < 200, err
+
+
+@pytest.mark.parametrize("option, argv", [
+    ("rank", ["rep", "--rank", "{}", "--n", "1"]), ("n", ["rep", "--rank", "2", "--n", "{}"]),
+    ("q", ["count", "--rank", "2", "--n", "1", "--q", "{}"]),
+    ("threads", ["count", "--rank", "2", "--n", "1", "--q", "7", "--threads", "{}"]),
+    ("rank", ["table", "--rank", "{}", "--n", "1", "--target", "rep"]),
+], ids=["rank", "n", "q", "threads", "table-rank"])
+def test_integer_options_read_what_int_reads(option, argv, capsys):
+    # every integer option reads a text as int() does: blanks, a sign and
+    # digit underscores are accepted, and a short refusal is echoed whole
+    for text, value in ((" 7", 7), ("+3", 3), ("1_000", 1000), ("x", None)):
+        try:
+            args = build_parser().parse_args([a.format(text) for a in argv])
+        except SystemExit as exc:
+            assert (exc.code, value) == (2, None), text
+            assert capsys.readouterr().err == f"error: {INVALID_INT.format(option)}{text!r}\n"
+        else:
+            assert getattr(args, option) == value, text
+
+
+@pytest.mark.parametrize("rank", ["2", "3"])
+def test_inadmissible_count_names_a_long_modulus_by_its_size(rank, capsys):
+    # the note on an inadmissible q names r*n by its digits, so a count whose
+    # modulus is past the interpreter's digit limit still prints
+    n = 10 ** (DIGIT_LIMIT or 4300) - 1
+    code, out, err = run_cli(["count", "--rank", rank, "--n", str(n), "--q", "7"], capsys)
+    assert code == 0, err
+    count = ffcount.count_rep_variety_points(int(rank), n, 7)
+    assert out == (f"count: {count}\nno equality asserted "
+                   f"(<integer of {len(str(n)) + 1} digits> does not divide 6)\n")
 
 
 # The golden set holds only MATCH cases; each test below makes one route

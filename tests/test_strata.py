@@ -152,6 +152,20 @@ def test_refusals_name_a_long_input_by_its_size():
     with pytest.raises(ValueError) as err:
         strata.check_rank(10 ** 5000)
     assert str(err.value) == "rank must be 2 or 3, got <integer of 5001 digits>"
+    # the table lookups name a pattern or Jordan type they cannot read the same way
+    for refuse, named in (
+            (lambda: config_epoly("x" * 5000, None, 1),
+             "no plain configuration data for (<str of 5000 characters>, None)"),
+            (lambda: config_equivariant_s2(P2_DISTINCT, "y" * 3000, 1),
+             "no s2 configuration data for "
+             "(Partition(rank=2, index=2), <str of 3000 characters>)"),
+            (lambda: config_epoly(10 ** 5000, None, 1),
+             "no plain configuration data for (<integer of 5001 digits>, None)"),
+            (lambda: geom.Stratum(geom.J2_SCALAR, "z" * 3000),
+             "inadmissible stratum JordanType(rank=2, index=1) -> <str of 3000 characters>")):
+        with pytest.raises(ValueError) as err:
+            refuse()
+        assert str(err.value) == named and len(named) < 200
 
 
 def test_twist_basis_matches_independent_definitions():
