@@ -17,35 +17,36 @@ chi, so the representatives A_C are
   a^3 = 1 this is J_2(a) + (a), otherwise diag(a, a, a^-2));
 * scalar: a*I with a^r = 1, each a class of size 1.
 
-The count runs in two passes.  The per-visit pass types classes into a
-histogram.  It sweeps only the cyclic kind (_orbit_visits), the one with a
-class at every chi: it visits one class per orbit of the group generated by
-A -> zA (z^r = 1, so zI is in SL_r) and A -> A^-1, weighted by the orbit
-size.  Both maps send GL-classes to GL-classes and keep the centralizer in
-GL_r, hence the class size; and (zA)^n = z^n A^n and (A^-1)^n = (A^n)^-1 have
-the centralizer of A^n, hence the same #{B}.  On chi = sum c_i x^i, zA
-multiplies c_i by z^(r-i), and A^-1 gives the reversed polynomial times
-(-1)^r (det A = 1): at rank 3 (c_1, c_2) -> (-c_2, -c_1), at rank 2 chi is
-unchanged.  An orbit is represented by its least chi; it has up to 6 classes
-at rank 3 (when 3 | q - 1) and up to 2 at rank 2.  The sweep keeps one
-bytearray of q^(r-1) flags, indexed by chi's middle coefficients, and steps
-through the unflagged indices in ascending order with bytearray.find, so the
-first class of an orbit it meets is its least.  A class it visits flags its
-images, is weighted by the number of flags it sets and is typed in the same
-loop; a flagged class is skipped unseen.  The sparse kinds are not swept.
-Each of the q - 1 non-cyclic classes is visited once with weight 1 and typed
-from its eigenvalue a: J_2(a) + (a) if a^3 = 1, otherwise diag(a, a, a^-2).
-The gcd(r, q - 1) scalars are one histogram entry of the scalar type.
+The count runs in two passes.  The first is one walk over the non-scalar
+classes (_classes) and one loop that types each class it yields into a
+histogram.  The walk visits one cyclic class per orbit of the group
+generated by A -> zA (z^r = 1, so zI is in SL_r) and A -> A^-1, weighted by
+the orbit size.  Both maps send GL-classes to GL-classes and keep the
+centralizer in GL_r, hence the class size; and (zA)^n = z^n A^n and
+(A^-1)^n = (A^n)^-1 have the centralizer of A^n, hence the same #{B}.  On
+chi = sum c_i x^i, zA multiplies c_i by z^(r-i), and A^-1 gives the reversed
+polynomial times (-1)^r (det A = 1): at rank 3 (c_1, c_2) -> (-c_2, -c_1),
+at rank 2 chi is unchanged.  An orbit is represented by its least chi; it
+has up to 6 classes at rank 3 (when 3 | q - 1) and up to 2 at rank 2.  The
+walk keeps one bytearray of q^(r-1) flags, indexed by chi's middle
+coefficients (c_1 at rank 2, c_1 q + c_2 at rank 3), and steps through the
+unflagged indices in ascending order with bytearray.find, so the first
+class of an orbit it meets is its least.  A class it visits flags its
+images and is weighted by the number of flags it sets; a flagged class is
+skipped unseen.  At rank 3 the walk then yields each of the q - 1
+non-cyclic classes with weight 1.  The gcd(r, q - 1) scalars are one
+histogram entry of the scalar type, seeded before the walk.
 
-Each non-scalar class is typed twice, without a matrix: A from chi (cyclic)
-or a (non-cyclic), and A^n (_power_type) from a^n for the non-cyclic kind and
-from the residue x^n mod chi for the cyclic kind (_x_power, the
-square-and-multiply kernel that also decides _factor_pattern's cubics).  A GL
-type is the factor pattern of the characteristic polynomial (its roots in F_q
-with multiplicity) and whether the matrix is cyclic; a scalar has its own
-type.  The weights go into a histogram keyed by (type of A, type of A^n).
-The fold then builds one matrix per type of A^n, the power A^n of the first
-class visited with it, and asks count_commuting_det1 for its
+Each yielded class is typed twice, without a matrix: A from chi (cyclic) or
+from a (J_2(a) + (a) if a^3 = 1, otherwise diag(a, a, a^-2)), and A^n
+(_power_type) from a^n or from the residue x^n mod chi (_x_power, the
+square-and-multiply kernel that also decides _factor_pattern's cubics).  A
+GL type is the factor pattern of the characteristic polynomial (its roots
+in F_q with multiplicity) and whether the matrix is cyclic; a scalar has its
+own type.  The weights go into a histogram keyed by (type of A, type of
+A^n).  The fold then builds one matrix per type of A^n, the power A^n of the
+first class met with it, from that class's chi, a and factor pattern
+(_representative), and asks count_commuting_det1 for its
 #{B} = |C_SL(A^n)|, which depends only on that type; the count is the sum
 over the histogram of weight x |GL_r(F_q)| / |C_GL(A)| x that value.  At rank
 3 there are at most 8 types of A^n, against about q^2 / 6 visited cyclic
@@ -68,7 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, prod
-from typing import Optional
+from typing import Iterator, Optional
 
 from .strata import admissibility_modulus, check_rank, check_twists, is_admissible, shown
 
@@ -404,27 +405,23 @@ def count_commuting_det1(M: FqMatrix) -> int:
 
 
 # -- class-equation sweep ---------------------------------------------------------
-#
-# A det-1 characteristic polynomial chi is fixed by its middle coefficients,
-# its constant term being (-1)^r; they give a cyclic class's key, the index of
-# its flag: c_1 at rank 2, c_1 q + c_2 at rank 3.  Ascending key is ascending
-# chi.  A non-cyclic or scalar class is named by its eigenvalue a instead.
 
-def _representative(rank: int, q: int, kind: str, x: int,
+def _representative(rank: int, q: int, chi: Optional[tuple[int, ...]], a: Optional[int],
                     pattern: Optional[tuple] = None) -> FqMatrix:
-    """The matrix of a class of the sweep, with the factor pattern of its chi
-    if known: the companion matrix of the chi with key x for the cyclic kind,
-    x I for the scalar kind, and diag(x) + companion((y - x)(y - b)),
-    b = x^-2, for the non-cyclic class with eigenvalue x."""
-    if kind == "cyclic":
+    """The matrix of a class of the sweep, from the class's own data, with the
+    factor pattern of its chi if known: the companion matrix of chi for a
+    cyclic class; otherwise a I for a scalar, whose type has no pattern, and
+    diag(a) + companion((y - a)(y - b)), b = a^-2, for the non-cyclic class
+    with eigenvalue a."""
+    if chi is not None:
         if rank == 2:
-            return FqMatrix._of(q, ((0, q - 1), (1, -x % q)), pattern)
-        c1, c2 = divmod(x, q)
+            return FqMatrix._of(q, ((0, q - 1), (1, -chi[1] % q)), pattern)
+        _, c1, c2, _ = chi
         return FqMatrix._of(q, ((0, 0, 1), (1, 0, -c1 % q), (0, 1, -c2 % q)), pattern)
-    if kind == "scalar":
-        return FqMatrix._of(q, tuple(tuple(x * e for e in row) for row in _IDENTITY[rank]))
-    b = pow(x, -2, q)
-    return FqMatrix._of(q, ((x, 0, 0), (0, 0, -x * b % q), (0, 1, (x + b) % q)), pattern)
+    if pattern is None:
+        return FqMatrix._of(q, tuple(tuple(a * e for e in row) for row in _IDENTITY[rank]))
+    b = pow(a, -2, q)
+    return FqMatrix._of(q, ((a, 0, 0), (0, 0, -a * b % q), (0, 1, (a + b) % q)), pattern)
 
 
 #: The GL type of a scalar matrix, which has no row in _CENTRALIZERS.
@@ -482,17 +479,15 @@ def _power_type(q: int, chi: Optional[tuple[int, ...]], a_type: tuple, a: Option
     return _factor_pattern((q - 1, e2, -t1 % q, 1), q), (p1 * u2 - p2 * u1) % q != 0
 
 
-def _orbit_visits(rank: int, q: int, n: int) -> tuple[dict[tuple, int], dict[tuple, tuple]]:
-    """The cyclic kind's share of the sweep: (weights, first), where weights
-    maps each (type of A, type of A^n) to the number of cyclic classes A of
-    those types, and first maps each type of A^n to ("cyclic", key, factor
-    pattern of chi) of the first class visited with it.  One class per orbit
-    is visited, the least, and typed in the same loop (see the module
-    docstring).  q must have passed _check_field, and n >= 1."""
+def _classes(rank: int,
+             q: int) -> Iterator[tuple[int, Optional[tuple[int, ...]], Optional[int]]]:
+    """The non-scalar classes the sweep visits, as (weight, chi, a): the least
+    cyclic class of each orbit, weighted by the orbit size, with its
+    characteristic polynomial chi and a = None (see the module docstring),
+    then at rank 3 each non-cyclic class once, with chi = None and its
+    eigenvalue a.  q must have passed _check_field."""
     flags = bytearray(q ** (rank - 1))
     roots = [(z * z % q, z) for z in range(1, q) if pow(z, rank, q) == 1]
-    weights: dict[tuple, int] = {}
-    first: dict[tuple, tuple] = {}
     key = 0
     while key >= 0:
         # flag the orbit and count the flags set: zA ((z^2, z) in roots)
@@ -504,7 +499,7 @@ def _orbit_visits(rank: int, q: int, n: int) -> tuple[dict[tuple, int], dict[tup
                 i = key * z % q
                 orbit += not flags[i]
                 flags[i] = 1
-            chi = (1, key, 1)
+            yield orbit, (1, key, 1), None
         else:
             c1, c2 = divmod(key, q)
             for z2, z in roots:
@@ -514,16 +509,11 @@ def _orbit_visits(rank: int, q: int, n: int) -> tuple[dict[tuple, int], dict[tup
                 flags[i] = 1
                 orbit += not flags[j]
                 flags[j] = 1
-            chi = (q - 1, c1, c2, 1)
-        pattern = _factor_pattern(chi, q)
-        a_type = pattern, True
-        power_type = _power_type(q, chi, a_type, None, n)
-        types = a_type, power_type
-        weights[types] = weights.get(types, 0) + orbit
-        if power_type not in first:
-            first[power_type] = "cyclic", key, pattern
+            yield orbit, (q - 1, c1, c2, 1), None
         key = flags.find(0, key + 1)
-    return weights, first
+    if rank == 3:
+        for a in range(1, q):
+            yield 1, None, a
 
 
 def count_rep_variety_points(rank: int, n: int, q: int,
@@ -548,22 +538,21 @@ def count_rep_variety_points(rank: int, n: int, q: int,
     # remainder keeps the exponent at the order itself, since pow needs n >= 1
     order = _gl_order(rank, q)
     n = n % order or order
-    # class weight per (type of A, type of A^n), and the first class met of
-    # each type of A^n with the factor pattern of its chi
-    weights, first = _orbit_visits(rank, q, n)
-    if rank == 3:
-        # each non-cyclic class once, typed from its eigenvalue a:
-        # J_2(a) + (a) if a^3 = 1, otherwise diag(a, a, a^-2)
-        for a in range(1, q):
+    # class weight per (type of A, type of A^n), and the (chi, a, factor
+    # pattern of chi) of the first class met of each type of A^n
+    weights = {(_SCALAR, _SCALAR): gcd(rank, q - 1)}
+    first = {_SCALAR: (None, 1, None)}
+    for weight, chi, a in _classes(rank, q):
+        if a is None:
+            a_type = _factor_pattern(chi, q), True
+        else:
+            # J_2(a) + (a) if a^3 = 1, otherwise diag(a, a, a^-2)
             a_type = (((1, 3),) if a * a * a % q == 1 else ((1, 2), (1, 1))), False
-            power_type = _power_type(q, None, a_type, a, n)
-            types = a_type, power_type
-            weights[types] = weights.get(types, 0) + 1
-            if power_type not in first:
-                first[power_type] = "non-cyclic", a, a_type[0]
-    # the scalars a I with a^r = 1, all of one type
-    weights[_SCALAR, _SCALAR] = gcd(rank, q - 1)
-    first.setdefault(_SCALAR, ("scalar", 1, None))
+        power_type = _power_type(q, chi, a_type, a, n)
+        types = a_type, power_type
+        weights[types] = weights.get(types, 0) + weight
+        if power_type not in first:
+            first[power_type] = chi, a, a_type[0]
     # |C_SL(A^n)| depends only on the type of A^n: one matrix per type, which
     # keeps its factor pattern when A^n is A
     commuting = {power_type: count_commuting_det1(_representative(rank, q, *cls).pow(n))

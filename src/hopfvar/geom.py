@@ -124,7 +124,11 @@ class Stratum:
 
     def __post_init__(self):
         # _ROWS holds the admissible pairs of each rank, so it refuses mixed ranks
-        if (self.src, self.tgt) not in _ROWS:
+        try:
+            admissible = (self.src, self.tgt) in _ROWS
+        except TypeError:  # an unhashable endpoint, which no key equals
+            admissible = False
+        if not admissible:
             raise ValueError(f"inadmissible stratum {shown(self.src)} -> {shown(self.tgt)}")
 
     @property

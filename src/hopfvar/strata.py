@@ -176,7 +176,10 @@ def twist_row(terms: list[tuple[int, Poly]]) -> tuple[tuple[int, Poly], ...]:
 def config_rows(group: str | None, src: Partition, tgt: Partition | None) -> tuple:
     """The configuration stratum (group, src, tgt) on the twist basis: one
     row of (k, P_k) terms, read by twist_sum, per irreducible of the group."""
-    rows = _CONFIG.get((group, src, tgt))
+    try:
+        rows = _CONFIG.get((group, src, tgt))
+    except TypeError:  # an unhashable input, which no key equals
+        rows = None
     if rows is None:
         raise ValueError(f"no {group or 'plain'} configuration data for "
                          f"({shown(src)}, {shown(tgt)})")

@@ -105,7 +105,7 @@ def test_second_spellings_left_the_package(name):
 @pytest.mark.parametrize("name", [
     "class_representatives", "class_size", "sl_order", "identity", "det", "rank"])
 def test_count_helpers_left_the_package(name):
-    # the count has one class enumeration (_orbit_visits), one class size (its
+    # the count has one class enumeration (_classes), one class size (its
     # key-typed centralizer table) and one |SL_r(F_q)|
     # (special_linear_epoly(r).evaluate(q)), and FqMatrix keeps what it calls
     holders = [importlib.import_module(module) for module in MODULES]

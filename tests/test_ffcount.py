@@ -49,19 +49,30 @@ def _gl_order(rank, q):
     return prod(q ** rank - q ** i for i in range(rank))
 
 
-def _kinds(rank, q):
-    # the classes of the sweep, kind by kind: the keys of the cyclic kind, and
-    # the eigenvalues a of the non-cyclic (rank 3) and scalar (a^r = 1) kinds
-    kinds = [("cyclic", range(q ** (rank - 1)))]
+def _chis(rank, q):
+    # the det-1 characteristic polynomials in ascending order, one per cyclic class
+    if rank == 2:
+        return [(1, c1, 1) for c1 in range(q)]
+    return [(q - 1, c1, c2, 1) for c1 in range(q) for c2 in range(q)]
+
+
+def _sparse(rank, q):
+    # the non-cyclic (rank 3) and scalar classes as the (chi, a, pattern)
+    # _representative builds them from: the eigenvalue a of J_2(a) + (a)
+    # (a^3 = 1) or diag(a, a, a^-2) with the factor pattern of its chi, and
+    # the a of each scalar a I (a^r = 1), whose type has no pattern
+    classes = []
     if rank == 3:
-        kinds.append(("non-cyclic", range(1, q)))
-    return kinds + [("scalar", [a for a in range(1, q) if pow(a, rank, q) == 1])]
+        classes += [(None, a, ((1, 3),) if pow(a, 3, q) == 1 else ((1, 2), (1, 1)))
+                    for a in range(1, q)]
+    return classes + [(None, a, None) for a in range(1, q) if pow(a, rank, q) == 1]
 
 
 def _representatives(rank, q):
-    # one matrix of each GL_r(F_q)-class inside SL_r(F_q), as the sweep builds it
-    return [ffcount._representative(rank, q, kind, x)
-            for kind, xs in _kinds(rank, q) for x in xs]
+    # one matrix of each GL_r(F_q)-class inside SL_r(F_q), as the sweep builds
+    # it: the cyclic classes in ascending chi, then the sparse ones
+    return ([ffcount._representative(rank, q, chi, None) for chi in _chis(rank, q)]
+            + [ffcount._representative(rank, q, *cls) for cls in _sparse(rank, q)])
 
 
 def _centralizer_order(m):
@@ -419,26 +430,17 @@ def _matrix_type(m):
 
 def _recording_visits(monkeypatch):
     # the classes the sweep types, in order, by its calls of _power_type,
-    # looked up on the module: ("cyclic", chi) for a visited cyclic class,
-    # ("non-cyclic", a) for a non-cyclic class with eigenvalue a
+    # looked up on the module: (chi, None) for a visited cyclic class,
+    # (None, a) for a non-cyclic class with eigenvalue a
     visits, power_type = [], ffcount._power_type
     monkeypatch.setattr(ffcount, "_power_type", lambda q, chi, a_type, a, n: visits.append(
-        ("cyclic", chi) if a is None else ("non-cyclic", a)) or power_type(q, chi, a_type, a, n))
+        (chi, a)) or power_type(q, chi, a_type, a, n))
     return visits
 
 
-def _cyclic_key(chi, q):
-    # the sweep's key of a det-1 chi: c_1 at rank 2, c_1 q + c_2 at rank 3
-    return chi[1] if len(chi) == 3 else chi[1] * q + chi[2]
-
-
-def _cyclic_orbits(monkeypatch, rank, q):
-    # {key: orbit} over the classes the cyclic pass visits: each is typed by
-    # its own chi, so that the pass's histogram has one entry per visit
-    with monkeypatch.context() as m:
-        m.setattr(ffcount, "_power_type", lambda q, chi, a_type, a, n: chi)
-        weights, _ = ffcount._orbit_visits(rank, q, 1)
-    return {_cyclic_key(chi, q): orbit for (_, chi), orbit in weights.items()}
+def _cyclic_orbits(rank, q):
+    # {chi: orbit} over the cyclic classes the walk visits
+    return {chi: orbit for orbit, chi, a in ffcount._classes(rank, q) if a is None}
 
 
 def test_sweep_counts_each_type_of_the_power_once(monkeypatch):
@@ -485,10 +487,10 @@ def test_sweep_types_each_visited_class_once(monkeypatch):
                 visits.clear()
                 count_rep_variety_points(rank, n, q)
                 expected = []
-                for kind, chi in visits:
-                    if kind == "non-cyclic":
+                for chi, x in visits:
+                    if x is not None:
                         continue
-                    a = ffcount._representative(rank, q, kind, _cyclic_key(chi, q))
+                    a = ffcount._representative(rank, q, chi, None)
                     power = a.pow(n)
                     expected.append(a.char_poly())
                     if not power.is_scalar() and power != a:
@@ -503,28 +505,28 @@ def test_sweep_builds_only_visited_sparse_classes(monkeypatch):
     # sparse class, whose power it counts (at n = 1, A itself), so far fewer
     # than there are sparse classes
     build, built = ffcount._representative, []
-    monkeypatch.setattr(ffcount, "_representative",
-                        lambda *args: built.append((args[2], build(*args))) or built[-1][1])
+    monkeypatch.setattr(ffcount, "_representative", lambda rank, q, chi, a, pattern=None:
+                        built.append((chi is None, build(rank, q, chi, a, pattern)))
+                        or built[-1][1])
     count, calls = ffcount.count_commuting_det1, []
     monkeypatch.setattr(ffcount, "count_commuting_det1", lambda m: calls.append(m) or count(m))
     visits = _recording_visits(monkeypatch)
     for rank in (2, 3):
         for q in (5, 7, 13):
-            sparse = [(kind, x) for kind, xs in _kinds(rank, q)[1:] for x in xs]
+            sparse = _sparse(rank, q)
             for n in (1, 2):
                 built.clear()
                 calls.clear()
                 visits.clear()
                 count_rep_variety_points(rank, n, q)
-                visited = {(kind, build(rank, q, kind, _cyclic_key(chi, q)))
-                           for kind, chi in visits if kind == "cyclic"}
-                visited |= {(kind, build(rank, q, kind, x)) for kind, x in sparse}
+                visited = {(False, build(rank, q, chi, None)) for chi, a in visits if a is None}
+                visited |= {(True, build(rank, q, *cls)) for cls in sparse}
                 assert len(built) == len(calls) == len({_matrix_type(m) for m in calls})
                 assert set(built) <= visited, (rank, q, n)
                 assert all(m == a.pow(n) for (_, a), m in zip(built, calls)), (rank, q, n)
                 if n == 1:
                     assert all(m is a for (_, a), m in zip(built, calls)), (rank, q)
-                    assert sum(kind != "cyclic" for kind, _ in built) == \
+                    assert sum(is_sparse for is_sparse, _ in built) == \
                         sum(len(commutant_basis(a)) > rank for a in calls) < len(sparse), (rank, q)
 
 
@@ -536,19 +538,19 @@ def test_power_types_match_matrix_typing_exhaustive():
     # division
     for rank in (2, 3):
         for q in (5, 7, 13):
-            # all but the last kind, the scalars, whose A^n = a^n I the sweep types as scalar
-            for kind, xs in _kinds(rank, q)[:-1]:
-                for x in xs:
-                    a = ffcount._representative(rank, q, kind, x)
-                    dim, chi = class_key(a.rows, q)
-                    a_type = ffcount._factor_pattern(chi, q), dim == rank
-                    for n in range(1, 7):
-                        got = ffcount._power_type(q, chi, a_type,
-                                                  x if kind == "non-cyclic" else None, n)
-                        dim, chi_n = class_key(a.pow(n).rows, q)
-                        expected = ((None, False) if dim == rank * rank else
-                                    (factor_pattern_by_trial_division(chi_n, q), dim == rank))
-                        assert (got[0] and sorted(got[0]), got[1]) == expected, (a, n)
+            # all but the scalars, whose A^n = a^n I the sweep types as scalar
+            classes = [(chi, None, None) for chi in _chis(rank, q)]
+            classes += [cls for cls in _sparse(rank, q) if cls[2] is not None]
+            for cls in classes:
+                a = ffcount._representative(rank, q, *cls)
+                dim, chi = class_key(a.rows, q)
+                a_type = ffcount._factor_pattern(chi, q), dim == rank
+                for n in range(1, 7):
+                    got = ffcount._power_type(q, chi, a_type, cls[1], n)
+                    dim, chi_n = class_key(a.pow(n).rows, q)
+                    expected = ((None, False) if dim == rank * rank else
+                                (factor_pattern_by_trial_division(chi_n, q), dim == rank))
+                    assert (got[0] and sorted(got[0]), got[1]) == expected, (a, n)
 
 
 def test_sweep_matches_bruteforce_oracle():
@@ -582,6 +584,18 @@ def test_orbit_sweep_matches_plain_class_sum():
             _plain_class_sums(rank, q, [huge])[huge], (rank, q)
 
 
+def test_exponent_a_multiple_of_the_group_order_counts_every_pair():
+    # A^n = I for every A when |GL_r(F_q)| divides n, so every pair commutes:
+    # the count is |SL_r(F_q)|^2.  n reduces to 0 mod the order, which the
+    # sweep must keep at the order itself, not at any smaller exponent
+    for rank in (2, 3):
+        for q in (3, 5, 7):
+            gl = prod(q ** rank - q ** i for i in range(rank))
+            sl = gl // (q - 1)
+            for k in (1, 3):
+                assert count_rep_variety_points(rank, k * gl, q) == sl * sl, (rank, q, k)
+
+
 def test_orbit_sweep_visits_one_class_per_orbit(monkeypatch):
     # (3, 1, 7): the 49 cyclic classes fall into 12 orbits of A -> zA
     # (z^3 = 1), A -> A^-1, each of the 6 non-cyclic classes is typed once,
@@ -592,12 +606,12 @@ def test_orbit_sweep_visits_one_class_per_orbit(monkeypatch):
     visits = _recording_visits(monkeypatch)
     assert count_rep_variety_points(3, 1, 7) == rep_variety_epoly_formula(3, 1).evaluate(7)
     assert len(_representatives(3, 7)) == 58
-    assert [kind for kind, _ in visits] == ["cyclic"] * 12 + ["non-cyclic"] * 6
-    assert [a for kind, a in visits if kind == "non-cyclic"] == list(range(1, 7))
+    assert [a is None for _, a in visits] == [True] * 12 + [False] * 6
+    assert [a for _, a in visits if a is not None] == list(range(1, 7))
     assert len(calls) <= 12
 
 
-def test_orbit_representatives_match_set_based_orbits(monkeypatch):
+def test_orbit_representatives_match_set_based_orbits():
     # The cyclic pass visits one class per orbit with the number of classes
     # in it: they must be the least class and the size of each set-based
     # orbit of the cyclic classes, and at n = 1 the count must be the sum of
@@ -607,12 +621,11 @@ def test_orbit_representatives_match_set_based_orbits(monkeypatch):
         for q in (5, 7, 13):
             total = count_rep_variety_points(rank, 1, q)
             orbits, expected_total = {}, 0
-            for key, orbit in _cyclic_orbits(monkeypatch, rank, q).items():
-                a = ffcount._representative(rank, q, "cyclic", key)
+            for chi, orbit in _cyclic_orbits(rank, q).items():
+                a = ffcount._representative(rank, q, chi, None)
                 orbits[class_key(a.rows, q)] = orbit
                 expected_total += orbit * _conjugates(a) * count_commuting_det1(a)
-            cyclic = [ffcount._representative(rank, q, "cyclic", key)
-                      for key in range(q ** (rank - 1))]
+            cyclic = [ffcount._representative(rank, q, chi, None) for chi in _chis(rank, q)]
             assert orbits == set_based_orbits([a.rows for a in cyclic], q), (rank, q)
             expected_total += sum(_conjugates(a) * count_commuting_det1(a)
                                   for a in _representatives(rank, q)[len(cyclic):])
@@ -620,22 +633,35 @@ def test_orbit_representatives_match_set_based_orbits(monkeypatch):
 
 
 def test_class_weights_per_kind_sum_to_the_class_numbers(monkeypatch):
-    # the histogram the count folds, which it adds the sparse kinds to after
-    # the cyclic pass: its weights sum to q^(r-1) cyclic classes, q - 1
-    # non-cyclic ones at rank 3 and gcd(r, q - 1) scalars
-    visit, histograms = ffcount._orbit_visits, []
-    monkeypatch.setattr(ffcount, "_orbit_visits",
-                        lambda *args: histograms.append(visit(*args)) or histograms[-1])
+    # the histogram the count folds: the weights of the classes the walk
+    # yields, typed by the count, sum to q^(r-1) cyclic classes and q - 1
+    # non-cyclic ones at rank 3, and the scalar entry seeded before the walk
+    # holds gcd(r, q - 1) scalars, each centralized by all of SL_r(F_q): the
+    # count less the visited classes' share is that many times |SL_r(F_q)|
+    walk, visited = ffcount._classes, []
+    monkeypatch.setattr(ffcount, "_classes",
+                        lambda rank, q: (visited.append(c) or c for c in walk(rank, q)))
+    power_type, types = ffcount._power_type, []
+    monkeypatch.setattr(ffcount, "_power_type", lambda q, chi, a_type, a, n: types.append(
+        a_type) or power_type(q, chi, a_type, a, n))
     for rank in (2, 3):
         for q in (3, 5, 7, 13, 17, 31):
+            sizes = {}
             for n in (1, 2, 3, q):
-                histograms.clear()
-                count_rep_variety_points(rank, n, q)
-                totals = {}
-                (weights, _), = histograms
-                for ((pattern, cyclic), _), weight in weights.items():
-                    kind = "cyclic" if cyclic else "scalar" if pattern is None else "non-cyclic"
+                visited.clear()
+                types.clear()
+                total = count_rep_variety_points(rank, n, q)
+                totals, share = {}, 0
+                for (weight, chi, a), (pattern, cyclic) in zip(visited, types, strict=True):
+                    kind = "cyclic" if cyclic else "non-cyclic"
                     totals[kind] = totals.get(kind, 0) + weight
+                    m = ffcount._representative(rank, q, chi, a, pattern)
+                    if m not in sizes:
+                        sizes[m] = _conjugates(m)
+                    share += weight * sizes[m] * count_commuting_det1(m.pow(n))
+                scalars, rest = divmod(total - share, _gl_order(rank, q) // (q - 1))
+                assert rest == 0, (rank, n, q)
+                totals["scalar"] = scalars
                 expected = {"cyclic": q ** (rank - 1),
                             "scalar": sum(pow(a, rank, q) == 1 for a in range(1, q))}
                 if rank == 3:
@@ -668,7 +694,7 @@ def test_sparse_class_types_match_matrix_typing(monkeypatch):
             sparse = [(a, a_type, got) for a, a_type, got in visits if a is not None]
             assert [a for a, _, _ in sparse] == list(range(1, q)), (n, q)
             for a, a_type, got in sparse:
-                m = ffcount._representative(3, q, "non-cyclic", a)
+                m = ffcount._representative(3, q, None, a, a_type[0])
                 for typed, matrix in ((a_type, m), (got, m.pow(n))):
                     assert (typed[0] and sorted(typed[0]), typed[1]) == _oracle_type(matrix), \
                         (a, n, q)

@@ -152,7 +152,9 @@ def test_refusals_name_a_long_input_by_its_size():
     with pytest.raises(ValueError) as err:
         strata.check_rank(10 ** 5000)
     assert str(err.value) == "rank must be 2 or 3, got <integer of 5001 digits>"
-    # the table lookups name a pattern or Jordan type they cannot read the same way
+    # the table lookups name a pattern or Jordan type they cannot read the same
+    # way, and refuse one they cannot hash, such as a list or dict, as one
+    # they have no row for
     for refuse, named in (
             (lambda: config_epoly("x" * 5000, None, 1),
              "no plain configuration data for (<str of 5000 characters>, None)"),
@@ -162,7 +164,18 @@ def test_refusals_name_a_long_input_by_its_size():
             (lambda: config_epoly(10 ** 5000, None, 1),
              "no plain configuration data for (<integer of 5001 digits>, None)"),
             (lambda: geom.Stratum(geom.J2_SCALAR, "z" * 3000),
-             "inadmissible stratum JordanType(rank=2, index=1) -> <str of 3000 characters>")):
+             "inadmissible stratum JordanType(rank=2, index=1) -> <str of 3000 characters>"),
+            (lambda: config_epoly([1], None, 1), "no plain configuration data for ([1], None)"),
+            (lambda: strata.config_rows({}, None, None),
+             "no plain configuration data for (None, None)"),
+            (lambda: config_equivariant_s2(P2_DISTINCT, [1], 1),
+             "no s2 configuration data for (Partition(rank=2, index=2), [1])"),
+            (lambda: config_equivariant_s3({}, 1),
+             "no s3 configuration data for (Partition(rank=3, index=3), {})"),
+            (lambda: geom.Stratum(geom.J2_SCALAR, [1]),
+             "inadmissible stratum JordanType(rank=2, index=1) -> [1]"),
+            (lambda: geom.Stratum({}, geom.J2_SCALAR),
+             "inadmissible stratum {} -> JordanType(rank=2, index=1)")):
         with pytest.raises(ValueError) as err:
             refuse()
         assert str(err.value) == named and len(named) < 200
