@@ -34,8 +34,9 @@ unflagged indices in ascending order with bytearray.find, so the first
 class of an orbit it meets is its least.  A class it visits flags its
 images and is weighted by the number of flags it sets; a flagged class is
 skipped unseen.  At rank 3 the walk then yields each of the q - 1
-non-cyclic classes with weight 1.  The gcd(r, q - 1) scalars are one
-histogram entry of the scalar type, seeded before the walk.
+non-cyclic classes with weight 1.  The gcd(r, q - 1) scalars are not
+walked: each is a class of size 1 with a scalar n-th power, so each adds
+|SL_r(F_q)| = |GL_r(F_q)| / (q - 1), in closed form.
 
 Each yielded class is typed twice, without a matrix: A from chi (cyclic) or
 from a (J_2(a) + (a) if a^3 = 1, otherwise diag(a, a, a^-2)), and A^n
@@ -44,14 +45,15 @@ square-and-multiply kernel that also decides _factor_pattern's cubics).  A
 GL type is the factor pattern of the characteristic polynomial (its roots
 in F_q with multiplicity) and whether the matrix is cyclic; a scalar has its
 own type.  The weights go into a histogram keyed by (type of A, type of
-A^n).  The fold then builds one matrix per type of A^n, the power A^n of the
-first class met with it, from that class's chi, a and factor pattern
-(_representative), and asks count_commuting_det1 for its
-#{B} = |C_SL(A^n)|, which depends only on that type; the count is the sum
-over the histogram of weight x |GL_r(F_q)| / |C_GL(A)| x that value.  At rank
-3 there are at most 8 types of A^n, against about q^2 / 6 visited cyclic
-classes (q^2 / 2 when 3 does not divide q - 1), and nothing is enumerated: a
-direct enumeration would step through q^9 matrices.
+A^n).  The fold gives a scalar A^n all of SL_r(F_q) as its #{B}, and builds
+one matrix per non-scalar type of A^n, the power A^n of the first class met
+with it, from that class's chi or a (_representative), and asks
+count_commuting_det1 for its #{B} = |C_SL(A^n)|, which depends only on that
+type.  The count is gcd(r, q - 1) |SL_r(F_q)| for the scalars plus the sum
+over the histogram of weight x |GL_r(F_q)| / |C_GL(A)| x #{B}.  At rank 3
+there are at most 7 non-scalar types of A^n (3 at rank 2), against about
+q^2 / 6 visited cyclic classes (q^2 / 2 when 3 does not divide q - 1), and
+nothing is enumerated: a direct enumeration would step through q^9 matrices.
 
 The orders of the centralizers C_GL(M) and C_SL(M) are closed forms in q, one
 row of _CENTRALIZERS per GL type of a non-scalar M: eight cyclic types at
@@ -67,7 +69,7 @@ of a class grows only with the bits of that remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, prod
 from typing import Iterator, Optional
 
@@ -140,18 +142,14 @@ class FqMatrix:
 
     q: int
     rows: tuple[tuple[int, ...], ...]
-    # factor pattern of the characteristic polynomial, None until first use
-    _pattern: Optional[tuple] = field(repr=False, compare=False)
 
     @classmethod
-    def _of(cls, q: int, rows: tuple[tuple[int, ...], ...],
-            pattern: Optional[tuple] = None) -> FqMatrix:
+    def _of(cls, q: int, rows: tuple[tuple[int, ...], ...]) -> FqMatrix:
         """The matrix with these reduced row tuples over a field that _check_field
-        has accepted, and the factor pattern of its chi if known."""
+        has accepted."""
         m = _new(cls)
         _set_q(m, q)
         _set_rows(m, rows)
-        _set_pattern(m, pattern)
         return m
 
     def __mul__(self, other: FqMatrix) -> FqMatrix:
@@ -186,13 +184,6 @@ class FqMatrix:
     def is_scalar(self) -> bool:
         return _is_scalar(self.rows)
 
-    def factor_pattern(self) -> tuple[tuple[int, int], ...]:
-        """Factor pattern of the characteristic polynomial (_factor_pattern),
-        computed on first use and kept with the matrix."""
-        if self._pattern is None:
-            _set_pattern(self, _factor_pattern(self.char_poly(), self.q))
-        return self._pattern
-
     def char_poly(self) -> tuple[int, ...]:
         """Monic characteristic polynomial, ascending coefficients."""
         q = self.q
@@ -205,11 +196,10 @@ class FqMatrix:
                 (a * e - b * d + a * i - c * g + ei_fh) % q, -(a + e + i) % q, 1)
 
 
-#: Bound once for FqMatrix._of and factor_pattern: the slot setters bypass its
-#: __setattr__, which refuses, and beat object.__setattr__.
+#: Bound once for FqMatrix._of: the slot setters bypass its __setattr__,
+#: which refuses, and beat object.__setattr__.
 _new = object.__new__
-_set_q, _set_rows, _set_pattern = (FqMatrix.__dict__[name].__set__
-                                   for name in ("q", "rows", "_pattern"))
+_set_q, _set_rows = (FqMatrix.__dict__[name].__set__ for name in ("q", "rows"))
 
 
 # -- commutants in closed form ------------------------------------------------------
@@ -395,33 +385,31 @@ def count_commuting_det1(M: FqMatrix) -> int:
     """#{B in SL_r(F_q) : BM = MB} = |C_SL(M)| for any M.  A scalar M is
     centralized by the whole group, of order |GL_r(F_q)| / (q - 1); otherwise
     the length of its commutant basis tells whether M is cyclic, and with the
-    factor pattern of its characteristic polynomial (FqMatrix.factor_pattern)
-    that picks the row of _CENTRALIZERS."""
+    factor pattern of its characteristic polynomial (_factor_pattern) that
+    picks the row of _CENTRALIZERS."""
     q, m = M.q, M.rows
     if _is_scalar(m):
         return _gl_order(len(m), q) // (q - 1)
-    gl, index = _CENTRALIZERS[M.factor_pattern(), len(commutant_basis(M)) == len(m)](q)
+    gl, index = _CENTRALIZERS[_factor_pattern(M.char_poly(), q),
+                              len(commutant_basis(M)) == len(m)](q)
     return gl // index
 
 
 # -- class-equation sweep ---------------------------------------------------------
 
-def _representative(rank: int, q: int, chi: Optional[tuple[int, ...]], a: Optional[int],
-                    pattern: Optional[tuple] = None) -> FqMatrix:
-    """The matrix of a class of the sweep, from the class's own data, with the
-    factor pattern of its chi if known: the companion matrix of chi for a
-    cyclic class; otherwise a I for a scalar, whose type has no pattern, and
+def _representative(rank: int, q: int, chi: Optional[tuple[int, ...]],
+                    a: Optional[int]) -> FqMatrix:
+    """The matrix of a non-scalar class of the sweep, from the class's own
+    data: the companion matrix of chi for a cyclic class, otherwise
     diag(a) + companion((y - a)(y - b)), b = a^-2, for the non-cyclic class
     with eigenvalue a."""
     if chi is not None:
         if rank == 2:
-            return FqMatrix._of(q, ((0, q - 1), (1, -chi[1] % q)), pattern)
+            return FqMatrix._of(q, ((0, q - 1), (1, -chi[1] % q)))
         _, c1, c2, _ = chi
-        return FqMatrix._of(q, ((0, 0, 1), (1, 0, -c1 % q), (0, 1, -c2 % q)), pattern)
-    if pattern is None:
-        return FqMatrix._of(q, tuple(tuple(a * e for e in row) for row in _IDENTITY[rank]))
+        return FqMatrix._of(q, ((0, 0, 1), (1, 0, -c1 % q), (0, 1, -c2 % q)))
     b = pow(a, -2, q)
-    return FqMatrix._of(q, ((a, 0, 0), (0, 0, -a * b % q), (0, 1, (a + b) % q)), pattern)
+    return FqMatrix._of(q, ((a, 0, 0), (0, 0, -a * b % q), (0, 1, (a + b) % q)))
 
 
 #: The GL type of a scalar matrix, which has no row in _CENTRALIZERS.
@@ -538,10 +526,9 @@ def count_rep_variety_points(rank: int, n: int, q: int,
     # remainder keeps the exponent at the order itself, since pow needs n >= 1
     order = _gl_order(rank, q)
     n = n % order or order
-    # class weight per (type of A, type of A^n), and the (chi, a, factor
-    # pattern of chi) of the first class met of each type of A^n
-    weights = {(_SCALAR, _SCALAR): gcd(rank, q - 1)}
-    first = {_SCALAR: (None, 1, None)}
+    # class weight per (type of A, type of A^n), and the (chi, a) of the
+    # first class met of each type of A^n
+    weights, first = {}, {}
     for weight, chi, a in _classes(rank, q):
         if a is None:
             a_type = _factor_pattern(chi, q), True
@@ -552,10 +539,14 @@ def count_rep_variety_points(rank: int, n: int, q: int,
         types = a_type, power_type
         weights[types] = weights.get(types, 0) + weight
         if power_type not in first:
-            first[power_type] = chi, a, a_type[0]
-    # |C_SL(A^n)| depends only on the type of A^n: one matrix per type, which
-    # keeps its factor pattern when A^n is A
-    commuting = {power_type: count_commuting_det1(_representative(rank, q, *cls).pow(n))
+            first[power_type] = chi, a
+    # |C_SL(A^n)| depends only on the type of A^n: all of SL_r(F_q) for a
+    # scalar, otherwise counted on one matrix per type.  The gcd(r, q - 1)
+    # scalar classes A are single matrices with A^n scalar.
+    sl = order // (q - 1)
+    commuting = {power_type: sl if power_type == _SCALAR else
+                 count_commuting_det1(_representative(rank, q, *cls).pow(n))
                  for power_type, cls in first.items()}
-    return sum(weight * (1 if a_type == _SCALAR else order // _CENTRALIZERS[a_type](q)[0])
-               * commuting[power_type] for (a_type, power_type), weight in weights.items())
+    return gcd(rank, q - 1) * sl + sum(
+        weight * (order // _CENTRALIZERS[a_type](q)[0]) * commuting[power_type]
+        for (a_type, power_type), weight in weights.items())

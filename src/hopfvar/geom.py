@@ -145,15 +145,21 @@ def admissible_strata(rank: int) -> list[Stratum]:
     return [Stratum(src, tgt) for src, tgt in _ROWS if src.rank == rank]
 
 
+def _type_row(xi: JordanType) -> _TypeRow:
+    if not isinstance(xi, JordanType):
+        raise ValueError(f"not a JordanType: {shown(xi)}")
+    return _TYPES[xi.rank][xi.index - 1]
+
+
 def stabilizer_epoly(xi: JordanType) -> Poly:
     """E-polynomial of the group of SL_r matrices commuting with a matrix of
     this Jordan type."""
-    return _TYPES[xi.rank][xi.index - 1].stabilizer
+    return _type_row(xi).stabilizer
 
 
 def pgl_mod_stab_epoly(xi: JordanType) -> Poly:
     """E-polynomial of the conjugation orbit PGL_r / Stab of this type."""
-    return _TYPES[xi.rank][xi.index - 1].orbit
+    return _type_row(xi).orbit
 
 
 # -- equivariant data ----------------------------------------------------------
@@ -205,6 +211,8 @@ _RANK_ROWS = {rank: tuple(term for s in admissible_strata(rank) for term in _ROW
 def stratum_epoly(stratum: Stratum, n: int) -> Poly:
     """E-polynomial of one admissible stratum at twist count n: its fixed
     polynomials summed against the twist basis at n."""
+    if not isinstance(stratum, Stratum):
+        raise ValueError(f"not a Stratum: {shown(stratum)}")
     return twist_sum(_ROWS[stratum.src, stratum.tgt], n)
 
 

@@ -217,6 +217,13 @@ ZERO = Poly()
 ONE = Poly([1])
 
 
+def _check_size(name: str, value: object) -> None:
+    # a bool is an int to Python, not a size; the refusal names only the
+    # type, so that it cannot grow with the input
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {type(value).__name__}")
+
+
 def sym_projective_epoly(m: int, r: int) -> Poly:
     """E-polynomial of the r-th symmetric product of projective m-space.
 
@@ -226,6 +233,8 @@ def sym_projective_epoly(m: int, r: int) -> Poly:
     >>> sym_projective_epoly(2, 2)
     Poly('q^4 + q^3 + 2*q^2 + q + 1')
     """
+    _check_size("m", m)
+    _check_size("r", r)
     if m < 0 or r < 0:
         raise ValueError("m and r must be >= 0")
     # series[k] = t^k coefficient; multiplying by 1/(1 - q^i t) is the
@@ -244,6 +253,7 @@ def special_linear_epoly(r: int) -> Poly:
     (q^r - 1)(q^r - q) ... (q^r - q^{r-2}) * q^{r-1}; equals the order of
     SL_r over a field with q elements when evaluated at a prime power.
     """
+    _check_size("r", r)
     if r < 1:
         raise ValueError("r must be >= 1")
     out = Q ** (r - 1)

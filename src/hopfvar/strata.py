@@ -103,7 +103,7 @@ def refinement_pairs(rank: int) -> list[tuple[Partition, Partition]]:
     a tgt block), identities included.  The canonical patterns of one rank
     form a chain under refinement, index 1 (one block) the coarsest, so src
     refines tgt iff src.index >= tgt.index."""
-    parts = [Partition(rank, i) for i in range(1, rank + 1)]
+    parts = [Partition(rank, i) for i in range(1, check_rank(rank) + 1)]
     return [(s, t) for s in parts for t in parts if s.index >= t.index]
 
 

@@ -57,22 +57,25 @@ def _chis(rank, q):
 
 
 def _sparse(rank, q):
-    # the non-cyclic (rank 3) and scalar classes as the (chi, a, pattern)
-    # _representative builds them from: the eigenvalue a of J_2(a) + (a)
-    # (a^3 = 1) or diag(a, a, a^-2) with the factor pattern of its chi, and
-    # the a of each scalar a I (a^r = 1), whose type has no pattern
-    classes = []
-    if rank == 3:
-        classes += [(None, a, ((1, 3),) if pow(a, 3, q) == 1 else ((1, 2), (1, 1)))
-                    for a in range(1, q)]
-    return classes + [(None, a, None) for a in range(1, q) if pow(a, rank, q) == 1]
+    # the non-cyclic classes (rank 3) as the (chi, a) _representative builds
+    # them from: the eigenvalue a of J_2(a) + (a) (a^3 = 1) or diag(a, a, a^-2)
+    return [(None, a) for a in range(1, q)] if rank == 3 else []
+
+
+def _scalars(rank, q):
+    # the scalar classes a I (a^r = 1), which the sweep counts in closed form
+    # and never builds
+    return [M(q, *[[a * (i == j) for j in range(rank)] for i in range(rank)])
+            for a in range(1, q) if pow(a, rank, q) == 1]
 
 
 def _representatives(rank, q):
-    # one matrix of each GL_r(F_q)-class inside SL_r(F_q), as the sweep builds
-    # it: the cyclic classes in ascending chi, then the sparse ones
+    # one matrix of each GL_r(F_q)-class inside SL_r(F_q): the cyclic classes
+    # in ascending chi and the non-cyclic ones as the sweep builds them, then
+    # the scalars
     return ([ffcount._representative(rank, q, chi, None) for chi in _chis(rank, q)]
-            + [ffcount._representative(rank, q, *cls) for cls in _sparse(rank, q)])
+            + [ffcount._representative(rank, q, *cls) for cls in _sparse(rank, q)]
+            + _scalars(rank, q))
 
 
 def _centralizer_order(m):
@@ -245,10 +248,10 @@ def test_product_matches_naive_product():
 
 
 def test_matrix_is_slotted_and_frozen():
-    # the factor pattern a matrix keeps once computed takes no part in
-    # equality, hashing or repr
+    # a matrix is its field size and rows, and nothing else: two slots, no
+    # __dict__, no setter, and equality, hashing and repr by those two
     m = M(7, (1, 2, 3), (4, 5, 6), (0, 1, 8))
-    assert m.factor_pattern() == ffcount._factor_pattern(m.char_poly(), 7) == ((1, 1), (2, 1))
+    assert FqMatrix.__slots__ == ("q", "rows")
     assert not hasattr(m, "__dict__")
     for name, value in (("q", 11), ("rows", ((1, 0), (0, 1)))):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -256,7 +259,6 @@ def test_matrix_is_slotted_and_frozen():
     assert m.q == 7 and m.rows == ((1, 2, 3), (4, 5, 6), (0, 1, 1))
     for q, rows in ((7, m.rows), (5, ((2, 0), (3, 4)))):
         built = FqMatrix._of(q, rows)
-        built.factor_pattern()
         for other in (M(q, *rows), FqMatrix._of(q, rows)):
             assert built == other and hash(built) == hash(other) and repr(built) == repr(other)
         assert not hasattr(built, "__dict__")
@@ -445,8 +447,10 @@ def _cyclic_orbits(rank, q):
 
 def test_sweep_counts_each_type_of_the_power_once(monkeypatch):
     # the sweep looks count_commuting_det1 up on the module and calls it once
-    # per GL type of A^n met over all classes (the orbit maps keep it), each
-    # time on A.pow(n) of a different class
+    # per non-scalar GL type of A^n met over all classes (the orbit maps keep
+    # it), each time on A.pow(n) of a different class, and never on a scalar
+    # matrix: a scalar A^n is centralized by all of SL_r(F_q), in closed form,
+    # and a scalar A is never built or powered
     powers, calls = [], []
     pow_, count = FqMatrix.pow, ffcount.count_commuting_det1
     monkeypatch.setattr(FqMatrix, "pow",
@@ -456,11 +460,13 @@ def test_sweep_counts_each_type_of_the_power_once(monkeypatch):
         for q in (5, 7, 13):
             reps = _representatives(rank, q)
             for n in (1, 2, 3):
-                types = {_matrix_type(pow_(a, n)) for a in reps}
+                types = {_matrix_type(pow_(a, n)) for a in reps} - {None}
                 powers.clear()
                 calls.clear()
                 count_rep_variety_points(rank, n, q)
                 assert len(calls) == len(powers) == len(types), (rank, n, q)
+                assert not any(m.is_scalar() for m in calls), (rank, n, q)
+                assert not any(a.is_scalar() for a, _, _ in powers), (rank, n, q)
                 assert all(m is power and e == n for m, (_, e, power) in zip(calls, powers))
                 assert {_matrix_type(m) for m in calls} == types, (rank, n, q)
                 assert len({a for a, _, _ in powers}) == len(powers), (rank, n, q)
@@ -470,9 +476,9 @@ def test_sweep_types_each_visited_class_once(monkeypatch):
     # the sweep factors the chi of each visited cyclic class once, and the
     # chi of its power read off x^n mod chi once more unless A^n is scalar or
     # A itself (always at n = 1); a non-cyclic class is typed from its
-    # eigenvalue and a scalar not at all, so neither is factored; of the
-    # matrices it counts, one per type of A^n, only those that are not A are
-    # factored again, so nothing more is factored at n = 1
+    # eigenvalue and a scalar not at all, so neither is factored; then each
+    # matrix it counts, one per non-scalar type of A^n, is factored once more,
+    # after the walk and in the order counted
     factor, patterns = ffcount._factor_pattern, []
     monkeypatch.setattr(ffcount, "_factor_pattern",
                         lambda chi, q: patterns.append(chi) or factor(chi, q))
@@ -495,19 +501,19 @@ def test_sweep_types_each_visited_class_once(monkeypatch):
                     expected.append(a.char_poly())
                     if not power.is_scalar() and power != a:
                         expected.append(power.char_poly())
-                expected += [m.char_poly() for m in counted if n > 1 and not m.is_scalar()]
+                assert counted and not any(m.is_scalar() for m in counted), (rank, q, n)
+                expected += [m.char_poly() for m in counted]
                 assert patterns == expected, (rank, q, n)
 
 
 def test_sweep_builds_only_visited_sparse_classes(monkeypatch):
-    # a non-cyclic or scalar class is kept as its eigenvalue; the sweep
-    # builds one matrix per type of A^n, of a cyclic class it visited or a
-    # sparse class, whose power it counts (at n = 1, A itself), so far fewer
-    # than there are sparse classes
+    # a non-cyclic class is kept as its eigenvalue, and a scalar is never
+    # built; the sweep builds one matrix per non-scalar type of A^n, of a
+    # cyclic class it visited or a non-cyclic class, whose power it counts
+    # (at n = 1, A itself), so fewer than there are non-cyclic classes
     build, built = ffcount._representative, []
-    monkeypatch.setattr(ffcount, "_representative", lambda rank, q, chi, a, pattern=None:
-                        built.append((chi is None, build(rank, q, chi, a, pattern)))
-                        or built[-1][1])
+    monkeypatch.setattr(ffcount, "_representative", lambda rank, q, chi, a:
+                        built.append((chi is None, build(rank, q, chi, a))) or built[-1][1])
     count, calls = ffcount.count_commuting_det1, []
     monkeypatch.setattr(ffcount, "count_commuting_det1", lambda m: calls.append(m) or count(m))
     visits = _recording_visits(monkeypatch)
@@ -524,10 +530,13 @@ def test_sweep_builds_only_visited_sparse_classes(monkeypatch):
                 assert len(built) == len(calls) == len({_matrix_type(m) for m in calls})
                 assert set(built) <= visited, (rank, q, n)
                 assert all(m == a.pow(n) for (_, a), m in zip(built, calls)), (rank, q, n)
+                assert not any(a.is_scalar() for _, a in built), (rank, q, n)
                 if n == 1:
                     assert all(m is a for (_, a), m in zip(built, calls)), (rank, q)
-                    assert sum(is_sparse for is_sparse, _ in built) == \
-                        sum(len(commutant_basis(a)) > rank for a in calls) < len(sparse), (rank, q)
+                    non_cyclic = sum(is_sparse for is_sparse, _ in built)
+                    assert non_cyclic == sum(len(commutant_basis(a)) > rank for a in calls), \
+                        (rank, q)
+                    assert 0 < non_cyclic < len(sparse) if rank == 3 else non_cyclic == 0, (rank, q)
 
 
 def test_power_types_match_matrix_typing_exhaustive():
@@ -538,9 +547,8 @@ def test_power_types_match_matrix_typing_exhaustive():
     # division
     for rank in (2, 3):
         for q in (5, 7, 13):
-            # all but the scalars, whose A^n = a^n I the sweep types as scalar
-            classes = [(chi, None, None) for chi in _chis(rank, q)]
-            classes += [cls for cls in _sparse(rank, q) if cls[2] is not None]
+            # all but the scalars, which the sweep counts in closed form
+            classes = [(chi, None) for chi in _chis(rank, q)] + _sparse(rank, q)
             for cls in classes:
                 a = ffcount._representative(rank, q, *cls)
                 dim, chi = class_key(a.rows, q)
@@ -635,9 +643,9 @@ def test_orbit_representatives_match_set_based_orbits():
 def test_class_weights_per_kind_sum_to_the_class_numbers(monkeypatch):
     # the histogram the count folds: the weights of the classes the walk
     # yields, typed by the count, sum to q^(r-1) cyclic classes and q - 1
-    # non-cyclic ones at rank 3, and the scalar entry seeded before the walk
-    # holds gcd(r, q - 1) scalars, each centralized by all of SL_r(F_q): the
-    # count less the visited classes' share is that many times |SL_r(F_q)|
+    # non-cyclic ones at rank 3, and the count adds the gcd(r, q - 1)
+    # scalars in closed form, each centralized by all of SL_r(F_q): the count
+    # less the visited classes' share is that many times |SL_r(F_q)|
     walk, visited = ffcount._classes, []
     monkeypatch.setattr(ffcount, "_classes",
                         lambda rank, q: (visited.append(c) or c for c in walk(rank, q)))
@@ -652,10 +660,10 @@ def test_class_weights_per_kind_sum_to_the_class_numbers(monkeypatch):
                 types.clear()
                 total = count_rep_variety_points(rank, n, q)
                 totals, share = {}, 0
-                for (weight, chi, a), (pattern, cyclic) in zip(visited, types, strict=True):
+                for (weight, chi, a), (_, cyclic) in zip(visited, types, strict=True):
                     kind = "cyclic" if cyclic else "non-cyclic"
                     totals[kind] = totals.get(kind, 0) + weight
-                    m = ffcount._representative(rank, q, chi, a, pattern)
+                    m = ffcount._representative(rank, q, chi, a)
                     if m not in sizes:
                         sizes[m] = _conjugates(m)
                     share += weight * sizes[m] * count_commuting_det1(m.pow(n))
@@ -694,7 +702,7 @@ def test_sparse_class_types_match_matrix_typing(monkeypatch):
             sparse = [(a, a_type, got) for a, a_type, got in visits if a is not None]
             assert [a for a, _, _ in sparse] == list(range(1, q)), (n, q)
             for a, a_type, got in sparse:
-                m = ffcount._representative(3, q, None, a, a_type[0])
+                m = ffcount._representative(3, q, None, a)
                 for typed, matrix in ((a_type, m), (got, m.pow(n))):
                     assert (typed[0] and sorted(typed[0]), typed[1]) == _oracle_type(matrix), \
                         (a, n, q)

@@ -10,6 +10,8 @@ from hopfvar.geom import (
     rep_variety_epoly_strata, stabilizer_epoly, stratum_epoly,
 )
 
+from hopfvar.strata import shown
+
 from _oracles import (
     count_commuting_pairs_sl2_over, dense, gl2_group_order, sl_group_order, twisted_torus_order,
 )
@@ -175,6 +177,23 @@ def test_stratum_admissibility():
         Stratum(J3_DISTINCT, J3_PAIR_B2)
     with pytest.raises(ValueError):
         Stratum(J2_SCALAR, J3_SCALAR)
+
+
+@pytest.mark.parametrize("bad", ([1], None, 1, (2, 1), "xi1", "x" * 5000, "other"),
+                         ids=("list", "None", "int", "tuple", "str", "long-str", "other"))
+@pytest.mark.parametrize("call, kind", [
+    (stabilizer_epoly, "JordanType"), (pgl_mod_stab_epoly, "JordanType"),
+    (lambda stratum: stratum_epoly(stratum, 1), "Stratum"),
+], ids=("stabilizer_epoly", "pgl_mod_stab_epoly", "stratum_epoly"))
+def test_typed_arguments_are_refused(call, kind, bad):
+    # a Jordan type or stratum argument of another type, the other of the
+    # two included, is refused with ValueError naming it through
+    # strata.shown, not with Python's AttributeError on a missing field
+    if bad == "other":
+        bad = admissible_strata(2)[0] if kind == "JordanType" else J2_BLOCK
+    with pytest.raises(ValueError) as err:
+        call(bad)
+    assert str(err.value) == f"not a {kind}: {shown(bad)}"
 
 
 def test_rank2_stratum_table():

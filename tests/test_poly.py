@@ -83,6 +83,28 @@ def test_sym_projective_rejects_negative():
         sym_projective_epoly(2, -1)
 
 
+# every size argument of the group and symmetric-product series, by name
+SIZED = {
+    "special_linear_epoly": ("r", special_linear_epoly),
+    "general_linear_epoly": ("r", general_linear_epoly),
+    "sym_projective_epoly(m)": ("m", lambda m: sym_projective_epoly(m, 1)),
+    "sym_projective_epoly(r)": ("r", lambda r: sym_projective_epoly(1, r)),
+}
+
+
+@pytest.mark.parametrize("size", ([2], 2.0, "2", True, None, "x" * 5000),
+                         ids=("list", "float", "str", "bool", "None", "long-str"))
+@pytest.mark.parametrize("name", SIZED)
+def test_sizes_must_be_ints(name, size):
+    # a size that is not an int, or is a bool, is refused with ValueError
+    # naming its type alone: [2] and 2.0 failed on a comparison or a power,
+    # and True passed as 1
+    arg, call = SIZED[name]
+    with pytest.raises(ValueError) as err:
+        call(size)
+    assert str(err.value) == f"{arg} must be an int, got {type(size).__name__}"
+
+
 def test_group_epolys():
     assert special_linear_epoly(2) == Q ** 3 - Q
     assert special_linear_epoly(3) == Q ** 8 - Q ** 6 - Q ** 5 + Q ** 3

@@ -77,6 +77,7 @@ RANKED = {
     "char_piece_epoly": lambda r: char_piece_epoly(r, "total", 1),
     "char_variety_epoly_formula": lambda r: char_variety_epoly_formula(r, 1),
     "count_rep_variety_points": lambda r: count_rep_variety_points(r, 1, 5),
+    "refinement_pairs": refinement_pairs,
 }
 
 
