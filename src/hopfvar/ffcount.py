@@ -17,11 +17,10 @@ chi, so the representatives A_C are
   a^3 = 1 this is J_2(a) + (a), otherwise diag(a, a, a^-2));
 * scalar: a*I with a^r = 1, each a class of size 1.
 
-The count runs in two passes.  The first is one walk over the non-scalar
-classes (_classes) and one loop that types each class it yields into a
-histogram.  The walk visits one cyclic class per orbit of the group
-generated by A -> zA (z^r = 1, so zI is in SL_r) and A -> A^-1, weighted by
-the orbit size.  Both maps send GL-classes to GL-classes and keep the
+The count is one pass: a walk over the non-scalar classes (_classes) and
+one loop that types each class it yields.  The walk visits one cyclic class
+per orbit of the group generated by A -> zA (z^r = 1, so zI is in SL_r) and
+A -> A^-1, weighted by the orbit size.  Both maps send GL-classes to GL-classes and keep the
 centralizer in GL_r, hence the class size; and (zA)^n = z^n A^n and
 (A^-1)^n = (A^n)^-1 have the centralizer of A^n, hence the same #{B}.  On
 chi = sum c_i x^i, zA multiplies c_i by z^(r-i), and A^-1 gives the reversed
@@ -45,22 +44,23 @@ square-and-multiply kernel that also decides _factor_pattern's cubics).  A
 GL type is the factor pattern of the characteristic polynomial (its roots
 in F_q with multiplicity) and whether the matrix is cyclic; a scalar has its
 own type.  The weights go into a histogram keyed by (type of A, type of
-A^n).  The fold gives a scalar A^n all of SL_r(F_q) as its #{B}, and builds
-one matrix per non-scalar type of A^n, the power A^n of the first class met
-with it, from that class's chi or a (_representative), and asks
-count_commuting_det1 for its #{B} = |C_SL(A^n)|, which depends only on that
-type.  The count is gcd(r, q - 1) |SL_r(F_q)| for the scalars plus the sum
-over the histogram of weight x |GL_r(F_q)| / |C_GL(A)| x #{B}.  At rank 3
-there are at most 7 non-scalar types of A^n (3 at rank 2), against about
-q^2 / 6 visited cyclic classes (q^2 / 2 when 3 does not divide q - 1), and
-nothing is enumerated: a direct enumeration would step through q^9 matrices.
+A^n).  #{B} = |C_SL(A^n)| depends only on the type of A^n: it is
+|SL_r(F_q)|, stated once, for a scalar A^n, and the first time the loop
+meets a non-scalar type of A^n it builds the power A^n of that class, from
+its chi or a (_representative), and asks count_commuting_det1 for it.  The
+count is gcd(r, q - 1) |SL_r(F_q)| for the scalars plus the sum over the
+histogram of weight x |GL_r(F_q)| / |C_GL(A)| x #{B}.  At rank 3 there are
+at most 7 non-scalar types of A^n (3 at rank 2), against about q^2 / 6
+visited cyclic classes (q^2 / 2 when 3 does not divide q - 1), and nothing
+is enumerated: a direct enumeration would step through q^9 matrices.
 
 The orders of the centralizers C_GL(M) and C_SL(M) are closed forms in q, one
 row of _CENTRALIZERS per GL type of a non-scalar M: eight cyclic types at
 ranks 2 and 3 and the non-cyclic diag(a, a, b) and J_2(a) + (a) at rank 3.
-The fold's matrices (FqMatrix, built by FqMatrix._of alone) and their typing
-(count_commuting_det1, commutant_basis) are internals, not package names:
-straight-line code over the entries, with nothing row-reduced.
+The count's matrices (FqMatrix, built by FqMatrix._of alone) and their
+typing (count_commuting_det1, commutant_basis, for a non-scalar M only) are
+internals, not package names: straight-line code over the entries, with
+nothing row-reduced.
 
 The count bounds its q^(r-1) flags by MAX_CLASSES before the primality test
 of q, and reduces n mod |GL_r(F_q)|, exact by Lagrange's theorem, so the cost
@@ -128,14 +128,6 @@ def _check_field(q: int) -> None:
         raise ValueError(f"q must be an odd prime, got {shown(q)}")
 
 
-def _is_scalar(rows: tuple[tuple[int, ...], ...]) -> bool:
-    if len(rows) == 2:
-        (a, b), (c, d) = rows
-        return not (b or c) and a == d
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return not (b or c or d or f or g or h) and a == e == i
-
-
 @dataclass(frozen=True, slots=True, init=False)
 class FqMatrix:
     """Immutable r x r matrix over the prime field F_q (entries reduced), built by _of."""
@@ -182,7 +174,11 @@ class FqMatrix:
             base = base * base
 
     def is_scalar(self) -> bool:
-        return _is_scalar(self.rows)
+        if len(self.rows) == 2:
+            (a, b), (c, d) = self.rows
+            return not (b or c) and a == d
+        (a, b, c), (d, e, f), (g, h, i) = self.rows
+        return not (b or c or d or f or g or h) and a == e == i
 
     def char_poly(self) -> tuple[int, ...]:
         """Monic characteristic polynomial, ascending coefficients."""
@@ -250,22 +246,20 @@ def _outer(p: tuple[int, ...], c: tuple[int, ...], q: int) -> FqMatrix:
 
 
 def commutant_basis(M: FqMatrix) -> list[FqMatrix]:
-    """Basis of the algebra of matrices commuting with M, in closed form.
+    """Basis of the algebra of matrices commuting with a non-scalar M, in
+    closed form.
 
-    A scalar M gets the r^2 matrix units, a cyclic M the basis I, ...,
-    M^(r-1) of F_q[M].  A non-cyclic, non-scalar M has rank 3 and a double
-    eigenvalue a with M - aI = u v^T of rank 1 (_double_eigenvalue): u spans
-    its columns and v its rows.  X commutes with u v^T iff Xu = cu and
-    v^T X = c v^T for one scalar c: applying X u v^T = u v^T X to a w with
-    v^T w = 1 gives Xu = (v^T X w) u, and cancelling u != 0 then gives the
-    second.  So X - cI has its columns in v-perp and its rows in u-perp, and
-    the basis is I and the four p c^T with v^T p = 0 and c^T u = 0 (_perp).
-    At rank 3, M^2 is formed once, for both the cyclicity test and the basis."""
+    A cyclic M gets the basis I, ..., M^(r-1) of F_q[M].  A non-cyclic M has
+    rank 3 and a double eigenvalue a with M - aI = u v^T of rank 1
+    (_double_eigenvalue): u spans its columns and v its rows.  X commutes
+    with u v^T iff Xu = cu and v^T X = c v^T for one scalar c: applying
+    X u v^T = u v^T X to a w with v^T w = 1 gives Xu = (v^T X w) u, and
+    cancelling u != 0 then gives the second.  So X - cI has its columns in
+    v-perp and its rows in u-perp, and the basis is I and the four p c^T with
+    v^T p = 0 and c^T u = 0 (_perp).  At rank 3, M^2 is formed once, for both
+    the cyclicity test and the basis."""
     q, m = M.q, M.rows
     r = len(m)
-    if _is_scalar(m):
-        return [FqMatrix._of(q, tuple(tuple(int((i, j) == (k, l)) for l in range(r))
-                                      for k in range(r))) for i in range(r) for j in range(r)]
     ident = FqMatrix._of(q, _IDENTITY[r])
     if r == 2:
         return [ident, M]
@@ -382,16 +376,14 @@ _CENTRALIZERS = {
 
 
 def count_commuting_det1(M: FqMatrix) -> int:
-    """#{B in SL_r(F_q) : BM = MB} = |C_SL(M)| for any M.  A scalar M is
-    centralized by the whole group, of order |GL_r(F_q)| / (q - 1); otherwise
-    the length of its commutant basis tells whether M is cyclic, and with the
-    factor pattern of its characteristic polynomial (_factor_pattern) that
-    picks the row of _CENTRALIZERS."""
-    q, m = M.q, M.rows
-    if _is_scalar(m):
-        return _gl_order(len(m), q) // (q - 1)
+    """#{B in SL_r(F_q) : BM = MB} = |C_SL(M)| for a non-scalar M (a scalar,
+    centralized by all of SL_r(F_q), has no row here): the length of its
+    commutant basis tells whether M is cyclic, and with the factor pattern of
+    its characteristic polynomial (_factor_pattern) that picks the row of
+    _CENTRALIZERS."""
+    q = M.q
     gl, index = _CENTRALIZERS[_factor_pattern(M.char_poly(), q),
-                              len(commutant_basis(M)) == len(m)](q)
+                              len(commutant_basis(M)) == len(M.rows)](q)
     return gl // index
 
 
@@ -526,9 +518,11 @@ def count_rep_variety_points(rank: int, n: int, q: int,
     # remainder keeps the exponent at the order itself, since pow needs n >= 1
     order = _gl_order(rank, q)
     n = n % order or order
-    # class weight per (type of A, type of A^n), and the (chi, a) of the
-    # first class met of each type of A^n
-    weights, first = {}, {}
+    # class weight per (type of A, type of A^n), and |C_SL(A^n)| per type of
+    # A^n: all of SL_r(F_q) for a scalar, otherwise counted on the power of
+    # the first class met with that type
+    sl = order // (q - 1)
+    weights, commuting = {}, {_SCALAR: sl}
     for weight, chi, a in _classes(rank, q):
         if a is None:
             a_type = _factor_pattern(chi, q), True
@@ -538,15 +532,10 @@ def count_rep_variety_points(rank: int, n: int, q: int,
         power_type = _power_type(q, chi, a_type, a, n)
         types = a_type, power_type
         weights[types] = weights.get(types, 0) + weight
-        if power_type not in first:
-            first[power_type] = chi, a
-    # |C_SL(A^n)| depends only on the type of A^n: all of SL_r(F_q) for a
-    # scalar, otherwise counted on one matrix per type.  The gcd(r, q - 1)
-    # scalar classes A are single matrices with A^n scalar.
-    sl = order // (q - 1)
-    commuting = {power_type: sl if power_type == _SCALAR else
-                 count_commuting_det1(_representative(rank, q, *cls).pow(n))
-                 for power_type, cls in first.items()}
+        if power_type not in commuting:
+            commuting[power_type] = count_commuting_det1(
+                _representative(rank, q, chi, a).pow(n))
+    # the gcd(r, q - 1) scalar classes A are single matrices with A^n scalar
     return gcd(rank, q - 1) * sl + sum(
         weight * (order // _CENTRALIZERS[a_type](q)[0]) * commuting[power_type]
         for (a_type, power_type), weight in weights.items())

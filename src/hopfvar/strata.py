@@ -219,6 +219,9 @@ def admissibility_modulus(rank: int, n: int) -> int:
 
 def is_admissible(rank: int, n: int, q: int) -> bool:
     """Whether rank * n divides q - 1, where the F_q count equals the closed
-    formula at q.  Integers only: is_admissible(2, 1, 9) is True, and the
-    count, not this predicate, checks that q is an odd prime."""
+    formula at q.  Integers only (a q that is not an int, or is a bool, is
+    refused): is_admissible(2, 1, 9) is True, and the count, not this
+    predicate, checks that q is an odd prime."""
+    if type(q) is not int:
+        raise ValueError(f"q must be an int, got {shown(q)}")
     return (q - 1) % admissibility_modulus(rank, n) == 0

@@ -78,6 +78,13 @@ def _representatives(rank, q):
             + _scalars(rank, q))
 
 
+def _commuting(m):
+    # |C_SL(M)| for any M: all of SL_r(F_q), |GL_r(F_q)| / (q - 1), for a
+    # scalar M, else count_commuting_det1, which takes a non-scalar M only
+    rank, q = len(m.rows), m.q
+    return _gl_order(rank, q) // (q - 1) if m.is_scalar() else count_commuting_det1(m)
+
+
 def _centralizer_order(m):
     # |C_GL(M)|: the whole group for a scalar M, else by the oracle's
     # enumeration of the commutant (q^2, q^3 or q^5 members)
@@ -131,34 +138,38 @@ def test_char_and_min_poly():
 
 
 def test_commutant_dimension_examples():
-    assert len(commutant_basis(M(7, (2, 0, 0), (0, 2, 0), (0, 0, 2)))) == 9
     assert len(commutant_basis(M(7, (1, 0, 0), (0, 2, 0), (0, 0, 4)))) == 3
     assert len(commutant_basis(M(5, (1, 0), (1, 1)))) == 2
     assert len(commutant_basis(M(7, (2, 0, 0), (0, 2, 0), (0, 0, 3)))) == 5
 
 
 def test_commutant_dimension_exhaustive_rank2():
+    # every non-scalar matrix is cyclic at rank 2
     for q in (3, 5):
         for entries in itertools.product(range(q), repeat=4):
             m = M(q, entries[:2], entries[2:])
-            assert len(commutant_basis(m)) in (2, 4)
+            if not m.is_scalar():
+                assert len(commutant_basis(m)) == 2, m
 
 
 def test_commutant_dimension_exhaustive_rank3_q3():
     seen = set()
     for entries in itertools.product(range(3), repeat=9):
         m = M(3, entries[:3], entries[3:6], entries[6:])
+        if m.is_scalar():
+            continue
         d = len(commutant_basis(m))
-        assert d in (3, 5, 9)
+        assert d in (3, 5)
         seen.add(d)
-    assert seen == {3, 5, 9}
+    assert seen == {3, 5}
 
 
 def test_commutant_basis_members_commute():
-    # every path of commutant_basis (matrix units, powers of M, and
-    # I + v-perp (x) u-perp for a non-cyclic M): every class and its powers
-    # n = 1, 2, 3, 6, and random matrices; the basis must commute with m, be
-    # linearly independent and have the dimension of the oracle's null space
+    # both paths of commutant_basis (powers of M, and I + v-perp (x) u-perp
+    # for a non-cyclic M): every class and its powers n = 1, 2, 3, 6, and
+    # random matrices, the scalars left out; the basis must commute with m,
+    # be linearly independent and have the dimension of the oracle's null
+    # space
     matrices = [a.pow(n) for rank in (2, 3) for q in (3, 5, 7, 13)
                 for a in _representatives(rank, q) for n in (1, 2, 3, 6)]
     rng = random.Random(23)
@@ -166,7 +177,7 @@ def test_commutant_basis_members_commute():
         q = rng.choice((3, 5, 7))
         r = rng.choice((2, 3))
         matrices.append(M(q, *[[rng.randrange(q) for _ in range(r)] for _ in range(r)]))
-    for m in matrices:
+    for m in filter(lambda m: not m.is_scalar(), matrices):
         basis = commutant_basis(m)
         assert all(b * m == m * b for b in basis), m
         assert linearly_independent([b.rows for b in basis], m.q), m
@@ -265,10 +276,12 @@ def test_matrix_is_slotted_and_frozen():
 
 
 def test_count_commuting_det1_examples():
-    assert count_commuting_det1(_eye(2, 5)) == 120
     assert count_commuting_det1(M(5, (2, 0), (0, 3))) == 4
-    # |SL_3(F_7)| = q^3 (q^2 - 1)(q^3 - 1)
-    assert count_commuting_det1(_eye(3, 7)) == 343 * 48 * 342 == 5630688
+    # J_2(1): |C_GL| = q (q - 1) with determinants the squares, so 2q
+    assert count_commuting_det1(M(5, (1, 1), (0, 1))) == 10
+    # diag(2, 2, 3): C_GL = GL_2 x GL_1 meets every determinant, so
+    # (q^2 - 1)(q^2 - q)(q - 1) / (q - 1) at q = 7
+    assert count_commuting_det1(M(7, (2, 0, 0), (0, 2, 0), (0, 0, 3))) == 48 * 42 == 2016
 
 
 def test_key_equal_implies_count_equal_exhaustive_q3():
@@ -278,6 +291,8 @@ def test_key_equal_implies_count_equal_exhaustive_q3():
     by_key: dict[tuple, int] = {}
     for rows in sl_matrices(3, 3).tolist():
         m = M(3, *rows)
+        if m.is_scalar():
+            continue
         key = (m.char_poly(), len(commutant_basis(m)))
         count = count_commuting_det1(m)
         if key in by_key:
@@ -306,7 +321,7 @@ def test_rank3_count_matches_pure_python_route():
     # independent slow route: iterate SL3(F3) with exact matrix powers and
     # per-matrix commutant counts (no vectorized classification involved)
     for n in (1, 2):
-        total = sum(count_commuting_det1(M(3, *rows).pow(n))
+        total = sum(_commuting(M(3, *rows).pow(n))
                     for rows in sl_matrices(3, 3).tolist())
         assert count_rep_variety_points(3, n, 3, threads=1) == total, n
 
@@ -353,25 +368,24 @@ def test_centralizer_orders_match_commutant_enumeration():
     # every class at rank 2 (q = 5, 7, 13) and rank 3 (q = 5, 7), and its
     # powers n = 1, 2, 3; q = 7 is the smallest q with 3 | q-1, where the
     # SL_3-centralizer of J_3(a) carries the factor gcd(3, q-1) = 3.  A
-    # rank-3 scalar has q^9 commutant members, enumerated at q = 5 only; at
-    # q = 7 it is centralized by all of SL_3(F_7)
+    # scalar, which _commuting takes in closed form, has q^(r^2) commutant
+    # members; at rank 3 they are enumerated at q = 5 only
     for rank, qs in ((2, (5, 7, 13)), (3, (5, 7))):
         for q in qs:
             for a in _representatives(rank, q):
                 for n in (1, 2, 3):
                     m = a.pow(n)
                     if rank == 3 and q == 7 and commutant_dimension_by_null_space(m.rows, q) == 9:
-                        expected = _gl_order(3, q) // (q - 1)
-                    else:
-                        expected = commutant_unit_counts(m.rows, q)[1]
-                    assert count_commuting_det1(m) == expected, (a, n)
+                        continue
+                    assert _commuting(m) == commutant_unit_counts(m.rows, q)[1], (a, n)
 
 
 def test_centralizer_orders_of_conjugates_match_commutant_enumeration():
-    # count_commuting_det1 types any matrix through its commutant basis, not
-    # only the rational canonical forms of the sweep: a random GL_r(F_q)
-    # conjugate g A g^-1 of every class representative; g is invertible iff
-    # the constant term of its characteristic polynomial, (-1)^r det g, is not 0
+    # count_commuting_det1 types any non-scalar matrix through its commutant
+    # basis, not only the rational canonical forms of the sweep: a random
+    # GL_r(F_q) conjugate g A g^-1 of every class representative (a scalar is
+    # its own conjugate); g is invertible iff the constant term of its
+    # characteristic polynomial, (-1)^r det g, is not 0
     rng = random.Random(29)
     for rank, q in ((2, 5), (2, 7), (3, 5)):
         for a in _representatives(rank, q):
@@ -380,7 +394,7 @@ def test_centralizer_orders_of_conjugates_match_commutant_enumeration():
                 if g.char_poly()[0]:
                     break
             b = g * a * g.pow(_gl_order(rank, q) - 1)
-            assert count_commuting_det1(b) == commutant_unit_counts(b.rows, q)[1], (a, b)
+            assert _commuting(b) == commutant_unit_counts(b.rows, q)[1], (a, b)
 
 
 def test_centralizer_table_has_one_row_per_type_met():
@@ -408,8 +422,7 @@ def test_centralizer_table_has_one_row_per_type_met():
 def test_count_commuting_det1_types_through_one_commutant_basis(monkeypatch):
     # the call shape the benchmark's per-layer commutant metrics read:
     # count_commuting_det1 looks commutant_basis up on the module and calls
-    # it once for a non-scalar M, and never for a scalar M, which it tests
-    # for first
+    # it once, on M; it takes a non-scalar M only
     basis, calls = ffcount.commutant_basis, []
     monkeypatch.setattr(ffcount, "commutant_basis", lambda m: calls.append(m) or basis(m))
     for rank in (2, 3):
@@ -417,9 +430,11 @@ def test_count_commuting_det1_types_through_one_commutant_basis(monkeypatch):
             for a in _representatives(rank, q):
                 for n in (1, 2, 3):
                     m = a.pow(n)
+                    if m.is_scalar():
+                        continue
                     calls.clear()
                     count_commuting_det1(m)
-                    assert calls == ([] if m.is_scalar() else [m]), (a, n)
+                    assert calls == [m], (a, n)
 
 
 def _matrix_type(m):
@@ -476,9 +491,10 @@ def test_sweep_types_each_visited_class_once(monkeypatch):
     # the sweep factors the chi of each visited cyclic class once, and the
     # chi of its power read off x^n mod chi once more unless A^n is scalar or
     # A itself (always at n = 1); a non-cyclic class is typed from its
-    # eigenvalue and a scalar not at all, so neither is factored; then each
-    # matrix it counts, one per non-scalar type of A^n, is factored once more,
-    # after the walk and in the order counted
+    # eigenvalue and a scalar not at all, so neither is factored.  A class
+    # whose A^n has a non-scalar type not met before then has A^n counted,
+    # right there, which factors its chi once more: one pass, with the counts
+    # in the order their types are first met
     factor, patterns = ffcount._factor_pattern, []
     monkeypatch.setattr(ffcount, "_factor_pattern",
                         lambda chi, q: patterns.append(chi) or factor(chi, q))
@@ -492,17 +508,21 @@ def test_sweep_types_each_visited_class_once(monkeypatch):
                 counted.clear()
                 visits.clear()
                 count_rep_variety_points(rank, n, q)
-                expected = []
+                expected, first_met, met = [], [], set()
                 for chi, x in visits:
-                    if x is not None:
-                        continue
-                    a = ffcount._representative(rank, q, chi, None)
+                    a = ffcount._representative(rank, q, chi, x)
                     power = a.pow(n)
-                    expected.append(a.char_poly())
-                    if not power.is_scalar() and power != a:
+                    if x is None:
+                        expected.append(a.char_poly())
+                        if not power.is_scalar() and power != a:
+                            expected.append(power.char_poly())
+                    pattern, cyclic = _oracle_type(power)
+                    power_type = pattern and tuple(pattern), cyclic
+                    if pattern is not None and power_type not in met:
+                        met.add(power_type)
+                        first_met.append(power)
                         expected.append(power.char_poly())
-                assert counted and not any(m.is_scalar() for m in counted), (rank, q, n)
-                expected += [m.char_poly() for m in counted]
+                assert counted and counted == first_met, (rank, q, n)
                 assert patterns == expected, (rank, q, n)
 
 
@@ -572,7 +592,7 @@ def test_sweep_matches_bruteforce_oracle():
 def _plain_class_sums(rank, q, ns):
     # the class equation without orbits: every class representative once
     reps = [(a, _conjugates(a)) for a in _representatives(rank, q)]
-    return {n: sum(size * count_commuting_det1(a.pow(n)) for a, size in reps) for n in ns}
+    return {n: sum(size * _commuting(a.pow(n)) for a, size in reps) for n in ns}
 
 
 def test_orbit_sweep_matches_plain_class_sum():
@@ -635,7 +655,7 @@ def test_orbit_representatives_match_set_based_orbits():
                 expected_total += orbit * _conjugates(a) * count_commuting_det1(a)
             cyclic = [ffcount._representative(rank, q, chi, None) for chi in _chis(rank, q)]
             assert orbits == set_based_orbits([a.rows for a in cyclic], q), (rank, q)
-            expected_total += sum(_conjugates(a) * count_commuting_det1(a)
+            expected_total += sum(_conjugates(a) * _commuting(a)
                                   for a in _representatives(rank, q)[len(cyclic):])
             assert total == expected_total, (rank, q)
 
@@ -666,7 +686,7 @@ def test_class_weights_per_kind_sum_to_the_class_numbers(monkeypatch):
                     m = ffcount._representative(rank, q, chi, a)
                     if m not in sizes:
                         sizes[m] = _conjugates(m)
-                    share += weight * sizes[m] * count_commuting_det1(m.pow(n))
+                    share += weight * sizes[m] * _commuting(m.pow(n))
                 scalars, rest = divmod(total - share, _gl_order(rank, q) // (q - 1))
                 assert rest == 0, (rank, n, q)
                 totals["scalar"] = scalars
@@ -738,8 +758,7 @@ def test_orbit_maps_keep_class_size_and_commutant():
                 for b in images + [inverse]:
                     assert _centralizer_order(b) == order, (a, b)
                     for n in (1, 2, 3):
-                        assert count_commuting_det1(b.pow(n)) == \
-                            count_commuting_det1(a.pow(n)), (a, b, n)
+                        assert _commuting(b.pow(n)) == _commuting(a.pow(n)), (a, b, n)
 
 
 def test_rank3_counts_beyond_q7():
@@ -828,16 +847,20 @@ def test_field_checked_once_per_count(monkeypatch):
     assert calls == [7]
 
 
-@pytest.mark.parametrize("call", [lambda q: count_rep_variety_points(2, 1, q)],
-                         ids=["count_rep_variety_points"])
+@pytest.mark.parametrize("call, refusal", [
+    (lambda q: count_rep_variety_points(2, 1, q), "q must be an odd prime"),
+    (lambda q: is_admissible(2, 1, q), "q must be an int"),
+], ids=["count_rep_variety_points", "is_admissible"])
 @pytest.mark.parametrize("q", (7.0, True, "7", None))
-def test_field_size_must_be_an_int(monkeypatch, call, q):
+def test_field_size_must_be_an_int(monkeypatch, call, refusal, q):
     # refused before is_prime, which would take 7.0 for the prime 7, and
-    # before the class ceiling, which cannot raise "7" or None to a power
+    # before the class ceiling, which cannot raise "7" or None to a power;
+    # is_admissible took 7.0 and True as 7 and 1, and raised TypeError for
+    # "7" and None
     monkeypatch.setattr(ffcount, "is_prime", None)
     with pytest.raises(ValueError) as err:
         call(q)
-    assert str(err.value) == f"q must be an odd prime, got {q!r}"
+    assert str(err.value) == f"{refusal}, got {q!r}"
 
 
 def test_is_prime_matches_a_sieve():
@@ -882,22 +905,23 @@ def test_large_field_answered_in_bounded_time():
 
 
 def test_commutant_basis_closed_form_matches_null_space():
-    # the closed forms for scalar (matrix units) and non-cyclic rank-3 M
-    # (I and v-perp (x) u-perp for M - aI = u v^T): every scalar and
-    # non-cyclic 3x3 matrix over F_3, and conjugates of diag(a, a, b) and
-    # J_2(a) + (a) by random GL_3 elements at q = 5, 7, 13
+    # the closed form for a non-cyclic, non-scalar rank-3 M (I and
+    # v-perp (x) u-perp for M - aI = u v^T): every such 3x3 matrix over F_3,
+    # and conjugates of diag(a, a, b), a != b, and J_2(a) + (a) by random
+    # GL_3 elements at q = 5, 7, 13
     matrices = []
     for entries in itertools.product(range(3), repeat=9):
         rows = (entries[:3], entries[3:6], entries[6:])
         square = [[sum(rows[i][k] * rows[k][j] for k in range(3)) % 3 for j in range(3)]
                   for i in range(3)]
         # scalar or non-cyclic: M^2 = alpha M + beta I for some alpha, beta
-        if any(all(square[i][j] == (alpha * rows[i][j] + beta * (i == j)) % 3
-                   for i in range(3) for j in range(3))
-               for alpha in range(3) for beta in range(3)):
-            matrices.append(M(3, *rows))
-    # 3 scalars, 702 conjugates of diag(a, a, b) and 312 of J_2(a) + (a)
-    assert len(matrices) == 1017
+        m = M(3, *rows)
+        if not m.is_scalar() and any(all(square[i][j] == (alpha * rows[i][j] + beta * (i == j)) % 3
+                                         for i in range(3) for j in range(3))
+                                     for alpha in range(3) for beta in range(3)):
+            matrices.append(m)
+    # 702 conjugates of diag(a, a, b) and 312 of J_2(a) + (a)
+    assert len(matrices) == 1014
     rng = random.Random(59)
     for q in (5, 7, 13):
         for _ in range(60):
@@ -909,11 +933,12 @@ def test_commutant_basis_closed_form_matches_null_space():
                 if g.char_poly()[0]:
                     break
             g_inv = g.pow(prod(q ** 3 - q ** i for i in range(3)) - 1)
-            matrices.append(g * M(q, *core) * g_inv)
+            if a != b or core[0][1]:
+                matrices.append(g * M(q, *core) * g_inv)
     for m in matrices:
         basis = commutant_basis(m)
         null_space = commutant_null_space(m.rows, m.q)
-        assert len(null_space) in (5, 9), m
+        assert len(null_space) == 5, m
         assert all(b * m == m * b for b in basis), m
         assert linearly_independent([b.rows for b in basis], m.q), m
         # the same span: as many members, and stacking adds no rank
